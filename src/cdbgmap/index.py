@@ -26,6 +26,16 @@ from .sequences import encode_kmer, rc_code, window_codes
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 1
 
+# Index file records, all little-endian except the 16-byte big-endian keys.
+_HEADER = struct.Struct("<IIII")  # version, k, interior min_length, stride
+_COUNT = struct.Struct("<Q")  # records in the table that follows
+_KEY = struct.Struct(">QQ")  # canonical (k-1)-mer code, high and low words
+_ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
+_ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit
+_OCCURRENCES = struct.Struct("<I")
+_OCCURRENCE = struct.Struct("<IIB")  # unitig id, offset, written is canonical
+_UNITIG_LENGTH = struct.Struct("<II")  # unitig id, length
+
 FORWARD = "+"
 REVERSE = "-"
 STARTS_WITH = "starts_with"
@@ -234,66 +244,94 @@ def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex)
     with open(path, "wb") as out:
         out.write(_INDEX_MAGIC)
         out.write(
-            struct.pack(
-                "<IIII",
-                _INDEX_VERSION,
-                anchor.k,
-                interior.min_length,
-                interior.stride,
-            )
+            _HEADER.pack(_INDEX_VERSION, anchor.k, interior.min_length, interior.stride)
         )
-        out.write(struct.pack("<Q", len(anchor._table)))
+        out.write(_COUNT.pack(len(anchor._table)))
         for key in sorted(anchor._table):
             starts, ends = anchor._table[key]
             out.write(key.to_bytes(16, "big"))
-            out.write(struct.pack("<HH", len(starts), len(ends)))
+            out.write(_ANCHOR_SIZES.pack(len(starts), len(ends)))
             for uid, orient in starts:
-                out.write(struct.pack("<IB", uid, orient))
+                out.write(_ANCHOR_ENTRY.pack(uid, orient))
             for uid, orient in ends:
-                out.write(struct.pack("<IB", uid, orient))
-        out.write(struct.pack("<Q", len(interior._table)))
+                out.write(_ANCHOR_ENTRY.pack(uid, orient))
+        out.write(_COUNT.pack(len(interior._table)))
         for key in sorted(interior._table):
             occs = interior._table[key]
             out.write(key.to_bytes(16, "big"))
-            out.write(struct.pack("<I", len(occs)))
-            for uid, off, canon_written in occs:
-                out.write(struct.pack("<IIB", uid, off, canon_written))
-        out.write(struct.pack("<Q", len(interior._unitig_lengths)))
+            out.write(_OCCURRENCES.pack(len(occs)))
+            for occ in occs:
+                out.write(_OCCURRENCE.pack(*occ))
+        out.write(_COUNT.pack(len(interior._unitig_lengths)))
         for uid in sorted(interior._unitig_lengths):
-            out.write(struct.pack("<II", uid, interior._unitig_lengths[uid]))
+            out.write(_UNITIG_LENGTH.pack(uid, interior._unitig_lengths[uid]))
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
+    """Inverse of save_indexes.  The file is read whole; a truncated or
+    malformed one raises ValueError."""
     with open(path, "rb") as inp:
-        if inp.read(8) != _INDEX_MAGIC:
-            raise ValueError(f"not an index file: {path}")
-        version, k, min_length, stride = struct.unpack("<IIII", inp.read(16))
-        if version != _INDEX_VERSION:
-            raise ValueError(f"unsupported index format version {version}")
-        anchor = AnchorIndex(k=k)
-        (n_keys,) = struct.unpack("<Q", inp.read(8))
-        for _ in range(n_keys):
-            key = int.from_bytes(inp.read(16), "big")
-            n_starts, n_ends = struct.unpack("<HH", inp.read(4))
-            starts = tuple(
-                struct.unpack("<IB", inp.read(5)) for _ in range(n_starts)
-            )
-            ends = tuple(struct.unpack("<IB", inp.read(5)) for _ in range(n_ends))
-            anchor._table[key] = (starts, ends)
-        interior = InteriorIndex(k=k, min_length=min_length, stride=stride)
-        (n_keys,) = struct.unpack("<Q", inp.read(8))
-        table = {}
-        for _ in range(n_keys):
-            key = int.from_bytes(inp.read(16), "big")
-            (n_occ,) = struct.unpack("<I", inp.read(4))
-            table[key] = tuple(
-                struct.unpack("<IIB", inp.read(9)) for _ in range(n_occ)
-            )
-        interior._table = table
-        (n_lengths,) = struct.unpack("<Q", inp.read(8))
-        interior._unitig_lengths = dict(
-            struct.unpack("<II", inp.read(8)) for _ in range(n_lengths)
-        )
+        data = inp.read()
+    if data[:8] != _INDEX_MAGIC:
+        raise ValueError(f"not an index file: {path}")
+    try:
+        return _decode_indexes(data)
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"truncated or malformed index file {path}: {exc}") from None
+
+
+def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
+    """Decode save_indexes' layout from `data`: struct.error when it runs
+    short, ValueError on a wrong version or bytes left over."""
+    version, k, min_length, stride = _HEADER.unpack_from(data, 8)
+    if version != _INDEX_VERSION:
+        raise ValueError(f"unsupported index format version {version}")
+    key_at = _KEY.unpack_from
+    off = 8 + _HEADER.size
+
+    anchor = AnchorIndex(k=k)
+    sizes_at = _ANCHOR_SIZES.unpack_from
+    entry_at = _ANCHOR_ENTRY.unpack_from
+    entry_size = _ANCHOR_ENTRY.size
+    (n_keys,) = _COUNT.unpack_from(data, off)
+    off += _COUNT.size
+    for _ in range(n_keys):
+        high, low = key_at(data, off)
+        n_starts, n_ends = sizes_at(data, off + 16)
+        off += 20
+        starts = tuple(entry_at(data, off + i * entry_size) for i in range(n_starts))
+        off += n_starts * entry_size
+        ends = tuple(entry_at(data, off + i * entry_size) for i in range(n_ends))
+        off += n_ends * entry_size
+        anchor._table[high << 64 | low] = (starts, ends)
+
+    interior = InteriorIndex(k=k, min_length=min_length, stride=stride)
+    count_at = _OCCURRENCES.unpack_from
+    occ_at = _OCCURRENCE.unpack_from
+    occ_size = _OCCURRENCE.size
+    table = interior._table
+    (n_keys,) = _COUNT.unpack_from(data, off)
+    off += _COUNT.size
+    for _ in range(n_keys):
+        high, low = key_at(data, off)
+        (n_occ,) = count_at(data, off + 16)
+        off += 20
+        if n_occ == 1:  # nearly every key outside repeats
+            occs = (occ_at(data, off),)
+        else:
+            occs = tuple(occ_at(data, off + i * occ_size) for i in range(n_occ))
+        off += n_occ * occ_size
+        table[high << 64 | low] = occs
+
+    (n_lengths,) = _COUNT.unpack_from(data, off)
+    off += _COUNT.size
+    length_size = _UNITIG_LENGTH.size
+    interior._unitig_lengths = dict(
+        _UNITIG_LENGTH.unpack_from(data, off + i * length_size) for i in range(n_lengths)
+    )
+    off += n_lengths * length_size
+    if off != len(data):
+        raise ValueError(f"{len(data) - off} bytes after the index tables")
     return anchor, interior
 
 

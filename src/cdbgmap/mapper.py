@@ -23,23 +23,27 @@ id, then forward orientation, so results are deterministic.
 The exhaustive mapper anchors like the greedy one (begin anchors only) and
 then explores every junction choice with branch-and-bound, which makes its
 cost a lower bound for the greedy cost on every read.
+
+`map_read` runs the single-unitig pass on strand '+' then '-', and only then
+the branching pass on '+' then '-'.  Each regime keeps its first successful
+strand, and a perfect single-unitig placement is returned at once.  All
+passes over a read share one `ReadView`: its (k-1)-mer windows are encoded
+at most once per read (the '-' strand's are the forward ones mirrored), its
+anchor overlaps are detected once, and the single-unitig pass takes the
+windows lazily, so a read placed perfectly from its first window encodes
+only that window.  A read shorter than k is unmapped as `too_short`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .graph import CompactedGraph
 from .index import AnchorIndex, Incidence, InteriorIndex, query_anchor
-from .sequences import (
-    Read,
-    encode_kmer,
-    rc_code,
-    reverse_complement_read,
-    window_codes,
-)
+from .sequences import Read, kmer_codes, reverse_complement_read, window_codes
 
 SINGLE_UNITIG = "single_unitig"
 BRANCHING_PATH = "branching_path"
@@ -50,6 +54,7 @@ BEGIN_NOT_FOUND = "begin_not_found"
 END_NOT_FOUND = "end_not_found"
 COVER_FAILED = "cover_failed"
 BUDGET_EXCEEDED = "budget_exceeded"
+TOO_SHORT = "too_short"
 
 _REASON_PRIORITY = {
     None: -1,
@@ -133,17 +138,77 @@ def detect_read_overlaps(
     seq = read.sequence if isinstance(read, Read) else read
     _require_length(seq, index.k)
     out = []
-    for pos, fwd, rc in window_codes(seq, index.k - 1):
-        if index.has_key_codes(fwd, rc):
-            mer = seq[pos : pos + index.k - 1]
-            out.append((pos, mer, query_anchor(index, mer)))
+    for pos, _, _ in ReadView(seq, index.k - 1).detected("+", index):
+        mer = seq[pos : pos + index.k - 1]
+        out.append((pos, mer, query_anchor(index, mer)))
     return out
 
 
-# One detected overlap in hot-path form: (position, fwd_code, rc_code).
-def _detected(wins, anchor: AnchorIndex):
-    has = anchor.has_key_codes
-    return [w for w in wins if has(w[1], w[2])]
+def _mirror(wins, base: int):
+    """Forward windows as the reverse complement sees them, in ascending order."""
+    return ((base - pos, rc, fwd) for pos, fwd, rc in reversed(wins))
+
+
+class ReadView:
+    """A read's (k-1)-mer windows on both strands, encoded at most once.
+
+    Windows are (position, fwd_code, rc_code) triples, as `window_codes`
+    gives them.  The '-' strand's windows are the forward ones mirrored: the
+    window at forward position p sits at L-(k-1)-p on the reverse
+    complement, with its two codes swapped.  Detected anchor overlaps are
+    windows too, and are mirrored the same way.
+    """
+
+    def __init__(self, sequence: str, size: int):
+        self.size = size
+        self._seq = sequence
+        self._rc_seq: str | None = None
+        self._base = len(sequence) - size
+        self._fwd: list | None = None  # forward windows, once encoded
+        self._dets: list | None = None  # forward detected overlaps
+
+    def sequence(self, strand: str) -> str:
+        if strand == "+":
+            return self._seq
+        if self._rc_seq is None:
+            self._rc_seq = reverse_complement_read(self._seq)
+        return self._rc_seq
+
+    def windows(self, strand: str) -> list:
+        """All windows of the strand's sequence, in ascending position order."""
+        if self._fwd is None:
+            self._fwd = window_codes(self._seq, self.size)
+        if strand == "+":
+            return self._fwd
+        return list(_mirror(self._fwd, self._base))
+
+    def seeds(self, strand: str):
+        """`windows(strand)` as a lazy iterable: before the forward windows
+        are encoded, the first one is encoded alone, and the rest only when
+        the consumer asks for them."""
+        if strand == "-":
+            return _mirror(self.windows("+"), self._base)
+        if self._fwd is not None:
+            return self._fwd
+        return self._lazy_forward()
+
+    def _lazy_forward(self):
+        try:
+            first = kmer_codes(self._seq[: self.size])
+        except ValueError:  # a non-ACGT symbol: window 0 is not a window
+            yield from self.windows("+")
+            return
+        yield (0, *first)
+        yield from islice(self.windows("+"), 1, None)
+
+    def detected(self, strand: str, anchor: AnchorIndex) -> list:
+        """Windows that are indexed unitig overlaps, in ascending order."""
+        if self._dets is None:
+            has = anchor.has_key_codes
+            self._dets = [w for w in self.windows("+") if has(w[1], w[2])]
+        if strand == "+":
+            return self._dets
+        return list(_mirror(self._dets, self._base))
 
 
 @dataclass
@@ -165,9 +230,21 @@ def _worse(reason_a: str | None, reason_b: str | None) -> str | None:
     return reason_a if _REASON_PRIORITY[reason_a] >= _REASON_PRIORITY[reason_b] else reason_b
 
 
+def _first_strand(read_id, view, strand_pass, graph, index, params) -> MappingResult:
+    """The result of the first strand whose pass succeeds; otherwise unmapped,
+    with the worst reason over the passes that ran."""
+    reason = None
+    for strand in params.strands:
+        attempt = strand_pass(view, strand, graph, index, params)
+        if attempt.ok:
+            return _finish(read_id, strand, attempt)
+        reason = _worse(reason, attempt.reason)
+    return MappingResult(read_id=read_id, regime=UNMAPPED, reason=reason)
+
+
 def _branch_pass(
-    seq: str,
-    wins,
+    view: ReadView,
+    strand: str,
     graph: CompactedGraph,
     anchor: AnchorIndex,
     params: MappingParams,
@@ -176,10 +253,11 @@ def _branch_pass(
     k1 = k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
+    seq = view.sequence(strand)
     length = len(seq)
     oriented = graph.oriented_sequence
 
-    dets = _detected(wins, anchor)
+    dets = view.detected(strand, anchor)
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
     det_positions = [d[0] for d in dets]
@@ -333,8 +411,7 @@ def _greedy_cover(
         cost_mid += cost_u
         jpos = jnext
         token_str = s[-k1:]
-        token_f = encode_kmer(token_str)
-        token_r = rc_code(token_f, k1)
+        token_f, token_r = kmer_codes(token_str)
 
 
 def _finish(read_id: str, strand: str, attempt: _Attempt) -> MappingResult:
@@ -360,33 +437,27 @@ def map_branching(
 ) -> MappingResult:
     """Greedy mapping of a read across branching unitig paths."""
     _require_length(read.sequence, graph.k)
-    reason = None
-    for strand in params.strands:
-        seq = read.sequence if strand == "+" else reverse_complement_read(read.sequence)
-        wins = window_codes(seq, graph.k - 1)
-        attempt = _branch_pass(seq, wins, graph, anchor, params)
-        if attempt.ok:
-            return _finish(read.id, strand, attempt)
-        reason = _worse(reason, attempt.reason)
-    return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason)
+    view = ReadView(read.sequence, graph.k - 1)
+    return _first_strand(read.id, view, _branch_pass, graph, anchor, params)
 
 
 def _single_pass(
-    seq: str,
-    wins,
+    view: ReadView,
+    strand: str,
     graph: CompactedGraph,
     interior: InteriorIndex,
     params: MappingParams,
 ) -> _Attempt:
     t = params.max_mismatches
     n = params.max_anchor_attempts
+    seq = view.sequence(strand)
     length = len(seq)
     unitigs = graph.unitigs
     table_get = interior._table.get
 
     attempts = 0
     failure = NO_ANCHOR
-    for pos, f, r in wins:
+    for pos, f, r in view.seeds(strand):
         key = f if f <= r else r
         entry = table_get(key)
         if not entry:
@@ -436,15 +507,8 @@ def map_single_unitig(
 ) -> MappingResult:
     """Place a read entirely inside one unitig via the interior index."""
     _require_length(read.sequence, graph.k)
-    reason = None
-    for strand in params.strands:
-        seq = read.sequence if strand == "+" else reverse_complement_read(read.sequence)
-        wins = window_codes(seq, graph.k - 1)
-        attempt = _single_pass(seq, wins, graph, interior, params)
-        if attempt.ok:
-            return _finish(read.id, strand, attempt)
-        reason = _worse(reason, attempt.reason)
-    return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason)
+    view = ReadView(read.sequence, graph.k - 1)
+    return _first_strand(read.id, view, _single_pass, graph, interior, params)
 
 
 def map_read(
@@ -454,53 +518,32 @@ def map_read(
     interior: InteriorIndex,
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
-    """Dispatch over both regimes: single-unitig first, then branching; the
-    cheaper result wins and ties go to the single-unitig placement."""
-    _require_length(read.sequence, graph.k)
-    single: MappingResult | None = None
-    branching: MappingResult | None = None
-    for strand in params.strands:
-        seq = read.sequence if strand == "+" else reverse_complement_read(read.sequence)
-        wins = window_codes(seq, graph.k - 1)
-        if single is None or not single.mapped:
-            attempt = _single_pass(seq, wins, graph, interior, params)
-            if attempt.ok:
-                single = _finish(read.id, strand, attempt)
-                if single.mismatches == 0:
-                    return single  # nothing can beat a perfect placement
-            else:
-                single = _merge_unmapped(read.id, single, attempt.reason)
-        if branching is None or not branching.mapped:
-            attempt = _branch_pass(seq, wins, graph, anchor, params)
-            if attempt.ok:
-                branching = _finish(read.id, strand, attempt)
-            else:
-                branching = _merge_unmapped(read.id, branching, attempt.reason)
-        if single.mapped and branching.mapped:
-            break
-    if single.mapped and branching.mapped:
-        return single if single.mismatches <= branching.mismatches else branching
-    if single.mapped:
+    """Both regimes over one read view, as `map_single_unitig` then
+    `map_branching` would map the read: a perfect single-unitig placement is
+    returned at once (the branching pass does not run); otherwise the cheaper
+    result wins, a tie goes to the single-unitig placement, and when neither
+    maps, the reason is the worse of the two.  A read shorter than k is
+    unmapped with reason `too_short`."""
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
+    view = ReadView(read.sequence, graph.k - 1)
+    single = _first_strand(read.id, view, _single_pass, graph, interior, params)
+    if single.mapped and single.mismatches == 0:
+        return single  # nothing can beat a perfect placement
+    branching = _first_strand(read.id, view, _branch_pass, graph, anchor, params)
+    if not branching.mapped:
+        if single.mapped:
+            return single
+        reason = _worse(single.reason, branching.reason)
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason)
+    if single.mapped and single.mismatches <= branching.mismatches:
         return single
-    if branching.mapped:
-        return branching
-    return MappingResult(
-        read_id=read.id,
-        regime=UNMAPPED,
-        reason=_worse(single.reason, branching.reason),
-    )
-
-
-def _merge_unmapped(
-    read_id: str, prev: MappingResult | None, reason: str | None
-) -> MappingResult:
-    merged = reason if prev is None else _worse(prev.reason, reason)
-    return MappingResult(read_id=read_id, regime=UNMAPPED, reason=merged)
+    return branching
 
 
 def _exhaustive_pass(
-    seq: str,
-    wins,
+    view: ReadView,
+    strand: str,
     graph: CompactedGraph,
     anchor: AnchorIndex,
     params: MappingParams,
@@ -514,10 +557,11 @@ def _exhaustive_pass(
     k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
+    seq = view.sequence(strand)
     length = len(seq)
     oriented = graph.oriented_sequence
 
-    dets = _detected(wins, anchor)
+    dets = view.detected(strand, anchor)
     if not dets:
         return [], NO_ANCHOR, False, False
 
@@ -579,12 +623,11 @@ def _exhaustive_pass(
                 if plist is None:
                     budget_blocked = True
                     continue
-                token = s[-k1:]
-                tf = encode_kmer(token)
+                tf, tr = kmer_codes(s[-k1:])
                 dfs(
                     jpos + len(s) - k1,
                     tf,
-                    rc_code(tf, k1),
+                    tr,
                     cost_so_far + cost_u,
                     path + [(uid, _ORIENTS[orient])],
                     positions + [jpos + k1 + p for p in plist],
@@ -645,11 +688,10 @@ def map_exhaustive_all(
     best_cost = None
     reason = None
     truncated_any = False
+    view = ReadView(read.sequence, graph.k - 1)
     for strand in params.strands:
-        seq = read.sequence if strand == "+" else reverse_complement_read(read.sequence)
-        wins = window_codes(seq, graph.k - 1)
         attempts, fail, truncated, _ = _exhaustive_pass(
-            seq, wins, graph, anchor, params, expansion_budget, limit
+            view, strand, graph, anchor, params, expansion_budget, limit
         )
         truncated_any = truncated_any or truncated
         if attempts:

@@ -61,6 +61,19 @@ def encode_kmer(s: str) -> int:
     return bits
 
 
+_DIGITS = str.maketrans("ACGT", "0123")
+_RC_DIGITS = str.maketrans("ACGT", "3210")
+_DROP_ACGT = str.maketrans("", "", "ACGT")
+
+
+def kmer_codes(word: str) -> tuple[int, int]:
+    """Packed (fwd, rc) codes of an exact word: encode_kmer(word) and its
+    rc_code, read by int() from the word's bases written as base-4 digits."""
+    if word.translate(_DROP_ACGT):
+        raise ValueError(f"non-ACGT in exact context: {word!r}")
+    return int(word.translate(_DIGITS), 4), int(word.translate(_RC_DIGITS)[::-1], 4)
+
+
 def decode_kmer(bits: int, length: int) -> str:
     """Inverse of encode_kmer."""
     out = []

@@ -3,6 +3,7 @@ import gzip
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import read_unitigs_fasta
+from cdbgmap.index import load_indexes
 
 from conftest import naive_canonical, naive_kmers, random_genome
 
@@ -229,3 +230,67 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bad rate list" in err
+
+
+def _index_sections(idx_path):
+    """End offsets of the header and the three tables of a saved index."""
+    anchor, interior = load_indexes(idx_path)
+    header = 8 + 16
+    anchor_end = header + 8 + sum(
+        16 + 4 + 5 * (len(s) + len(e)) for s, e in anchor._table.values()
+    )
+    interior_end = anchor_end + 8 + sum(16 + 4 + 9 * len(o) for o in interior._table.values())
+    lengths_end = interior_end + 8 + 8 * len(interior._unitig_lengths)
+    assert lengths_end == idx_path.stat().st_size
+    return header, anchor_end, interior_end, lengths_end
+
+
+def test_map_truncated_index_exits_2(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=5)
+    idx = tmp_path / "graph.idx"
+    assert run(
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+        str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
+    )[0] == 0
+    data = idx.read_bytes()
+    header, anchor_end, interior_end, lengths_end = _index_sections(idx)
+    cuts = {
+        "header": 12,
+        "anchor table": (header + anchor_end) // 2,
+        "interior table": (anchor_end + interior_end) // 2,
+        "lengths table": lengths_end - 4,
+    }
+    for where, cut in cuts.items():
+        bad = tmp_path / "cut.idx"
+        bad.write_bytes(data[:cut])
+        code, _, err = run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+            str(tmp_path / "b.tsv"), "--index-in", str(bad), str(reads),
+        )
+        assert code == 2, where
+        assert err.startswith("error:") and "Traceback" not in err, where
+    bad.write_bytes(data + b"\x00")
+    code, _, err = run(
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+        str(tmp_path / "b.tsv"), "--index-in", str(bad), str(reads),
+    )
+    assert code == 2 and "after the index tables" in err
+
+
+def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys, k=31)
+    reads = _reads_file(tmp_path, genome, n=40, length=80)
+    lines = reads.read_text().splitlines()  # two lines per read
+    with_short = tmp_path / "with_short.fa"
+    with_short.write_text("\n".join(lines[:20] + [">short", genome[100:120]] + lines[20:]) + "\n")
+    plain, mixed = tmp_path / "plain.tsv", tmp_path / "mixed.tsv"
+    assert run(capsys, "map", "-g", str(unitigs), "-o", str(plain), str(reads))[0] == 0
+    code, _, err = run(capsys, "map", "-g", str(unitigs), "-o", str(mixed), str(with_short))
+    assert code == 0, err
+    rows = mixed.read_text().splitlines()
+    assert len(rows) == 1 + 41
+    assert rows[11].split("\t") == [
+        "short", "unmapped", ".", ".", ".", ".", ".", "unmapped", "too_short"
+    ]
+    assert rows[:11] + rows[12:] == plain.read_text().splitlines()

@@ -6,6 +6,7 @@ from cdbgmap.evaluation import SimConfig, simulate_reads
 from cdbgmap.mapper import (
     MappingParams,
     MappingResult,
+    ReadView,
     detect_read_overlaps,
     map_branching,
     map_exhaustive,
@@ -14,7 +15,7 @@ from cdbgmap.mapper import (
     map_reads,
     map_single_unitig,
 )
-from cdbgmap.sequences import Read
+from cdbgmap.sequences import Read, reverse_complement_read, window_codes
 
 from conftest import (
     assert_result_consistent,
@@ -209,6 +210,134 @@ def test_map_read_branching_beats_single_on_cost():
     assert combined.regime == "branching_path"
     assert combined.mismatches == 0
     assert_result_consistent(graph, anchor, combined, read.sequence)
+
+
+# The unmapped reasons from the least to the most progress made.
+REASON_ORDER = ["no_anchor", "begin_not_found", "end_not_found", "cover_failed",
+                "budget_exceeded"]
+
+
+def repeat_graph_with_decoys(k=11):
+    """Unitigs of a genome holding eight copies of a 60 bp unit (up to two
+    substitutions each, every third one reverse-complemented), plus eight
+    decoy unitigs: 60 bp spans of the genome with one substitution.  Reads
+    crossing unitig junctions of the genome also sit inside a decoy at one
+    more mismatch, so the two regimes compete."""
+    rng = random.Random(7)
+    unit = random_genome(8, 60)
+    parts = []
+    for i in range(8):
+        parts.append(random_genome(700 + i, rng.randint(20, 60)))
+        copy = list(unit)
+        for _ in range(rng.randint(0, 2)):
+            copy[rng.randrange(60)] = rng.choice("ACGT")
+        parts.append("".join(copy) if i % 3 else naive_rc("".join(copy)))
+    genome = "".join(parts)
+    graph, _ = graph_from_sequences([genome], k)
+    decoys = []
+    for _ in range(8):
+        start = rng.randrange(0, len(genome) - 60)
+        decoy = list(genome[start : start + 60])
+        p = rng.randrange(60)
+        decoy[p] = rng.choice([b for b in "ACGT" if b != decoy[p]])
+        decoys.append("".join(decoy))
+    graph = build_graph([u.sequence for u in graph.unitigs] + decoys, k)
+    return graph, [genome] + decoys
+
+
+def test_map_read_follows_its_contract_on_repeats():
+    graph, sources = repeat_graph_with_decoys()
+    anchor, interior = indexes_for(graph)
+    rng = random.Random(2)
+    seen = set()
+    for i in range(300):
+        src = rng.choice(sources)
+        start = rng.randrange(0, len(src) - 29)
+        seq = list(src[start : start + 30])
+        for _ in range(rng.randint(0, 3)):
+            p = rng.randrange(30)
+            seq[p] = rng.choice([b for b in "ACGT" if b != seq[p]])
+        seq = "".join(seq)
+        read = Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq))
+        for mode in ("both", "forward_only"):
+            params = MappingParams(strand_mode=mode)
+            single = map_single_unitig(read, graph, interior, params)
+            branching = map_branching(read, graph, anchor, params)
+            if single.mapped and branching.mapped:
+                if single.mismatches == branching.mismatches:
+                    case, expected = "tie", single
+                elif single.mismatches < branching.mismatches:
+                    case, expected = "single cheaper", single
+                else:
+                    case, expected = "branching cheaper", branching
+            elif single.mapped or branching.mapped:
+                case = "single only" if single.mapped else "branching only"
+                expected = single if single.mapped else branching
+            else:
+                case = "unmapped"
+                worse = max(single.reason, branching.reason, key=REASON_ORDER.index)
+                expected = MappingResult(read_id=read.id, regime="unmapped", reason=worse)
+            assert map_read(read, graph, anchor, interior, params) == expected, (case, seq)
+            seen.add(case)
+    assert seen == {"tie", "single cheaper", "branching cheaper", "single only",
+                    "branching only", "unmapped"}
+
+
+@pytest.mark.parametrize("k", [5, 31])
+def test_read_view_windows_match_window_codes(k):
+    size = k - 1
+    rng = random.Random(k)
+    half = random_genome(k, size // 2)
+    palindrome = half + naive_rc(half)
+    reads = [
+        random_genome(3, size),
+        random_genome(4, k),
+        random_genome(5, k + 1),
+        random_genome(6, 3 * k),
+        "N" + random_genome(7, k + 2),
+        random_genome(8, k) + "N" + random_genome(9, k),
+        "A" + palindrome + "C" + palindrome,
+        palindrome,
+    ]
+    for _ in range(20):
+        reads.append("".join(rng.choice("ACGTN") for _ in range(rng.randint(size, 3 * k))))
+    graph = build_graph([palindrome + "A", random_genome(11, 2 * k)], k)
+    anchor, _ = indexes_for(graph)
+    for seq in reads:
+        for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
+            expected = window_codes(text, size)
+            assert ReadView(seq, size).windows(strand) == expected
+            assert list(ReadView(seq, size).seeds(strand)) == expected
+            view = ReadView(seq, size)
+            assert view.sequence(strand) == text
+            assert view.detected(strand, anchor) == [
+                w for w in expected if anchor.has_key_codes(w[1], w[2])
+            ]
+            assert list(view.seeds(strand)) == expected  # once encoded
+
+
+def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
+    from cdbgmap import mapper
+
+    calls = []
+
+    def counted(seq, size):
+        calls.append(seq)
+        return window_codes(seq, size)
+
+    monkeypatch.setattr(mapper, "window_codes", counted)
+    genome = random_genome(12, 400)
+    graph = build_graph([genome], 31)
+    anchor, interior = indexes_for(graph)
+    plus = map_read(Read(id="p", sequence=genome[50:150]), graph, anchor, interior, PARAMS)
+    assert plus.mismatches == 0 and plus.strand == "+"
+    assert calls == []  # placed from the first window alone
+    seq = list(genome[50:150])
+    seq[70] = "A" if seq[70] != "A" else "C"
+    minus = Read(id="m", sequence=naive_rc("".join(seq)))
+    result = map_read(minus, graph, anchor, interior, PARAMS)
+    assert result.mismatches == 1 and result.strand == "-"
+    assert calls == [minus.sequence]  # both regimes and strands share one encoding
 
 
 def test_map_read_unmapped_reports_reason():

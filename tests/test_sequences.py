@@ -11,6 +11,7 @@ from cdbgmap.sequences import (
     decode_kmer,
     encode_kmer,
     enumerate_kmers,
+    kmer_codes,
     rc_code,
     reverse_complement,
     reverse_complement_read,
@@ -102,6 +103,10 @@ def test_rc_code_matches_string_rc():
         k = rng.randint(1, 63)
         s = random_dna(rng, k)
         assert decode_kmer(rc_code(encode_kmer(s), k), k) == naive_rc(s)
+        assert kmer_codes(s) == (encode_kmer(s), rc_code(encode_kmer(s), k))
+    for bad in ("ACN", "acgt", "+123", "AC GT", "0123", ""):
+        with pytest.raises(ValueError):
+            kmer_codes(bad)
 
 
 def test_kmer_dataclass_round_trip():
