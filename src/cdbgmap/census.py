@@ -91,11 +91,16 @@ def save_solid(path: str | Path, solid: SolidKmerSet) -> None:
 
 
 def load_solid(path: str | Path) -> SolidKmerSet:
+    """Inverse of save_solid; a truncated file or one with bytes after its
+    k-mers raises ValueError."""
     with open(path, "rb") as inp:
         magic = inp.read(8)
         if magic != _SOLID_MAGIC:
             raise ValueError(f"not a solid k-mer file: {path}")
-        k, n = struct.unpack("<IQ", inp.read(12))
+        header = inp.read(12)
+        if len(header) != 12:
+            raise ValueError(f"truncated solid k-mer file: {path}")
+        k, n = struct.unpack("<IQ", header)
         _validate_k(k)
         codes = []
         for _ in range(n):
@@ -103,4 +108,6 @@ def load_solid(path: str | Path) -> SolidKmerSet:
             if len(raw) != 16:
                 raise ValueError(f"truncated solid k-mer file: {path}")
             codes.append(int.from_bytes(raw, "big"))
+        if inp.read(1):
+            raise ValueError(f"bytes after the k-mers in solid k-mer file: {path}")
     return SolidKmerSet(k=k, codes=frozenset(codes))

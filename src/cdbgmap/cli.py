@@ -20,6 +20,7 @@ from .index import (
     build_anchor_index,
     build_interior_index,
     load_indexes,
+    matches_graph,
     save_indexes,
 )
 from .mapper import MappingParams, MappingResult, map_reads
@@ -222,6 +223,8 @@ def cmd_map(args) -> int:
             raise SystemExit2(
                 f"index was built for k={anchor.k}, requested k={args.k}"
             )
+        if not matches_graph(graph, anchor, interior):
+            raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
     else:
         anchor = build_anchor_index(graph)
         interior = build_interior_index(

@@ -24,6 +24,7 @@ from .sequences import (
     canonical_code,
     decode_kmer,
     encode_kmer,
+    flip,
     rc_code,
     reverse_complement,
 )
@@ -288,7 +289,7 @@ def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorInde
         for a, oa in ends:
             for b, ob in starts:
                 fwd = (a, oa, b, ob)
-                mirror = (b, _flip(ob), a, _flip(oa))
+                mirror = (b, flip(ob), a, flip(oa))
                 links.add(min(fwd, mirror))
     with open(path, "w", encoding="ascii") as out:
         out.write("H\tVN:Z:1.0\n")
@@ -296,7 +297,3 @@ def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorInde
             out.write(f"S\tu{u.id}\t{u.sequence}\n")
         for a, oa, b, ob in sorted(links):
             out.write(f"L\tu{a}\t{oa}\tu{b}\t{ob}\t{overlap}M\n")
-
-
-def _flip(orientation: str) -> str:
-    return "-" if orientation == "+" else "+"

@@ -6,7 +6,9 @@ orientation combinations whose written form equals the canonical key; a
 query for the non-canonical written form is answered by mirroring (a unitig
 starts with a word exactly when its flipped orientation ends with the word's
 reverse complement).  Palindromic keys store both orientation classes
-explicitly, merged under the single canonical key.
+explicitly, merged under the single canonical key.  Orientations are the
+strings '+' and '-' everywhere in memory; only the index file stores them as
+a bit ('-' is 1).
 
 The interior index lists every (k-1)-mer occurrence inside unitigs longer
 than a length threshold, sampled at a configurable stride.  It backs the
@@ -18,10 +20,11 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .graph import CompactedGraph
-from .sequences import encode_kmer, rc_code, window_codes
+from .sequences import encode_kmer, flip, rc_code, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 1
@@ -31,7 +34,7 @@ _HEADER = struct.Struct("<IIII")  # version, k, interior min_length, stride
 _COUNT = struct.Struct("<Q")  # records in the table that follows
 _KEY = struct.Struct(">QQ")  # canonical (k-1)-mer code, high and low words
 _ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
-_ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit
+_ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit: 1 for '-'
 _OCCURRENCES = struct.Struct("<I")
 _OCCURRENCE = struct.Struct("<IIB")  # unitig id, offset, written is canonical
 _UNITIG_LENGTH = struct.Struct("<II")  # unitig id, length
@@ -40,8 +43,6 @@ FORWARD = "+"
 REVERSE = "-"
 STARTS_WITH = "starts_with"
 ENDS_WITH = "ends_with"
-
-_ORIENTS = (FORWARD, REVERSE)
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,12 @@ class Incidence:
     orientation: str  # "+" or "-"
 
 
-def _flip(orient_bit: int) -> int:
-    return orient_bit ^ 1
-
-
 class AnchorIndex:
     """Canonical (k-1)-mer -> unitig incidences for unitig ends."""
 
     def __init__(self, k: int):
         self.k = k
-        # key -> (starts, ends); each a tuple of (unitig_id, orient_bit)
+        # key -> (starts, ends); each a tuple of (unitig_id, '+'/'-')
         self._table: dict[int, tuple[tuple, tuple]] = {}
 
     def __len__(self) -> int:
@@ -77,15 +74,11 @@ class AnchorIndex:
     def starts_with_key(self, key: int) -> list[tuple[int, str]]:
         """Stored starts for a canonical key, as (unitig_id, '+'/'-')."""
         entry = self._table.get(key)
-        if entry is None:
-            return []
-        return [(uid, _ORIENTS[o]) for uid, o in entry[0]]
+        return list(entry[0]) if entry else []
 
     def ends_with_key(self, key: int) -> list[tuple[int, str]]:
         entry = self._table.get(key)
-        if entry is None:
-            return []
-        return [(uid, _ORIENTS[o]) for uid, o in entry[1]]
+        return list(entry[1]) if entry else []
 
     # Hot-path queries used by the mapper: written form given as fwd/rc codes.
     def starts_with_codes(self, fwd: int, rc: int) -> tuple:
@@ -96,7 +89,7 @@ class AnchorIndex:
             return ()
         if fwd == key:
             return entry[0]
-        return tuple((uid, _flip(o)) for uid, o in entry[1])
+        return tuple((uid, flip(o)) for uid, o in entry[1])
 
     def ends_with_codes(self, fwd: int, rc: int) -> tuple:
         key = fwd if fwd <= rc else rc
@@ -105,7 +98,7 @@ class AnchorIndex:
             return ()
         if fwd == key:
             return entry[1]
-        return tuple((uid, _flip(o)) for uid, o in entry[0])
+        return tuple((uid, flip(o)) for uid, o in entry[0])
 
     def has_key_codes(self, fwd: int, rc: int) -> bool:
         return (fwd if fwd <= rc else rc) in self._table
@@ -121,12 +114,12 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
         sf = encode_kmer(u.sequence[-size:])
         pf_rc = rc_code(pf, size)
         sf_rc = rc_code(sf, size)
-        # (written_code, rc_of_written, side_dict, orient_bit)
+        # (written_code, rc_of_written, side_dict, orientation)
         combos = (
-            (pf, pf_rc, starts, 0),  # forward starts with its prefix
-            (sf, sf_rc, ends, 0),  # forward ends with its suffix
-            (sf_rc, sf, starts, 1),  # reverse starts with rc(suffix)
-            (pf_rc, pf, ends, 1),  # reverse ends with rc(prefix)
+            (pf, pf_rc, starts, FORWARD),  # forward starts with its prefix
+            (sf, sf_rc, ends, FORWARD),  # forward ends with its suffix
+            (sf_rc, sf, starts, REVERSE),  # reverse starts with rc(suffix)
+            (pf_rc, pf, ends, REVERSE),  # reverse ends with rc(prefix)
         )
         for written, written_rc, table, orient in combos:
             if written <= written_rc:  # written form is canonical: store it
@@ -147,18 +140,12 @@ def query_anchor(idx: AnchorIndex, mer: str) -> list[Incidence]:
     fwd = encode_kmer(mer)
     rc = rc_code(fwd, size)
     out = [
-        Incidence(uid, STARTS_WITH, orient)
-        for uid, orient in _as_public(idx.starts_with_codes(fwd, rc))
+        Incidence(uid, STARTS_WITH, orient) for uid, orient in idx.starts_with_codes(fwd, rc)
     ]
     out.extend(
-        Incidence(uid, ENDS_WITH, orient)
-        for uid, orient in _as_public(idx.ends_with_codes(fwd, rc))
+        Incidence(uid, ENDS_WITH, orient) for uid, orient in idx.ends_with_codes(fwd, rc)
     )
     return out
-
-
-def _as_public(entries) -> list[tuple[int, str]]:
-    return [(uid, o if isinstance(o, str) else _ORIENTS[o]) for uid, o in entries]
 
 
 class InteriorIndex:
@@ -239,6 +226,21 @@ def query_interior(idx: InteriorIndex, mer: str) -> list[tuple]:
     return out
 
 
+def matches_graph(
+    graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex
+) -> bool:
+    """Whether loaded indexes were built from `graph`: the anchor table must
+    equal the graph's, and the interior must record the lengths of exactly
+    the graph's unitigs longer than its length threshold."""
+    lengths = {
+        u.id: len(u.sequence) for u in graph.unitigs if len(u.sequence) > interior.min_length
+    }
+    return (
+        interior._unitig_lengths == lengths
+        and anchor._table == build_anchor_index(graph)._table
+    )
+
+
 def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
     """Versioned binary dump of both indexes (magic, version, k, counts)."""
     with open(path, "wb") as out:
@@ -251,10 +253,8 @@ def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex)
             starts, ends = anchor._table[key]
             out.write(key.to_bytes(16, "big"))
             out.write(_ANCHOR_SIZES.pack(len(starts), len(ends)))
-            for uid, orient in starts:
-                out.write(_ANCHOR_ENTRY.pack(uid, orient))
-            for uid, orient in ends:
-                out.write(_ANCHOR_ENTRY.pack(uid, orient))
+            for uid, orient in starts + ends:
+                out.write(_ANCHOR_ENTRY.pack(uid, orient == REVERSE))
         out.write(_COUNT.pack(len(interior._table)))
         for key in sorted(interior._table):
             occs = interior._table[key]
@@ -276,13 +276,14 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
         raise ValueError(f"not an index file: {path}")
     try:
         return _decode_indexes(data)
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, IndexError) as exc:
         raise ValueError(f"truncated or malformed index file {path}: {exc}") from None
 
 
 def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
     """Decode save_indexes' layout from `data`: struct.error when it runs
-    short, ValueError on a wrong version or bytes left over."""
+    short, IndexError on an orientation bit above 1, ValueError on a wrong
+    version or bytes left over."""
     version, k, min_length, stride = _HEADER.unpack_from(data, 8)
     if version != _INDEX_VERSION:
         raise ValueError(f"unsupported index format version {version}")
@@ -299,11 +300,12 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
         high, low = key_at(data, off)
         n_starts, n_ends = sizes_at(data, off + 16)
         off += 20
-        starts = tuple(entry_at(data, off + i * entry_size) for i in range(n_starts))
-        off += n_starts * entry_size
-        ends = tuple(entry_at(data, off + i * entry_size) for i in range(n_ends))
-        off += n_ends * entry_size
-        anchor._table[high << 64 | low] = (starts, ends)
+        entries = []
+        for _ in range(n_starts + n_ends):
+            uid, bit = entry_at(data, off)
+            entries.append((uid, "+-"[bit]))
+            off += entry_size
+        anchor._table[high << 64 | low] = (tuple(entries[:n_starts]), tuple(entries[n_starts:]))
 
     interior = InteriorIndex(k=k, min_length=min_length, stride=stride)
     count_at = _OCCURRENCES.unpack_from
@@ -335,13 +337,20 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
     return anchor, interior
 
 
+# Table entries whose sizes approximate_bytes measures; the rest are assumed
+# to be of the same mean size.
+_BYTES_SAMPLE = 1024
+
+
 def approximate_bytes(index: AnchorIndex | InteriorIndex) -> int:
-    """Rough in-memory footprint, for the CLI's per-key memory report."""
+    """Rough in-memory footprint, for the CLI's per-key memory report: the
+    table itself plus the mean size of its first `_BYTES_SAMPLE` entries
+    times its length."""
     table = index._table
-    total = sys.getsizeof(table)
-    for key, value in table.items():
-        total += sys.getsizeof(key) + sys.getsizeof(value)
+    sample = list(islice(table.items(), _BYTES_SAMPLE))
+    sampled = 0
+    for key, value in sample:
+        sampled += sys.getsizeof(key) + sys.getsizeof(value)
         if value and isinstance(value[0], tuple):
-            for item in value:
-                total += sys.getsizeof(item)
-    return total
+            sampled += sum(map(sys.getsizeof, value))
+    return sys.getsizeof(table) + (sampled * len(table) // len(sample) if sample else 0)

@@ -18,11 +18,16 @@ spent.  At a junction the candidate whose suffix lands exactly on the next
 detected overlap is tried first and, if it fits the budget, the remaining
 candidates are skipped; that shortcut is disabled at the first and last
 detected overlaps of the read.  Ties are always broken by smallest unitig
-id, then forward orientation, so results are deterministic.
+id, then forward orientation, so results are deterministic.  Orientations
+are the strings '+' and '-' throughout, and '+' < '-' sorts forward first.
 
 The exhaustive mapper anchors like the greedy one (begin anchors only) and
 then explores every junction choice with branch-and-bound, which makes its
-cost a lower bound for the greedy cost on every read.
+cost a lower bound for the greedy cost on every read.  Both mappers take
+their begin anchors from `_begins` and every junction's candidates from
+`_junction` (the greedy end anchor is a junction at the end overlap whose
+unitig reaches the read's end), so they share one anchoring and extension
+geometry and differ only in search policy.
 
 `map_read` runs the single-unitig pass on strand '+' then '-', and only then
 the branching pass on '+' then '-'.  Each regime keeps its first successful
@@ -37,6 +42,7 @@ only that window.  A read shorter than k is unmapped as `too_short`.
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Sequence
@@ -64,8 +70,6 @@ _REASON_PRIORITY = {
     COVER_FAILED: 3,
     BUDGET_EXCEEDED: 4,
 }
-
-_ORIENTS = ("+", "-")
 
 
 @dataclass(frozen=True)
@@ -110,14 +114,16 @@ class MappingResult:
         return self.regime != UNMAPPED
 
 
-def _hamming(a: str, b: str, limit: int):
-    """Mismatch count and positions between equal-length strings, aborting
-    with (count, None) as soon as the count exceeds `limit`."""
-    if a == b:
+def _hamming(seq: str, base: int, text: str, limit: int):
+    """Mismatches of `text` against the read `seq` from position `base`, as
+    (count, positions in read coordinates), aborting with (count, None) as
+    soon as the count exceeds `limit`."""
+    part = seq[base : base + len(text)]
+    if part == text:
         return 0, ()
     cost = 0
     out = []
-    for i, (x, y) in enumerate(zip(a, b)):
+    for i, (x, y) in enumerate(zip(part, text), base):
         if x != y:
             cost += 1
             if cost > limit:
@@ -242,6 +248,36 @@ def _first_strand(read_id, view, strand_pass, graph, index, params) -> MappingRe
     return MappingResult(read_id=read_id, regime=UNMAPPED, reason=reason)
 
 
+def _begins(pos_b, codes, graph, anchor):
+    """Begin anchors at the detected overlap at `pos_b` (its fwd/rc `codes`):
+    the unitigs ending with it that reach back to read position 0, smallest
+    id then '+' first.  Each is yielded as (head, start_offset, text): the
+    path it starts (empty when `pos_b` is 0, as the unitig then covers
+    nothing left of the overlap), the read's offset in the path, and the
+    unitig text under the read's [0, pos_b)."""
+    k1 = graph.k - 1
+    for uid, orient in sorted(anchor.ends_with_codes(*codes)):
+        s = graph.oriented_sequence(uid, orient)
+        left_start = len(s) - k1 - pos_b
+        if left_start < 0:
+            continue  # the read would extend past the unitig start
+        head = ((uid, orient),) if pos_b else ()
+        yield head, left_start if pos_b else 0, s[left_start : left_start + pos_b]
+
+
+def _junction(seq, jpos, codes, graph, anchor):
+    """Extensions at read position `jpos`, whose word has fwd/rc `codes`:
+    the unitigs starting with it, smallest id then '+' first.  Each is
+    yielded as (uid, orient, s, jnext, body): its oriented sequence `s`, the
+    read position `jnext` its last word would take, and the text `body` it
+    lays on the read from `jpos + k - 1`, clipped at the read's end."""
+    k1 = graph.k - 1
+    length = len(seq)
+    for uid, orient in sorted(anchor.starts_with_codes(*codes)):
+        s = graph.oriented_sequence(uid, orient)
+        yield uid, orient, s, jpos + len(s) - k1, s[k1 : length - jpos]
+
+
 def _branch_pass(
     view: ReadView,
     strand: str,
@@ -249,169 +285,99 @@ def _branch_pass(
     anchor: AnchorIndex,
     params: MappingParams,
 ) -> _Attempt:
-    k = graph.k
-    k1 = k - 1
+    k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
     seq = view.sequence(strand)
     length = len(seq)
-    oriented = graph.oriented_sequence
 
     dets = view.detected(strand, anchor)
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
     det_positions = [d[0] for d in dets]
-    first_det = det_positions[0]
-    last_det = det_positions[-1]
 
     failure = BEGIN_NOT_FOUND
     for pos_b, bf, br in dets[:n]:
         begin = None
-        for uid, orient in sorted(anchor.ends_with_codes(bf, br)):
-            s = oriented(uid, _ORIENTS[orient])
-            left_start = len(s) - k1 - pos_b
-            if left_start < 0:
-                continue  # read would extend past the unitig start
-            cost_b, plist_b = _hamming(seq[:pos_b], s[left_start : left_start + pos_b], t)
-            if plist_b is None:
-                continue
-            begin = (uid, _ORIENTS[orient], left_start, cost_b, plist_b)
-            break  # first success fixes the begin for this overlap
+        for head, start_offset, text in _begins(pos_b, (bf, br), graph, anchor):
+            cost_b, plist_b = _hamming(seq, 0, text, t)
+            if plist_b is not None:
+                begin = (pos_b, (bf, br), head, start_offset, cost_b, plist_b)
+                break  # first success fixes the begin for this overlap
         if begin is None:
             continue
         failure = _worse(failure, END_NOT_FOUND)
 
-        uid_b, orient_b, left_start, cost_b, plist_b = begin
-        attempts_e = 0
-        for pos_e, ef, er in reversed(dets):
-            if attempts_e >= n:
-                break
+        for pos_e, ef, er in reversed(dets[-n:]):
             if pos_e < pos_b:
-                attempts_e += 1
-                continue
-            attempts_e += 1
-            tail_len = length - pos_e - k1
-            end = None
-            for uid, orient in sorted(anchor.starts_with_codes(ef, er)):
-                s = oriented(uid, _ORIENTS[orient])
-                if len(s) - k1 < tail_len:
-                    continue  # read would extend past the unitig end
-                cost_e, plist_e = _hamming(
-                    seq[pos_e + k1 :], s[k1 : k1 + tail_len], t - cost_b
-                )
-                if plist_e is None:
-                    continue
-                end = (uid, _ORIENTS[orient], cost_e, plist_e)
                 break
+            end = None
+            for uid, orient, _, jnext, body in _junction(seq, pos_e, (ef, er), graph, anchor):
+                if jnext + k1 < length:
+                    continue  # the read would extend past the unitig end
+                cost, plist = _hamming(seq, pos_e + k1, body, t - cost_b)
+                if plist is not None:
+                    end = (pos_e, (uid, orient), cost, plist)
+                    break
             if end is None:
                 continue
-            result = _greedy_cover(
-                seq, graph, anchor, dets, begin, end, pos_b, bf, br, pos_e, t,
-                first_det, last_det,
-            )
+            result = _greedy_cover(seq, graph, anchor, det_positions, begin, end, t)
             if result.ok:
                 return result
             failure = _worse(failure, result.reason)
     return _Attempt(reason=failure)
 
 
-def _greedy_cover(
-    seq, graph, anchor, dets, begin, end, pos_b, bf, br, pos_e, t, first_det, last_det
-) -> _Attempt:
+def _greedy_cover(seq, graph, anchor, det_positions, begin, end, t) -> _Attempt:
+    """Cover the read from the begin anchor's overlap to the end anchor's,
+    one junction at a time, without backtracking."""
     k1 = graph.k - 1
-    length = len(seq)
-    oriented = graph.oriented_sequence
-    uid_b, orient_b, left_start, cost_b, plist_b = begin
-    uid_e, orient_e, cost_e, plist_e = end
-
-    path: list[tuple[int, str]] = []
-    positions: list[int] = list(plist_b)
-    start_offset = 0
-    if pos_b > 0:
-        # a begin anchored at read position 0 covers nothing left of the
-        # junction token, so it is not emitted as a path element
-        path.append((uid_b, orient_b))
-        start_offset = left_start
-
-    remaining = t - cost_b - cost_e
-    cost_mid = 0
+    pos_b, codes, head, start_offset, cost_b, plist_b = begin
+    pos_e, end_unitig, cost_e, plist_e = end
+    path = list(head)
+    positions = list(plist_b)
+    cost = cost_b + cost_e
     jpos = pos_b
-    token_f, token_r = bf, br
-    token_str = seq[pos_b : pos_b + k1]
-    det_iter_positions = [d[0] for d in dets]
-
-    while True:
-        if jpos == pos_e:
-            if token_str != seq[pos_e : pos_e + k1]:
-                return _Attempt(reason=COVER_FAILED)
-            if pos_e + k1 < length:
-                path.append((uid_e, orient_e))
-                positions.extend(pos_e + k1 + p for p in plist_e)
-            return _Attempt(
-                path=path,
-                start_offset=start_offset,
-                cost=cost_b + cost_mid + cost_e,
-                positions=tuple(positions),
-            )
-
-        candidates = sorted(anchor.starts_with_codes(token_f, token_r))
-        if not candidates:
+    word = seq[pos_b : pos_b + k1]
+    while jpos != pos_e:
+        fits = [c for c in _junction(seq, jpos, codes, graph, anchor) if c[3] <= pos_e]
+        if not fits:
             return _Attempt(reason=COVER_FAILED)
-
-        next_det = None
-        for p in det_iter_positions:
-            if p > jpos:
-                next_det = p
-                break
-
         chosen = None
-        structural = False
         # junction shortcut: try the candidate landing on the next detected
         # overlap first, unless we sit on the first detected overlap or the
         # landing would be the last one
-        if next_det is not None and jpos != first_det and next_det != last_det:
-            for uid, orient in candidates:
-                s = oriented(uid, _ORIENTS[orient])
-                jnext = jpos + len(s) - k1
-                if jnext != next_det or jnext > pos_e:
-                    continue
-                if s[-k1:] != seq[next_det : next_det + k1]:
-                    continue
-                cost_u, plist = _hamming(
-                    seq[jpos + k1 : jpos + len(s)], s[k1:], remaining - cost_mid
-                )
-                if plist is not None:
-                    chosen = (cost_u, uid, orient, s, jnext, plist)
-                break
+        i = bisect_right(det_positions, jpos)
+        if jpos != det_positions[0] and i < len(det_positions) - 1:
+            next_det = det_positions[i]
+            for uid, orient, s, jnext, body in fits:
+                if jnext == next_det and s[-k1:] == seq[next_det : next_det + k1]:
+                    cost_u, plist = _hamming(seq, jpos + k1, body, t - cost)
+                    if plist is not None:
+                        chosen = (cost_u, uid, orient, s, jnext, plist)
+                    break
         if chosen is None:
-            best = None
-            for uid, orient in candidates:
-                s = oriented(uid, _ORIENTS[orient])
-                jnext = jpos + len(s) - k1
-                if jnext > pos_e:
-                    continue
-                structural = True
-                cost_u, plist = _hamming(
-                    seq[jpos + k1 : jpos + len(s)], s[k1:], remaining - cost_mid
-                )
-                if plist is None:
-                    continue
-                cand = (cost_u, uid, orient, s, jnext, plist)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-            if best is None:
-                return _Attempt(
-                    reason=BUDGET_EXCEEDED if structural else COVER_FAILED
-                )
-            chosen = best
+            scored = []
+            for uid, orient, s, jnext, body in fits:
+                cost_u, plist = _hamming(seq, jpos + k1, body, t - cost)
+                if plist is not None:
+                    scored.append((cost_u, uid, orient, s, jnext, plist))
+            if not scored:
+                return _Attempt(reason=BUDGET_EXCEEDED)
+            chosen = min(scored, key=lambda c: c[0])  # ties: first in id order
+        cost_u, uid, orient, s, jpos, plist = chosen
+        path.append((uid, orient))
+        positions.extend(plist)
+        cost += cost_u
+        word = s[-k1:]
+        codes = kmer_codes(word)
 
-        cost_u, uid, orient, s, jnext, plist = chosen
-        path.append((uid, _ORIENTS[orient]))
-        positions.extend(jpos + k1 + p for p in plist)
-        cost_mid += cost_u
-        jpos = jnext
-        token_str = s[-k1:]
-        token_f, token_r = kmer_codes(token_str)
+    if word != seq[pos_e : pos_e + k1]:
+        return _Attempt(reason=COVER_FAILED)
+    if pos_e + k1 < len(seq):
+        path.append(end_unitig)
+    positions.extend(plist_e)
+    return _Attempt(path=path, start_offset=start_offset, cost=cost, positions=tuple(positions))
 
 
 def _finish(read_id: str, strand: str, attempt: _Attempt) -> MappingResult:
@@ -479,7 +445,7 @@ def _single_pass(
             if start + length > len(useq):
                 continue
             structural = True
-            cost, plist = _hamming(seq, useq[start : start + length], t)
+            cost, plist = _hamming(seq, 0, useq[start : start + length], t)
             if plist is None:
                 continue
             cand = (cost, uid, start, plist)
@@ -559,7 +525,6 @@ def _exhaustive_pass(
     n = params.max_anchor_attempts
     seq = view.sequence(strand)
     length = len(seq)
-    oriented = graph.oriented_sequence
 
     dets = view.detected(strand, anchor)
     if not dets:
@@ -578,80 +543,47 @@ def _exhaustive_pass(
             best_cost = cost
             results = []
         if cost == best_cost and len(results) < collect_limit:
+            path = list(path)
             # the same path can be reached from several begin anchors
-            if any(a.path == list(path) and a.start_offset == start_offset for a in results):
+            if any(a.path == path and a.start_offset == start_offset for a in results):
                 return
-            results.append(
-                _Attempt(
-                    path=list(path),
-                    start_offset=start_offset,
-                    cost=cost,
-                    positions=tuple(positions),
-                )
-            )
+            results.append(_Attempt(path, start_offset, cost, positions))
 
-    def dfs(jpos, token_f, token_r, cost_so_far, path, positions, start_offset):
+    def dfs(jpos, codes, cost_so_far, path, positions, start_offset):
         nonlocal expansions, truncated, budget_blocked
         if truncated:
             return
-        for uid, orient in sorted(anchor.starts_with_codes(token_f, token_r)):
+        for uid, orient, s, jnext, body in _junction(seq, jpos, codes, graph, anchor):
             expansions += 1
             if expansions > expansion_budget:
                 truncated = True
                 return
-            s = oriented(uid, _ORIENTS[orient])
             budget = min(t, best_cost) - cost_so_far
             if budget < 0:
                 return
-            if jpos + len(s) >= length:
-                cost_u, plist = _hamming(
-                    seq[jpos + k1 :], s[k1 : length - jpos], budget
-                )
-                if plist is None:
-                    budget_blocked = True
-                    continue
-                record(
-                    path + [(uid, _ORIENTS[orient])],
-                    start_offset,
-                    cost_so_far + cost_u,
-                    positions + [jpos + k1 + p for p in plist],
-                )
+            cost_u, plist = _hamming(seq, jpos + k1, body, budget)
+            if plist is None:
+                budget_blocked = True
+                continue
+            cost_u += cost_so_far
+            path_u = path + ((uid, orient),)
+            positions_u = positions + plist
+            if jnext + k1 >= length:  # the unitig reaches the read's end
+                record(path_u, start_offset, cost_u, positions_u)
             else:
-                cost_u, plist = _hamming(
-                    seq[jpos + k1 : jpos + len(s)], s[k1:], budget
-                )
-                if plist is None:
-                    budget_blocked = True
-                    continue
-                tf, tr = kmer_codes(s[-k1:])
-                dfs(
-                    jpos + len(s) - k1,
-                    tf,
-                    tr,
-                    cost_so_far + cost_u,
-                    path + [(uid, _ORIENTS[orient])],
-                    positions + [jpos + k1 + p for p in plist],
-                    start_offset,
-                )
+                dfs(jnext, kmer_codes(s[-k1:]), cost_u, path_u, positions_u, start_offset)
 
     for pos_b, bf, br in dets[:n]:
-        for uid, orient in sorted(anchor.ends_with_codes(bf, br)):
-            s = oriented(uid, _ORIENTS[orient])
-            left_start = len(s) - k1 - pos_b
-            if left_start < 0:
-                continue
-            cost_b, plist_b = _hamming(
-                seq[:pos_b], s[left_start : left_start + pos_b], min(t, best_cost)
-            )
+        for head, start_offset, text in _begins(pos_b, (bf, br), graph, anchor):
+            cost_b, plist_b = _hamming(seq, 0, text, min(t, best_cost))
             if plist_b is None:
                 budget_blocked = True
                 continue
             anchored = True
             if pos_b + k1 == length:
-                record([(uid, _ORIENTS[orient])], left_start, cost_b, list(plist_b))
-                continue
-            path0 = [] if pos_b == 0 else [(uid, _ORIENTS[orient])]
-            dfs(pos_b, bf, br, cost_b, path0, list(plist_b), 0 if pos_b == 0 else left_start)
+                record(head, start_offset, cost_b, plist_b)
+            else:
+                dfs(pos_b, (bf, br), cost_b, head, plist_b, start_offset)
 
     if results:
         return results, None, truncated, budget_blocked

@@ -43,6 +43,11 @@ def reverse_complement_read(s: str) -> str:
     return s.translate(_COMPLEMENT_WITH_N)[::-1]
 
 
+def flip(orientation: str) -> str:
+    """The other orientation: '+' <-> '-'."""
+    return "-" if orientation == "+" else "+"
+
+
 def canonical_kmer(s: str) -> str:
     """Lexicographic minimum of a k-mer and its reverse complement."""
     return min(s, reverse_complement(s))

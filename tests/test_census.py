@@ -125,3 +125,10 @@ def test_load_solid_rejects_garbage(tmp_path):
     p.write_bytes(b"NOTMAGIC" + b"\x00" * 12)
     with pytest.raises(ValueError, match="not a solid"):
         load_solid(p)
+    save_solid(p, solid_set(count_kmers(["ACGTTGCA"], 3), 1))
+    good = p.read_bytes()
+    for bad, message in ((good[:15], "truncated"), (good[:-1], "truncated"),
+                         (good + b"\x00", "bytes after")):
+        p.write_bytes(bad)
+        with pytest.raises(ValueError, match=message):
+            load_solid(p)

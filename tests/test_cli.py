@@ -173,6 +173,34 @@ def test_map_wrong_k_for_index_exits_2(tmp_path, capsys):
     assert "k=15" in err
 
 
+def test_map_index_of_another_graph_exits_2(tmp_path, capsys):
+    repeat = random_genome(2005, 40)
+    genomes = {
+        "one_unitig": random_genome(2002, 3000),
+        "repeats": random_genome(2003, 300) + repeat + random_genome(2004, 300) + repeat,
+    }
+    spaces = {}
+    for name, genome in genomes.items():
+        space = tmp_path / name
+        space.mkdir()
+        _, unitigs = _built_workspace(space, capsys, genome)
+        reads = _reads_file(space, genome, n=20)
+        idx = space / "graph.idx"
+        assert run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+            str(space / "a.tsv"), "--index-out", str(idx), str(reads),
+        )[0] == 0
+        spaces[name] = (unitigs, idx, reads)
+    for graph_of, index_of in (("one_unitig", "repeats"), ("repeats", "one_unitig")):
+        unitigs, _, reads = spaces[graph_of]
+        code, _, err = run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+            str(tmp_path / "b.tsv"), "--index-in", str(spaces[index_of][1]), str(reads),
+        )
+        assert code == 2, (graph_of, index_of)
+        assert err.startswith("error:") and "was not built from" in err
+
+
 def test_map_missing_graph_exits_2(tmp_path, capsys):
     reads = tmp_path / "reads.fa"
     write_fasta(reads, [("r0", "ACGTACGTACGT")])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from cdbgmap.index import (
     query_interior,
     save_indexes,
 )
+from cdbgmap.sequences import decode_kmer, encode_kmer, rc_code
 
 from conftest import (
     build_graph,
@@ -103,6 +105,23 @@ def test_anchor_palindromic_key_merges_orientation_classes():
     assert hits == scan_incidences(graph, "ATAT")
     orientations = {o for _, _, o in hits}
     assert orientations == {"+", "-"}
+
+
+def test_anchor_orientations_are_strings():
+    genome = random_genome(4242, 600)
+    graph, _ = graph_from_sequences([genome, "GGATATCC"], 5)
+    idx = build_anchor_index(graph)
+    seen = set()
+    for key in idx.keys():
+        mer = decode_kmer(key, 4)
+        for written in (mer, naive_rc(mer)):
+            fwd = encode_kmer(written)
+            codes = (fwd, rc_code(fwd, 4))
+            entries = idx.starts_with_key(key) + idx.ends_with_key(key)
+            entries += idx.starts_with_codes(*codes) + idx.ends_with_codes(*codes)
+            seen.update(orient for _, orient in entries)
+            seen.update(i.orientation for i in query_anchor(idx, written))
+    assert seen == {"+", "-"}
 
 
 def test_anchor_matches_scan_oracle_on_random_graphs():
@@ -232,6 +251,16 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b"WRONGMAG" + b"\x00" * 24)
     with pytest.raises(ValueError, match="not an index"):
         load_indexes(p)
+    graph = build_graph(["ACTG", "TGAT"], 3)
+    save_indexes(p, build_anchor_index(graph), build_interior_index(graph))
+    data = bytearray(p.read_bytes())
+    # magic, header, key count, first key and its sizes, then the first
+    # entry's unitig id and orientation bit
+    assert data[56] in (0, 1)
+    data[56] = 2
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="malformed"):
+        load_indexes(p)
 
 
 def test_approximate_bytes_positive():
@@ -240,3 +269,13 @@ def test_approximate_bytes_positive():
     interior = build_interior_index(graph)
     assert approximate_bytes(anchor) > 0
     assert approximate_bytes(interior) > 0
+    # a table beyond the sample size is estimated from its head
+    graph, _ = graph_from_sequences([random_genome(27, 3000)], 11)
+    table = build_interior_index(graph)._table
+    assert len(table) > 2000
+    walked = sys.getsizeof(table) + sum(
+        sys.getsizeof(key) + sys.getsizeof(occs) + sum(map(sys.getsizeof, occs))
+        for key, occs in table.items()
+    )
+    estimate = approximate_bytes(build_interior_index(graph))
+    assert abs(estimate - walked) < 0.05 * walked

@@ -117,6 +117,40 @@ def test_map_branching_budget_zero_unmapped():
     assert result.reason == "budget_exceeded"
 
 
+# A chain of three unitigs: u0 ends with AGCA, where u1 starts, and u1 ends
+# with GGTC, where u2 starts.  CHAIN_READ is u0.u1.u2 and maps at cost 0;
+# each case below breaks one step of the greedy mapper.
+CHAIN_UNITIGS = ["CGTTAGCA", "AGCATGGTC", "GGTCAAC"]
+CHAIN_READ = "CGTTAGCATGGTCAAC"
+
+
+@pytest.mark.parametrize(
+    "seq, budget, greedy, exhaustive",
+    [
+        # foreign bases at both ends: no unitig reaches back to either start
+        ("TT" + CHAIN_READ + "TT", 2, "begin_not_found", "begin_not_found"),
+        # foreign bases at the end: '+' anchors its begin but no unitig reaches
+        # the end, '-' anchors no begin; the exhaustive search dead-ends
+        (CHAIN_READ + "TT", 2, "end_not_found", "cover_failed"),
+        # u1's body is missing: from AGCA, u1 would land past GGTC, and the
+        # exhaustive search, which has no end anchor, fails u1 on cost
+        ("CGTTAGCAGGTCAAC", 2, "cover_failed", "budget_exceeded"),
+        # one substitution inside u1 with no mismatch allowed
+        (CHAIN_READ[:8] + "A" + CHAIN_READ[9:], 0, "budget_exceeded", "budget_exceeded"),
+    ],
+)
+def test_unmapped_reasons_on_a_chain(seq, budget, greedy, exhaustive):
+    graph = build_graph(CHAIN_UNITIGS, 5)
+    anchor, _ = indexes_for(graph)
+    params = MappingParams(max_mismatches=budget)
+    clean = Read(id="clean", sequence=CHAIN_READ)
+    assert map_branching(clean, graph, anchor, params).path == ((0, "+"), (1, "+"), (2, "+"))
+    assert map_exhaustive(clean, graph, anchor, params).mismatches == 0
+    read = Read(id="r", sequence=seq)
+    assert map_branching(read, graph, anchor, params).reason == greedy
+    assert map_exhaustive(read, graph, anchor, params).reason == exhaustive
+
+
 def test_map_branching_requires_anchor():
     graph = build_graph(["ACTGA"], 3)
     anchor, _ = indexes_for(graph)
