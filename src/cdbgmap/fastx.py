@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 from collections.abc import Iterator
+from operator import itemgetter
 from pathlib import Path
 
 from .sequences import Read
@@ -48,7 +49,16 @@ class _IdDeduplicator:
         return name if n == 1 else f"{name}.{n}"
 
 
-def _parse_fasta(handle) -> Iterator[Read]:
+def _name_and_description(header: str) -> tuple[str, str]:
+    """A header line without its marker split into the record name and the
+    text after it ('' when there is none)."""
+    fields = header.split(None, 1)
+    if not fields:
+        return "", ""
+    return fields[0], fields[1].strip() if len(fields) > 1 else ""
+
+
+def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
     dedup = _IdDeduplicator()
     name = None
     chunks: list[str] = []
@@ -58,8 +68,8 @@ def _parse_fasta(handle) -> Iterator[Read]:
             continue
         if line.startswith(">"):
             if name is not None:
-                yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
-            name = line[1:].split()[0] if len(line) > 1 else ""
+                yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks))), text
+            name, text = _name_and_description(line[1:])
             if not name:
                 raise ValueError("FASTA header without a name")
             chunks = []
@@ -68,10 +78,10 @@ def _parse_fasta(handle) -> Iterator[Read]:
                 raise ValueError("FASTA data before first header")
             chunks.append(line)
     if name is not None:
-        yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
+        yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks))), text
 
 
-def _parse_fastq(handle) -> Iterator[Read]:
+def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
     dedup = _IdDeduplicator()
     while True:
         header = handle.readline()
@@ -89,14 +99,20 @@ def _parse_fastq(handle) -> Iterator[Read]:
         qual = handle.readline().rstrip("\r\n")
         if len(qual) != len(seq):
             raise ValueError("malformed FASTQ record: quality length mismatch")
-        name = header[1:].split()[0]
+        name, text = _name_and_description(header[1:])
         if not name:
             raise ValueError("FASTQ header without a name")
-        yield Read(id=dedup(name), sequence=normalize_sequence(seq), quality=qual)
+        yield Read(id=dedup(name), sequence=normalize_sequence(seq), quality=qual), text
 
 
 def read_sequences(path: str | Path) -> Iterator[Read]:
     """Iterate reads from a FASTA or FASTQ file, plain or gzipped."""
+    return map(itemgetter(0), read_described(path))
+
+
+def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
+    """`read_sequences` with each record's header description: the text
+    after the name, '' when there is none."""
     handle = _open_text(path)
     try:
         first = handle.read(1)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .census import SolidKmerSet
-from .fastx import read_sequences, write_fasta
+from .fastx import read_described, write_fasta
 from .sequences import (
     canonical_code,
     decode_kmer,
@@ -261,14 +261,28 @@ def enumerate_paths(
 
 
 def write_unitigs_fasta(path: str | Path, graph: CompactedGraph) -> int:
-    return write_fasta(path, ((f"u{u.id}", u.sequence) for u in graph.unitigs))
+    """One record per unitig, named `u<id>`, with the graph's k recorded in
+    the header's description (`>u0 k=31`)."""
+    return write_fasta(path, ((f"u{u.id} k={graph.k}", u.sequence) for u in graph.unitigs))
+
+
+def _recorded_k(description: str) -> int | None:
+    for field in description.split():
+        if field.startswith("k="):
+            return int(field[2:])
+    return None
 
 
 def read_unitigs_fasta(path: str | Path, k: int) -> CompactedGraph:
+    """Inverse of write_unitigs_fasta.  A header that records a k other than
+    `k` raises ValueError; a header without one is taken to be at `k`."""
     records = []
-    for rec in read_sequences(path):
+    for rec, description in read_described(path):
         if not rec.id.startswith("u"):
             raise ValueError(f"not a unitig FASTA header: {rec.id!r}")
+        recorded = _recorded_k(description)
+        if recorded is not None and recorded != k:
+            raise ValueError(f"graph {path} was built with k={recorded}, requested k={k}")
         records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
     records.sort(key=lambda u: u.id)
     return CompactedGraph(k=k, unitigs=records)

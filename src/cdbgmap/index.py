@@ -10,6 +10,11 @@ explicitly, merged under the single canonical key.  Orientations are the
 strings '+' and '-' everywhere in memory; only the index file stores them as
 a bit ('-' is 1).
 
+Successor lists (`Successors`, one per anchor index and graph, from
+`AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
+with its last (k-1)-mer; each is derived from `starts_with_codes` on that
+word when first asked for, so the overlap relation has one definition.
+
 The interior index lists every (k-1)-mer occurrence inside unitigs longer
 than a length threshold, sampled at a configurable stride.  It backs the
 single-unitig mapping regime.
@@ -24,7 +29,7 @@ from itertools import islice
 from pathlib import Path
 
 from .graph import CompactedGraph
-from .sequences import encode_kmer, flip, rc_code, window_codes
+from .sequences import encode_kmer, flip, kmer_codes, rc_code, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 1
@@ -61,6 +66,7 @@ class AnchorIndex:
         self.k = k
         # key -> (starts, ends); each a tuple of (unitig_id, '+'/'-')
         self._table: dict[int, tuple[tuple, tuple]] = {}
+        self._successors: Successors | None = None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -103,6 +109,38 @@ class AnchorIndex:
     def has_key_codes(self, fwd: int, rc: int) -> bool:
         return (fwd if fwd <= rc else rc) in self._table
 
+    def successors(self, graph: CompactedGraph) -> "Successors":
+        """The successor lists of `graph`'s oriented unitigs under this
+        index, kept for the next call with the same graph."""
+        if self._successors is None or self._successors.graph is not graph:
+            self._successors = Successors(graph, self)
+        return self._successors
+
+
+class Successors(dict):
+    """(unitig_id, '+'/'-') -> the unitigs starting with that oriented
+    unitig's last (k-1)-mer, as `starting` gives them.  A list is filled on
+    its first lookup and never changes: it is a property of the graph, not
+    of any read."""
+
+    def __init__(self, graph: CompactedGraph, anchor: AnchorIndex):
+        super().__init__()
+        self.graph = graph
+        self.anchor = anchor
+
+    def starting(self, fwd: int, rc: int) -> tuple:
+        """Unitigs whose oriented sequence starts with the written word
+        (fwd/rc codes) as (unitig_id, '+'/'-', oriented sequence), smallest
+        id then '+' first."""
+        seq = self.graph.oriented_sequence
+        starts = sorted(self.anchor.starts_with_codes(fwd, rc))
+        return tuple((uid, o, seq(uid, o)) for uid, o in starts)
+
+    def __missing__(self, key: tuple[int, str]) -> tuple:
+        suffix = self.graph.oriented_sequence(*key)[1 - self.graph.k :]
+        found = self[key] = self.starting(*kmer_codes(suffix))
+        return found
+
 
 def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     idx = AnchorIndex(k=graph.k)
@@ -110,10 +148,8 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     starts: dict[int, list] = {}
     ends: dict[int, list] = {}
     for u in graph.unitigs:
-        pf = encode_kmer(u.sequence[:size])
-        sf = encode_kmer(u.sequence[-size:])
-        pf_rc = rc_code(pf, size)
-        sf_rc = rc_code(sf, size)
+        pf, pf_rc = kmer_codes(u.sequence[:size])
+        sf, sf_rc = kmer_codes(u.sequence[-size:])
         # (written_code, rc_of_written, side_dict, orientation)
         combos = (
             (pf, pf_rc, starts, FORWARD),  # forward starts with its prefix

@@ -24,10 +24,16 @@ are the strings '+' and '-' throughout, and '+' < '-' sorts forward first.
 The exhaustive mapper anchors like the greedy one (begin anchors only) and
 then explores every junction choice with branch-and-bound, which makes its
 cost a lower bound for the greedy cost on every read.  Both mappers take
-their begin anchors from `_begins` and every junction's candidates from
-`_junction` (the greedy end anchor is a junction at the end overlap whose
-unitig reaches the read's end), so they share one anchoring and extension
-geometry and differ only in search policy.
+their begin anchors from `_begins` and extend every junction through
+`_junction`, so they share one anchoring and extension geometry and differ
+only in search policy.  Anchors come from the read's words: the anchor
+table gives the unitigs ending with a begin overlap, and, for the greedy
+end anchor (a junction at the end overlap whose unitig reaches the read's
+end), the unitigs starting with the end overlap.  Junction candidates come
+from the graph's successor lists (`AnchorIndex.successors`): after a unitig,
+the candidates are the unitigs starting with its last (k-1)-mer, found once
+per graph and never per read.  Only the junction right at a begin overlap
+at read position 0, which has no unitig before it, looks up the read's word.
 
 `map_read` runs the single-unitig pass on strand '+' then '-', and only then
 the branching pass on '+' then '-'.  Each regime keeps its first successful
@@ -265,16 +271,14 @@ def _begins(pos_b, codes, graph, anchor):
         yield head, left_start if pos_b else 0, s[left_start : left_start + pos_b]
 
 
-def _junction(seq, jpos, codes, graph, anchor):
-    """Extensions at read position `jpos`, whose word has fwd/rc `codes`:
-    the unitigs starting with it, smallest id then '+' first.  Each is
-    yielded as (uid, orient, s, jnext, body): its oriented sequence `s`, the
+def _junction(seq, jpos, cands, k1):
+    """Extensions at read position `jpos` by the candidates `cands`, the
+    (uid, orient, s) unitigs starting with the word there, as a successor
+    list holds them.  Each is yielded as (uid, orient, s, jnext, body): the
     read position `jnext` its last word would take, and the text `body` it
-    lays on the read from `jpos + k - 1`, clipped at the read's end."""
-    k1 = graph.k - 1
+    lays on the read from `jpos + k1`, clipped at the read's end."""
     length = len(seq)
-    for uid, orient in sorted(anchor.starts_with_codes(*codes)):
-        s = graph.oriented_sequence(uid, orient)
+    for uid, orient, s in cands:
         yield uid, orient, s, jpos + len(s) - k1, s[k1 : length - jpos]
 
 
@@ -295,6 +299,7 @@ def _branch_pass(
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
     det_positions = [d[0] for d in dets]
+    succ = anchor.successors(graph)
 
     failure = BEGIN_NOT_FOUND
     for pos_b, bf, br in dets[:n]:
@@ -312,7 +317,8 @@ def _branch_pass(
             if pos_e < pos_b:
                 break
             end = None
-            for uid, orient, _, jnext, body in _junction(seq, pos_e, (ef, er), graph, anchor):
+            ends = succ.starting(ef, er)
+            for uid, orient, _, jnext, body in _junction(seq, pos_e, ends, k1):
                 if jnext + k1 < length:
                     continue  # the read would extend past the unitig end
                 cost, plist = _hamming(seq, pos_e + k1, body, t - cost_b)
@@ -321,17 +327,16 @@ def _branch_pass(
                     break
             if end is None:
                 continue
-            result = _greedy_cover(seq, graph, anchor, det_positions, begin, end, t)
+            result = _greedy_cover(seq, k1, succ, det_positions, begin, end, t)
             if result.ok:
                 return result
             failure = _worse(failure, result.reason)
     return _Attempt(reason=failure)
 
 
-def _greedy_cover(seq, graph, anchor, det_positions, begin, end, t) -> _Attempt:
+def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     """Cover the read from the begin anchor's overlap to the end anchor's,
     one junction at a time, without backtracking."""
-    k1 = graph.k - 1
     pos_b, codes, head, start_offset, cost_b, plist_b = begin
     pos_e, end_unitig, cost_e, plist_e = end
     path = list(head)
@@ -340,7 +345,10 @@ def _greedy_cover(seq, graph, anchor, det_positions, begin, end, t) -> _Attempt:
     jpos = pos_b
     word = seq[pos_b : pos_b + k1]
     while jpos != pos_e:
-        fits = [c for c in _junction(seq, jpos, codes, graph, anchor) if c[3] <= pos_e]
+        # the unitigs after the last path unitig; an empty head (begin
+        # overlap at read position 0) has none, so the read's word is used
+        cands = succ[path[-1]] if path else succ.starting(*codes)
+        fits = [c for c in _junction(seq, jpos, cands, k1) if c[3] <= pos_e]
         if not fits:
             return _Attempt(reason=COVER_FAILED)
         chosen = None
@@ -370,7 +378,6 @@ def _greedy_cover(seq, graph, anchor, det_positions, begin, end, t) -> _Attempt:
         positions.extend(plist)
         cost += cost_u
         word = s[-k1:]
-        codes = kmer_codes(word)
 
     if word != seq[pos_e : pos_e + k1]:
         return _Attempt(reason=COVER_FAILED)
@@ -529,6 +536,7 @@ def _exhaustive_pass(
     dets = view.detected(strand, anchor)
     if not dets:
         return [], NO_ANCHOR, False, False
+    succ = anchor.successors(graph)
 
     best_cost = t + 1
     results: list[_Attempt] = []
@@ -549,11 +557,11 @@ def _exhaustive_pass(
                 return
             results.append(_Attempt(path, start_offset, cost, positions))
 
-    def dfs(jpos, codes, cost_so_far, path, positions, start_offset):
+    def dfs(jpos, cands, cost_so_far, path, positions, start_offset):
         nonlocal expansions, truncated, budget_blocked
         if truncated:
             return
-        for uid, orient, s, jnext, body in _junction(seq, jpos, codes, graph, anchor):
+        for uid, orient, _, jnext, body in _junction(seq, jpos, cands, k1):
             expansions += 1
             if expansions > expansion_budget:
                 truncated = True
@@ -571,7 +579,7 @@ def _exhaustive_pass(
             if jnext + k1 >= length:  # the unitig reaches the read's end
                 record(path_u, start_offset, cost_u, positions_u)
             else:
-                dfs(jnext, kmer_codes(s[-k1:]), cost_u, path_u, positions_u, start_offset)
+                dfs(jnext, succ[uid, orient], cost_u, path_u, positions_u, start_offset)
 
     for pos_b, bf, br in dets[:n]:
         for head, start_offset, text in _begins(pos_b, (bf, br), graph, anchor):
@@ -583,7 +591,8 @@ def _exhaustive_pass(
             if pos_b + k1 == length:
                 record(head, start_offset, cost_b, plist_b)
             else:
-                dfs(pos_b, (bf, br), cost_b, head, plist_b, start_offset)
+                cands = succ[head[0]] if head else succ.starting(bf, br)
+                dfs(pos_b, cands, cost_b, head, plist_b, start_offset)
 
     if results:
         return results, None, truncated, budget_blocked

@@ -173,6 +173,19 @@ def test_map_wrong_k_for_index_exits_2(tmp_path, capsys):
     assert "k=15" in err
 
 
+def test_map_wrong_k_for_graph_exits_2(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome)
+    out = tmp_path / "map.tsv"
+    code, _, err = run(
+        capsys, "map", "-k", "13", "-g", str(unitigs), "-o", str(out), str(reads)
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "k=15" in err and "k=13" in err
+    assert not out.exists()
+
+
 def test_map_index_of_another_graph_exits_2(tmp_path, capsys):
     repeat = random_genome(2005, 40)
     genomes = {

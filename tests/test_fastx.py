@@ -2,7 +2,7 @@ import gzip
 
 import pytest
 
-from cdbgmap.fastx import read_sequences, write_fasta
+from cdbgmap.fastx import read_described, read_sequences, write_fasta
 from cdbgmap.sequences import Read
 
 
@@ -14,6 +14,23 @@ def test_multiline_fasta(tmp_path):
         ("chr1", "ACGTACGTTT"),
         ("chr2", "GGGG"),
     ]
+
+
+def test_header_descriptions(tmp_path):
+    fa = tmp_path / "ref.fa"
+    fa.write_text(">u0 k=31  len=4 \nACGT\n>u1\nGG\n")
+    fq = tmp_path / "r.fq"
+    fq.write_text("@r1\tlane=2\nACGT\n+\nIIII\n")
+    assert [(r.id, d) for r, d in read_described(fa)] == [("u0", "k=31  len=4"), ("u1", "")]
+    assert [(r.id, d) for r, d in read_described(fq)] == [("r1", "lane=2")]
+
+
+@pytest.mark.parametrize("text", [">  \nACGT\n", "@ \nACGT\n+\nIIII\n"])
+def test_header_without_a_name_rejected(tmp_path, text):
+    p = tmp_path / "x.fa"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="without a name"):
+        list(read_sequences(p))
 
 
 def test_fastq_with_quality(tmp_path):

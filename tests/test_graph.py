@@ -195,6 +195,23 @@ def test_unitig_fasta_round_trip(tmp_path):
     write_unitigs_fasta(path, graph)
     back = read_unitigs_fasta(path, k=7)
     assert back == graph
+    assert path.read_text().startswith(">u0 k=7\n")
+
+
+def test_unitig_fasta_rejects_another_k(tmp_path):
+    graph = compact(solid_from([random_genome(124, 300)], 7))
+    path = tmp_path / "unitigs.fa"
+    write_unitigs_fasta(path, graph)
+    with pytest.raises(ValueError, match="k=7"):
+        read_unitigs_fasta(path, k=9)
+
+
+def test_unitig_fasta_without_recorded_k_is_read_at_the_given_k(tmp_path):
+    graph = compact(solid_from([random_genome(125, 300)], 7))
+    path = tmp_path / "unitigs.fa"
+    records = (f">u{u.id} len={len(u.sequence)}\n{u.sequence}\n" for u in graph.unitigs)
+    path.write_text("".join(records))
+    assert read_unitigs_fasta(path, k=7) == graph
 
 
 def test_gfa_agrees_with_anchor_index(tmp_path):

@@ -15,7 +15,7 @@ from cdbgmap.index import (
     query_interior,
     save_indexes,
 )
-from cdbgmap.sequences import decode_kmer, encode_kmer, rc_code
+from cdbgmap.sequences import decode_kmer, encode_kmer, kmer_codes, rc_code
 
 from conftest import (
     build_graph,
@@ -143,6 +143,72 @@ def test_anchor_matches_scan_oracle_on_random_graphs():
                 (i.unitig_id, i.side, i.orientation) for i in query_anchor(idx, mer)
             )
             assert got == scan_incidences(graph, mer), (mer, seed)
+
+
+def repeat_genome(seed, unit_length=90, copies=6):
+    """A random backbone holding copies of one unit, a few of them with a
+    substitution and every other one reverse-complemented."""
+    rng = random.Random(seed)
+    unit = random_genome(seed + 1, unit_length)
+    parts = []
+    for i in range(copies):
+        parts.append(random_genome(seed + 10 + i, rng.randint(40, 120)))
+        copy = list(unit)
+        if i % 3 == 2:
+            p = rng.randrange(unit_length)
+            copy[p] = rng.choice([b for b in "ACGT" if b != copy[p]])
+        copy = "".join(copy)
+        parts.append(copy if i % 2 else naive_rc(copy))
+    return "".join(parts)
+
+
+def assert_successor_lists(graph, idx):
+    """Every oriented unitig's successor list is the anchor query on its
+    last (k-1)-mer, sorted and paired with the oriented sequences, and holds
+    exactly the oriented unitigs whose text starts with that word."""
+    k1 = graph.k - 1
+    succ = idx.successors(graph)
+    texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
+    branching = 0
+    for uid, orient, text in texts:
+        suffix = text[-k1:]
+        expected = sorted(idx.starts_with_codes(*kmer_codes(suffix)))
+        got = succ[uid, orient]
+        assert got == tuple((u, o, graph.oriented_sequence(u, o)) for u, o in expected)
+        assert sorted({(u, o) for u, o, t in texts if t[:k1] == suffix}) == expected
+        assert succ.starting(*kmer_codes(suffix)) == got
+        branching += len(got) > 1
+    assert len(succ) == 2 * len(graph)
+    return branching
+
+
+def test_successor_lists_on_a_repeat_graph_at_k31():
+    graph, _ = graph_from_sequences([repeat_genome(31)], 31)
+    idx = build_anchor_index(graph)
+    assert assert_successor_lists(graph, idx) > 0
+    assert idx.successors(graph) is idx.successors(graph)
+
+
+@pytest.mark.parametrize("k", [5, 9])
+def test_successor_lists_with_palindromic_overlaps(k):
+    # an even k-1 allows overlaps that are their own reverse complement
+    genome = random_genome(900 + k, 500) + "GGATATCC" + "TTACGCGTAA" + repeat_genome(k)
+    graph, _ = graph_from_sequences([genome], k)
+    idx = build_anchor_index(graph)
+    palindromes = [
+        u for u in graph.unitigs if u.sequence[1 - k :] == naive_rc(u.sequence[1 - k :])
+    ]
+    assert palindromes
+    assert assert_successor_lists(graph, idx) > 0
+
+
+def test_successor_lists_follow_the_graph_they_were_asked_for():
+    one = build_graph(["AACCG", "CCGTT"], 4)
+    two = build_graph(["AACCG", "CCGAA"], 4)
+    idx = build_anchor_index(one)
+    assert idx.successors(one)[0, "+"] == ((1, "+", "CCGTT"),)
+    assert idx.successors(two)[0, "+"] == ((1, "+", "CCGAA"),)
+    assert idx.successors(two) is idx.successors(two)
 
 
 def test_every_unitig_contributes_prefix_and_suffix():

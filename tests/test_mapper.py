@@ -279,6 +279,27 @@ def repeat_graph_with_decoys(k=11):
     return graph, [genome] + decoys
 
 
+def test_map_reads_two_workers_match_one_on_repeats():
+    graph, sources = repeat_graph_with_decoys()
+    anchor, interior = indexes_for(graph)
+    rng = random.Random(5)
+    reads = []
+    for i in range(240):
+        source = sources[0]
+        start = rng.randrange(0, len(source) - 40)
+        seq = list(source[start : start + 40])
+        for _ in range(rng.randint(0, 2)):
+            seq[rng.randrange(40)] = rng.choice("ACGT")
+        seq = "".join(seq)
+        reads.append(Read(id=f"r{i}", sequence=seq if i % 2 else naive_rc(seq)))
+    one = map_reads(reads, graph, anchor, interior, PARAMS, threads=1)
+    # fresh indexes, so each worker fills its own successor lists
+    anchor, interior = indexes_for(graph)
+    two = map_reads(reads, graph, anchor, interior, PARAMS, threads=2, chunk_size=16)
+    assert one == two
+    assert sum(r.regime == "branching_path" for r in one) > 20
+
+
 def test_map_read_follows_its_contract_on_repeats():
     graph, sources = repeat_graph_with_decoys()
     anchor, interior = indexes_for(graph)
