@@ -66,7 +66,9 @@ def count_kmers(reads: Iterable[Read | str], k: int) -> KmerCensus:
     for read in reads:
         seq = read.sequence if isinstance(read, Read) else read
         for _, fwd, rc in window_codes(seq, k):
-            code = fwd if fwd < rc else rc
+            # `| 0` keeps a copy allocated to its value's size: a code of
+            # more than 60 bits from window_codes may carry one spare digit
+            code = fwd | 0 if fwd < rc else rc | 0
             counts[code] = get(code, 0) + 1
     return KmerCensus(k=k, counts=counts)
 

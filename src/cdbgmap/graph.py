@@ -25,6 +25,7 @@ from .sequences import (
     decode_kmer,
     encode_kmer,
     flip,
+    non_acgt,
     rc_code,
     reverse_complement,
 )
@@ -54,7 +55,7 @@ class CompactedGraph:
                 raise ValueError(f"unitig ids must be dense from 0, got {u.id} at {i}")
             if len(u.sequence) < k:
                 raise ValueError(f"unitig {u.id} shorter than k")
-            if any(b not in BASES for b in u.sequence):
+            if non_acgt(u.sequence):
                 raise ValueError(f"unitig {u.id} contains non-ACGT symbols")
         self.k = k
         self.unitigs = list(unitigs)

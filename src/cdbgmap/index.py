@@ -17,7 +17,16 @@ word when first asked for, so the overlap relation has one definition.
 
 The interior index lists every (k-1)-mer occurrence inside unitigs longer
 than a length threshold, sampled at a configurable stride.  It backs the
-single-unitig mapping regime.
+single-unitig mapping regime.  Its keys are the written codes of the
+forward unitig text, with no orientation bit: a read strand is placed on
+the forward text by looking up its own windows' written codes, and on the
+reverse text by the reverse complement's pass doing the same, so a
+palindromic word needs no special case.
+
+The index file (format version 2) carries, after k and the interior's
+length threshold and stride, a fingerprint of the graph the indexes were
+built from (`graph_fingerprint`), so a file is matched to a graph without
+rebuilding either index.
 """
 
 from __future__ import annotations
@@ -28,20 +37,31 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
+# The interpreter's own SHA-256: importing hashlib also loads OpenSSL, which
+# adds about 3.6 MB to the peak RSS of every build and map run.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # pragma: no cover - an interpreter built without it
+        from hashlib import sha256
+
 from .graph import CompactedGraph
 from .sequences import encode_kmer, flip, kmer_codes, rc_code, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
 
 # Index file records, all little-endian except the 16-byte big-endian keys.
-_HEADER = struct.Struct("<IIII")  # version, k, interior min_length, stride
+_VERSION = struct.Struct("<I")
+_HEADER = struct.Struct("<III32s")  # k, interior min_length, stride, graph fingerprint
 _COUNT = struct.Struct("<Q")  # records in the table that follows
-_KEY = struct.Struct(">QQ")  # canonical (k-1)-mer code, high and low words
+_KEY = struct.Struct(">QQ")  # (k-1)-mer code, high and low words
 _ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
 _ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit: 1 for '-'
 _OCCURRENCES = struct.Struct("<I")
-_OCCURRENCE = struct.Struct("<IIB")  # unitig id, offset, written is canonical
+_OCCURRENCE = struct.Struct("<II")  # unitig id, offset
 _UNITIG_LENGTH = struct.Struct("<II")  # unitig id, length
 
 FORWARD = "+"
@@ -185,26 +205,35 @@ def query_anchor(idx: AnchorIndex, mer: str) -> list[Incidence]:
 
 
 class InteriorIndex:
-    """Canonical (k-1)-mer -> occurrences inside long unitigs.
+    """Written (k-1)-mer code -> occurrences inside long unitigs.
 
-    Each stored occurrence is (unitig_id, offset, written_is_canonical) with
-    the offset on the forward strand of the stored unitig orientation; the
-    lengths of the indexed unitigs are kept so reverse-strand offsets can be
-    mirrored without the graph at hand.
+    A key is the code of a window of a unitig's forward text, and each of
+    its occurrences is (unitig_id, offset) with the window at that offset;
+    there is no orientation bit, so an occurrence of the reverse text is
+    the one under the reverse complement's code.  The lengths of the
+    indexed unitigs are kept so reverse-strand offsets can be mirrored
+    without the graph at hand, and `fingerprint` is the
+    `graph_fingerprint` of the graph the index was built from.
     """
 
-    def __init__(self, k: int, min_length: int = 0, stride: int = 1):
+    def __init__(
+        self, k: int, min_length: int = 0, stride: int = 1, fingerprint: bytes = bytes(32)
+    ):
         self.k = k
         self.min_length = min_length
         self.stride = stride
+        self.fingerprint = fingerprint
         self._table: dict[int, tuple] = {}
         self._unitig_lengths: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def get_codes(self, fwd: int, rc: int) -> tuple:
-        return self._table.get(fwd if fwd <= rc else rc, ())
+
+def graph_fingerprint(graph: CompactedGraph) -> bytes:
+    """SHA-256 of the graph's unitig sequences in id order, each ended by a
+    newline; with k, it identifies the graph an index file was built from."""
+    return sha256("".join(u.sequence + "\n" for u in graph.unitigs).encode()).digest()
 
 
 def build_interior_index(
@@ -212,7 +241,7 @@ def build_interior_index(
 ) -> InteriorIndex:
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    idx = InteriorIndex(k=graph.k, min_length=min_length, stride=stride)
+    idx = InteriorIndex(graph.k, min_length, stride, graph_fingerprint(graph))
     size = graph.k - 1
     table: dict[int, list] = {}
     lengths: dict[int, int] = {}
@@ -220,13 +249,9 @@ def build_interior_index(
         if len(u.sequence) <= min_length:
             continue
         lengths[u.id] = len(u.sequence)
-        for pos, fwd, rc in window_codes(u.sequence, size):
-            if pos % stride:
-                continue
-            if fwd <= rc:
-                table.setdefault(fwd, []).append((u.id, pos, 1))
-            else:
-                table.setdefault(rc, []).append((u.id, pos, 0))
+        # unitigs are exact ACGT, so window i sits at position i
+        for pos, fwd, _ in islice(window_codes(u.sequence, size), 0, None, stride):
+            table.setdefault(fwd, []).append((u.id, pos))
     idx._table = {key: tuple(v) for key, v in table.items()}
     idx._unitig_lengths = lengths
     return idx
@@ -242,47 +267,30 @@ def query_interior(idx: InteriorIndex, mer: str) -> list[tuple]:
     if len(mer) != size:
         raise ValueError(f"interior query must have length {size}, got {len(mer)}")
     fwd = encode_kmer(mer)
-    rc = rc_code(fwd, size)
-    key = min(fwd, rc)
-    out = []
-    for uid, off, canon_written in idx.get_codes(fwd, rc):
-        mirror = idx._unitig_lengths[uid] - size - off
-        if fwd == key:
-            if canon_written:
-                out.append((uid, off, FORWARD))
-                if fwd == rc:  # palindromic mer also matches the other strand
-                    out.append((uid, mirror, REVERSE))
-            else:
-                out.append((uid, mirror, REVERSE))
-        else:
-            if canon_written:
-                out.append((uid, mirror, REVERSE))
-            else:
-                out.append((uid, off, FORWARD))
+    out = [(uid, off, FORWARD) for uid, off in idx._table.get(fwd, ())]
+    lengths = idx._unitig_lengths
+    out.extend(
+        (uid, lengths[uid] - size - off, REVERSE)
+        for uid, off in idx._table.get(rc_code(fwd, size), ())
+    )
     return out
 
 
-def matches_graph(
-    graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex
-) -> bool:
-    """Whether loaded indexes were built from `graph`: the anchor table must
-    equal the graph's, and the interior must record the lengths of exactly
-    the graph's unitigs longer than its length threshold."""
-    lengths = {
-        u.id: len(u.sequence) for u in graph.unitigs if len(u.sequence) > interior.min_length
-    }
-    return (
-        interior._unitig_lengths == lengths
-        and anchor._table == build_anchor_index(graph)._table
-    )
+def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
+    """Whether loaded indexes were built from `graph`: same k and the same
+    fingerprint."""
+    return anchor.k == graph.k and interior.fingerprint == graph_fingerprint(graph)
 
 
 def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
-    """Versioned binary dump of both indexes (magic, version, k, counts)."""
+    """Versioned binary dump of both indexes: magic, version, k, the
+    interior's length threshold, stride and graph fingerprint, then each
+    table with its record count."""
     with open(path, "wb") as out:
         out.write(_INDEX_MAGIC)
+        out.write(_VERSION.pack(_INDEX_VERSION))
         out.write(
-            _HEADER.pack(_INDEX_VERSION, anchor.k, interior.min_length, interior.stride)
+            _HEADER.pack(anchor.k, interior.min_length, interior.stride, interior.fingerprint)
         )
         out.write(_COUNT.pack(len(anchor._table)))
         for key in sorted(anchor._table):
@@ -304,12 +312,19 @@ def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex)
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
-    """Inverse of save_indexes.  The file is read whole; a truncated or
-    malformed one raises ValueError."""
+    """Inverse of save_indexes.  The file is read whole; one of another
+    format version, or a truncated or malformed one, raises ValueError."""
     with open(path, "rb") as inp:
         data = inp.read()
     if data[:8] != _INDEX_MAGIC:
         raise ValueError(f"not an index file: {path}")
+    if len(data) >= 8 + _VERSION.size:
+        (version,) = _VERSION.unpack_from(data, 8)
+        if version != _INDEX_VERSION:
+            raise ValueError(
+                f"index {path} has format version {version}, this cdbgmap reads "
+                f"version {_INDEX_VERSION}: rebuild it with `cdbgmap map --index-out`"
+            )
     try:
         return _decode_indexes(data)
     except (struct.error, ValueError, IndexError) as exc:
@@ -317,14 +332,12 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
 
 
 def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
-    """Decode save_indexes' layout from `data`: struct.error when it runs
-    short, IndexError on an orientation bit above 1, ValueError on a wrong
-    version or bytes left over."""
-    version, k, min_length, stride = _HEADER.unpack_from(data, 8)
-    if version != _INDEX_VERSION:
-        raise ValueError(f"unsupported index format version {version}")
+    """Decode save_indexes' layout, version checked, from `data`:
+    struct.error when it runs short, IndexError on an orientation bit above
+    1, ValueError on bytes left over."""
+    k, min_length, stride, fingerprint = _HEADER.unpack_from(data, 8 + _VERSION.size)
     key_at = _KEY.unpack_from
-    off = 8 + _HEADER.size
+    off = 8 + _VERSION.size + _HEADER.size
 
     anchor = AnchorIndex(k=k)
     sizes_at = _ANCHOR_SIZES.unpack_from
@@ -343,7 +356,7 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
             off += entry_size
         anchor._table[high << 64 | low] = (tuple(entries[:n_starts]), tuple(entries[n_starts:]))
 
-    interior = InteriorIndex(k=k, min_length=min_length, stride=stride)
+    interior = InteriorIndex(k, min_length, stride, fingerprint)
     count_at = _OCCURRENCES.unpack_from
     occ_at = _OCCURRENCE.unpack_from
     occ_size = _OCCURRENCE.size

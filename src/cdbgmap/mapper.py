@@ -38,11 +38,12 @@ at read position 0, which has no unitig before it, looks up the read's word.
 `map_read` runs the single-unitig pass on strand '+' then '-', and only then
 the branching pass on '+' then '-'.  Each regime keeps its first successful
 strand, and a perfect single-unitig placement is returned at once.  All
-passes over a read share one `ReadView`: its (k-1)-mer windows are encoded
-at most once per read (the '-' strand's are the forward ones mirrored), its
-anchor overlaps are detected once, and the single-unitig pass takes the
-windows lazily, so a read placed perfectly from its first window encodes
-only that window.  A read shorter than k is unmapped as `too_short`.
+passes over a read share one `ReadView`, which encodes its (k-1)-mer windows
+at most once (the '-' strand's are the forward ones mirrored) and detects its
+anchor overlaps once.  A single-unitig pass seeds only from windows whose
+written code on its own strand is an interior key, one dict lookup each;
+'+' tries window 0 before encoding the rest.  A read shorter than k is
+unmapped as `too_short`.
 """
 
 from __future__ import annotations
@@ -194,30 +195,37 @@ class ReadView:
             return self._fwd
         return list(_mirror(self._fwd, self._base))
 
-    def seeds(self, strand: str):
-        """`windows(strand)` as a lazy iterable: before the forward windows
-        are encoded, the first one is encoded alone, and the rest only when
-        the consumer asks for them."""
+    def hits(self, strand: str, keys):
+        """The strand's windows whose own written code (their fwd_code on
+        that strand) is in `keys`, lazily in ascending order.  The '-'
+        strand scans the forward windows backwards on their rc codes and
+        mirrors only the hits; before the forward windows are encoded, '+'
+        tries window 0 alone and encodes the rest only when asked for more."""
         if strand == "-":
-            return _mirror(self.windows("+"), self._base)
-        if self._fwd is not None:
-            return self._fwd
-        return self._lazy_forward()
+            base = self._base
+            wins = reversed(self.windows("+"))
+            return ((base - pos, rc, fwd) for pos, fwd, rc in wins if rc in keys)
+        if self._fwd is None:
+            return self._first_then_hits(keys)
+        return (w for w in self._fwd if w[1] in keys)
 
-    def _lazy_forward(self):
+    def _first_then_hits(self, keys):
         try:
-            first = kmer_codes(self._seq[: self.size])
+            fwd, rc = kmer_codes(self._seq[: self.size])
         except ValueError:  # a non-ACGT symbol: window 0 is not a window
-            yield from self.windows("+")
-            return
-        yield (0, *first)
-        yield from islice(self.windows("+"), 1, None)
+            tried = 0
+        else:
+            tried = 1
+            if fwd in keys:
+                yield (0, fwd, rc)
+        yield from (w for w in islice(self.windows("+"), tried, None) if w[1] in keys)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
-        """Windows that are indexed unitig overlaps, in ascending order."""
+        """Windows that are indexed unitig overlaps (either code is an anchor
+        key, as only a canonical code can be one), in ascending order."""
         if self._dets is None:
-            has = anchor.has_key_codes
-            self._dets = [w for w in self.windows("+") if has(w[1], w[2])]
+            keys = anchor.keys()
+            self._dets = [w for w in self.windows("+") if w[1] in keys or w[2] in keys]
         if strand == "+":
             return self._dets
         return list(_mirror(self._dets, self._base))
@@ -426,25 +434,15 @@ def _single_pass(
     seq = view.sequence(strand)
     length = len(seq)
     unitigs = graph.unitigs
-    table_get = interior._table.get
+    table = interior._table
 
-    attempts = 0
     failure = NO_ANCHOR
-    for pos, f, r in view.seeds(strand):
-        key = f if f <= r else r
-        entry = table_get(key)
-        if not entry:
-            continue
-        # this strand pass only places the read on the forward unitig text;
-        # reverse placements surface through the reverse-complement pass
-        want = 1 if f == key else 0
+    # each hit's occurrences place the read on the forward unitig text;
+    # reverse placements surface through the reverse-complement pass
+    for pos, f, _ in islice(view.hits(strand, table), n):
         best = None
         structural = False
-        seeded = False
-        for uid, off, canon_written in entry:
-            if canon_written != want:
-                continue
-            seeded = True
+        for uid, off in table[f]:
             start = off - pos
             if start < 0:
                 continue
@@ -458,17 +456,12 @@ def _single_pass(
             cand = (cost, uid, start, plist)
             if best is None or cand[:3] < best[:3]:
                 best = cand
-        if not seeded:
-            continue
         if best is not None:
             cost, uid, start, plist = best
             return _Attempt(
                 path=[(uid, "+")], start_offset=start, cost=cost, positions=plist
             )
         failure = _worse(failure, BUDGET_EXCEEDED if structural else COVER_FAILED)
-        attempts += 1
-        if attempts >= n:
-            break
     return _Attempt(reason=failure)
 
 

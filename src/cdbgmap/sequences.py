@@ -9,6 +9,7 @@ k-mer is simply ``min(code, rc_code)``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 BASES = "ACGT"
@@ -19,11 +20,19 @@ MAX_K = 63
 
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 _COMPLEMENT_WITH_N = str.maketrans("ACGTN", "TGCAN")
+_DIGITS = str.maketrans("ACGT", "0123")
+_RC_DIGITS = str.maketrans("ACGT", "3210")
+_DROP_ACGT = str.maketrans("", "", "ACGT")
 
 # ord(base) -> 2-bit code; 4 marks anything that is not A/C/G/T.
 _CODE = [4] * 256
 for _i, _b in enumerate(BASES):
     _CODE[ord(_b)] = _i
+
+
+def non_acgt(s: str) -> str:
+    """The symbols of `s` outside ACGT, in order; empty for an exact string."""
+    return s.translate(_DROP_ACGT)
 
 
 def reverse_complement(s: str) -> str:
@@ -32,9 +41,9 @@ def reverse_complement(s: str) -> str:
     Raises ValueError on any symbol outside ACGT; ambiguous bases are only
     legal at the read-parsing boundary, never in exact k-mer contexts.
     """
-    for ch in s:
-        if _CODE[ord(ch)] == 4:
-            raise ValueError(f"non-ACGT in exact context: {ch!r}")
+    bad = non_acgt(s)
+    if bad:
+        raise ValueError(f"non-ACGT in exact context: {bad[0]!r}")
     return s.translate(_COMPLEMENT)[::-1]
 
 
@@ -66,15 +75,10 @@ def encode_kmer(s: str) -> int:
     return bits
 
 
-_DIGITS = str.maketrans("ACGT", "0123")
-_RC_DIGITS = str.maketrans("ACGT", "3210")
-_DROP_ACGT = str.maketrans("", "", "ACGT")
-
-
 def kmer_codes(word: str) -> tuple[int, int]:
     """Packed (fwd, rc) codes of an exact word: encode_kmer(word) and its
     rc_code, read by int() from the word's bases written as base-4 digits."""
-    if word.translate(_DROP_ACGT):
+    if non_acgt(word):
         raise ValueError(f"non-ACGT in exact context: {word!r}")
     return int(word.translate(_DIGITS), 4), int(word.translate(_RC_DIGITS)[::-1], 4)
 
@@ -141,32 +145,37 @@ class Read:
             raise ValueError("read sequence must be non-empty")
 
 
+# Windows encoded per int() call in window_codes: each window's code is a
+# shift of one block-sized int, so a bounded block keeps the cost linear in
+# the sequence length.
+_BLOCK = 256
+_ACGT_RUN = re.compile("[ACGT]+")
+
+
 def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
     """All N-free windows of `seq` as (position, fwd_code, rc_code) triples.
 
     Windows containing any non-ACGT symbol are skipped; positions of the
     remaining windows are preserved.  This is the shared hot path for
-    counting, indexing and mapping.
+    counting, indexing and mapping.  Each maximal ACGT run is cut into
+    blocks of `_BLOCK` windows (overlapping by size-1 bases); a block and
+    its reverse complement are read as two ints by `int(..., 4)`, and each
+    window's codes are shifts of those.
     """
     mask = (1 << (2 * size)) - 1
-    shift = 2 * (size - 1)
-    comp_shift = (3 << shift, 2 << shift, 1 << shift, 0)
-    code = _CODE
     out = []
-    fwd = rc = 0
-    valid = 0
-    append = out.append
-    for i, byte in enumerate(seq.encode("ascii", "replace")):
-        b = code[byte]
-        if b == 4:
-            valid = 0
-            fwd = rc = 0
-            continue
-        fwd = ((fwd << 2) | b) & mask
-        rc = (rc >> 2) | comp_shift[b]
-        valid += 1
-        if valid >= size:
-            append((i - size + 1, fwd, rc))
+    for run in _ACGT_RUN.finditer(seq):
+        begin, end = run.span()
+        for start in range(begin, end - size + 1, _BLOCK):
+            block = seq[start : min(start + _BLOCK + size - 1, end)]
+            top = 2 * (len(block) - size)
+            fwd = int(block.translate(_DIGITS), 4)
+            rc = int(block.translate(_RC_DIGITS)[::-1], 4)
+            out.extend(zip(
+                range(start, start + top // 2 + 1),
+                [fwd >> s & mask for s in range(top, -1, -2)],
+                [rc >> s & mask for s in range(0, top + 1, 2)],
+            ))
     return out
 
 

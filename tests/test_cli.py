@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
@@ -276,11 +277,11 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 def _index_sections(idx_path):
     """End offsets of the header and the three tables of a saved index."""
     anchor, interior = load_indexes(idx_path)
-    header = 8 + 16
+    header = 8 + 4 + 12 + 32  # magic, version, k/min_length/stride, fingerprint
     anchor_end = header + 8 + sum(
         16 + 4 + 5 * (len(s) + len(e)) for s, e in anchor._table.values()
     )
-    interior_end = anchor_end + 8 + sum(16 + 4 + 9 * len(o) for o in interior._table.values())
+    interior_end = anchor_end + 8 + sum(16 + 4 + 8 * len(o) for o in interior._table.values())
     lengths_end = interior_end + 8 + 8 * len(interior._unitig_lengths)
     assert lengths_end == idx_path.stat().st_size
     return header, anchor_end, interior_end, lengths_end
@@ -335,3 +336,68 @@ def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
         "short", "unmapped", ".", ".", ".", ".", ".", "unmapped", "too_short"
     ]
     assert rows[:11] + rows[12:] == plain.read_text().splitlines()
+
+
+def _v1_index_bytes(idx_path):
+    """The same indexes in format version 1: a 16-byte header of version, k,
+    min_length and stride, and interior keys canonical with a written-is-
+    canonical byte on each occurrence."""
+    import struct
+
+    from cdbgmap.sequences import rc_code
+
+    anchor, interior = load_indexes(idx_path)
+    k1 = anchor.k - 1
+    canonical = {}
+    for fwd, occs in interior._table.items():
+        rc = rc_code(fwd, k1)
+        for uid, off in occs:
+            canonical.setdefault(min(fwd, rc), []).append((uid, off, int(fwd <= rc)))
+    out = [b"CDBGIDX1", struct.pack("<IIII", 1, anchor.k, interior.min_length, interior.stride)]
+    out.append(struct.pack("<Q", len(anchor._table)))
+    for key in sorted(anchor._table):
+        starts, ends = anchor._table[key]
+        out.append(key.to_bytes(16, "big") + struct.pack("<HH", len(starts), len(ends)))
+        out.extend(struct.pack("<IB", uid, o == "-") for uid, o in starts + ends)
+    out.append(struct.pack("<Q", len(canonical)))
+    for key in sorted(canonical):
+        occs = sorted(canonical[key])
+        out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
+        out.extend(struct.pack("<IIB", *occ) for occ in occs)
+    lengths = interior._unitig_lengths
+    out.append(struct.pack("<Q", len(lengths)))
+    out.extend(struct.pack("<II", uid, lengths[uid]) for uid in sorted(lengths))
+    return b"".join(out)
+
+
+def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=5)
+    idx = tmp_path / "graph.idx"
+    assert run(
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
+        str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
+    )[0] == 0
+    data = idx.read_bytes()
+    header = _index_sections(idx)[0]
+    fingerprint = slice(header - 32, header)
+    assert data[fingerprint] == hashlib.sha256(
+        "".join(u.sequence + "\n" for u in read_unitigs_fasta(unitigs, 15).unitigs).encode()
+    ).digest()
+    wrong = bytearray(data)
+    wrong[fingerprint.start] ^= 1
+    cases = {
+        "v1": (_v1_index_bytes(idx), "version 1"),
+        "fingerprint": (bytes(wrong), "was not built from"),
+    }
+    for name, (content, message) in cases.items():
+        bad = tmp_path / f"{name}.idx"
+        bad.write_bytes(content)
+        out = tmp_path / f"{name}.tsv"
+        code, _, err = run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
+            "--index-in", str(bad), str(reads),
+        )
+        assert code == 2, name
+        assert err.startswith("error:") and message in err, (name, err)
+        assert "Traceback" not in err and not out.exists(), name

@@ -21,6 +21,7 @@ from conftest import (
     build_graph,
     graph_from_sequences,
     naive_canonical,
+    naive_kmers,
     naive_rc,
     oriented,
     random_genome,
@@ -286,6 +287,42 @@ def test_interior_palindromic_mer_hits_both_strands():
     assert {o for _, _, o in got} == {"+", "-"}
 
 
+def assert_interior_invariant(graph, idx):
+    """String-level: every occurrence under a key is the key's word at its
+    offset of the forward unitig text, and every stride-sampled window of
+    every unitig above the length threshold is indexed, once."""
+    k1 = graph.k - 1
+    listed = []
+    for key, occs in idx._table.items():
+        word = decode_kmer(key, k1)
+        for uid, off in occs:
+            assert graph.unitigs[uid].sequence[off : off + k1] == word
+            listed.append((uid, off))
+    expected = [
+        (u.id, off)
+        for u in graph.unitigs
+        if len(u.sequence) > idx.min_length
+        for off in range(0, len(u.sequence) - k1 + 1, idx.stride)
+    ]
+    assert sorted(listed) == expected
+    assert idx._unitig_lengths == {
+        u.id: len(u.sequence) for u in graph.unitigs if len(u.sequence) > idx.min_length
+    }
+
+
+@pytest.mark.parametrize("k", [5, 9, 31])
+def test_interior_keys_are_written_words(k):
+    genome = random_genome(700 + k, 400) + "GGATATCC" + "TTACGCGTAA" + repeat_genome(k)
+    graph, _ = graph_from_sequences([genome], k)
+    k1 = k - 1
+    if k < 10:  # short windows that are their own reverse complement
+        assert any(
+            w == naive_rc(w) for u in graph.unitigs for w in naive_kmers(u.sequence, k1)
+        )
+    for min_length, stride in ((0, 1), (k + 5, 1), (0, 3)):
+        assert_interior_invariant(graph, build_interior_index(graph, min_length, stride))
+
+
 def test_interior_stride_sampling():
     graph = build_graph(["ACTACTACT"], 3)
     dense = build_interior_index(graph, stride=1)
@@ -320,10 +357,10 @@ def test_load_rejects_garbage(tmp_path):
     graph = build_graph(["ACTG", "TGAT"], 3)
     save_indexes(p, build_anchor_index(graph), build_interior_index(graph))
     data = bytearray(p.read_bytes())
-    # magic, header, key count, first key and its sizes, then the first
-    # entry's unitig id and orientation bit
-    assert data[56] in (0, 1)
-    data[56] = 2
+    # magic, header (with its 32-byte graph fingerprint), key count, first
+    # key and its sizes, then the first entry's unitig id and orientation bit
+    assert data[88] in (0, 1)
+    data[88] = 2
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="malformed"):
         load_indexes(p)

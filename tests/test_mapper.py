@@ -338,6 +338,13 @@ def test_map_read_follows_its_contract_on_repeats():
                     "branching only", "unmapped"}
 
 
+class EveryCode:
+    """A container holding every code, so `ReadView.hits` keeps every window."""
+
+    def __contains__(self, code):
+        return True
+
+
 @pytest.mark.parametrize("k", [5, 31])
 def test_read_view_windows_match_window_codes(k):
     size = k - 1
@@ -358,17 +365,47 @@ def test_read_view_windows_match_window_codes(k):
         reads.append("".join(rng.choice("ACGTN") for _ in range(rng.randint(size, 3 * k))))
     graph = build_graph([palindrome + "A", random_genome(11, 2 * k)], k)
     anchor, _ = indexes_for(graph)
+    every = EveryCode()
     for seq in reads:
         for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
             expected = window_codes(text, size)
             assert ReadView(seq, size).windows(strand) == expected
-            assert list(ReadView(seq, size).seeds(strand)) == expected
+            assert list(ReadView(seq, size).hits(strand, every)) == expected
             view = ReadView(seq, size)
             assert view.sequence(strand) == text
             assert view.detected(strand, anchor) == [
                 w for w in expected if anchor.has_key_codes(w[1], w[2])
             ]
-            assert list(view.seeds(strand)) == expected  # once encoded
+            assert list(view.hits(strand, every)) == expected  # once encoded
+
+
+@pytest.mark.parametrize("k", [5, 31])
+def test_read_view_hits_are_the_strands_own_interior_seeds(k):
+    # a palindromic window (k = 5) is its own reverse complement's seed
+    size = k - 1
+    rng = random.Random(50 + k)
+    unitigs = [random_genome(60 + k, 3 * k) + "GGATATCC", random_genome(61 + k, 2 * k)]
+    graph = build_graph(unitigs, k)
+    _, interior = indexes_for(graph)
+    table = interior._table
+    reads = []
+    for _ in range(30):
+        u = rng.choice(unitigs)
+        start = rng.randrange(len(u) - size)
+        seq = u[start : start + rng.randint(size, len(u) - start)]
+        if rng.random() < 0.3:
+            p = rng.randrange(len(seq))
+            seq = seq[:p] + "N" + seq[p + 1 :]
+        reads.append(seq if rng.random() < 0.5 else naive_rc(seq))
+    for seq in reads:
+        for strand in "+-":
+            view = ReadView(seq, size)
+            text = view.sequence(strand)
+            got = list(view.hits(strand, table))
+            assert got == [w for w in window_codes(text, size) if w[1] in table]
+            for pos, fwd, _ in got:
+                for uid, off in table[fwd]:
+                    assert unitigs[uid][off : off + size] == text[pos : pos + size]
 
 
 def test_map_read_encodes_windows_lazily_and_once(monkeypatch):

@@ -167,3 +167,57 @@ def test_read_validation():
         Read(id="r1", sequence="")
     r = Read(id="r1", sequence="ACGT", quality="IIII")
     assert r.quality == "IIII"
+
+
+# ord(base) -> 2-bit code; 4 marks anything that is not A/C/G/T.
+_REF_CODE = [4] * 256
+for _i, _b in enumerate("ACGT"):
+    _REF_CODE[ord(_b)] = _i
+
+
+def reference_window_codes(seq, size):
+    """The per-base rolling encoder window_codes replaced, kept as the
+    reference: one Python step per base, reset at any non-ACGT symbol."""
+    mask = (1 << (2 * size)) - 1
+    shift = 2 * (size - 1)
+    comp_shift = (3 << shift, 2 << shift, 1 << shift, 0)
+    out = []
+    fwd = rc = 0
+    valid = 0
+    for i, byte in enumerate(seq.encode("ascii", "replace")):
+        b = _REF_CODE[byte]
+        if b == 4:
+            valid = 0
+            fwd = rc = 0
+            continue
+        fwd = ((fwd << 2) | b) & mask
+        rc = (rc >> 2) | comp_shift[b]
+        valid += 1
+        if valid >= size:
+            out.append((i - size + 1, fwd, rc))
+    return out
+
+
+def test_window_codes_equal_the_per_base_encoder():
+    rng = random.Random(2024)
+    # around one block of windows, and several kb spanning many blocks
+    lengths = (0, 1, 2, 30, 100, 255, 256, 257, 300, 512, 600, 1000, 4100)
+    alphabets = ("ACGT", "ACGTN", "ACGTacgtN", "ACGTéαN?")
+    for size in range(1, MAX_K + 1):
+        for _ in range(4):
+            length = rng.choice(lengths) + rng.randint(0, size)
+            alphabet = rng.choice(alphabets)
+            weights = [20] * 4 + [1] * (len(alphabet) - 4)
+            seq = "".join(rng.choices(alphabet, weights, k=length))
+            assert window_codes(seq, size) == reference_window_codes(seq, size), (size, seq)
+    for seq in ("acgtACGTACGT", "ACGTN" * 60, "ÅCGTACGTTT", "A" * 5000):
+        for size in (1, 3, 30, 63):
+            assert window_codes(seq, size) == reference_window_codes(seq, size)
+
+
+def test_reverse_complement_reports_the_first_bad_symbol():
+    with pytest.raises(ValueError, match=r"non-ACGT in exact context: 'N'"):
+        reverse_complement("ACNGX")
+    with pytest.raises(ValueError, match=r"non-ACGT in exact context: 'a'"):
+        reverse_complement("Cat")
+    assert reverse_complement("") == ""
