@@ -107,15 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("-o", "--output", required=True, help="mapping TSV path")
     p_map.add_argument("--index-in", help="load prebuilt indexes instead of building")
     p_map.add_argument("--index-out", help="save the indexes for later runs")
-    p_map.add_argument(
-        "--interior-min-length",
-        type=int,
-        default=0,
-        help="index interior positions only for unitigs longer than this",
-    )
-    p_map.add_argument(
-        "--interior-stride", type=int, default=1, help="interior sampling stride"
-    )
     p_map.add_argument("reads", nargs="+", help="read files to map")
 
     p_eval = sub.add_parser("eval", help="simulated-read accuracy harness")
@@ -227,9 +218,7 @@ def cmd_map(args) -> int:
             raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
     else:
         anchor = build_anchor_index(graph)
-        interior = build_interior_index(
-            graph, args.interior_min_length, args.interior_stride
-        )
+        interior = build_interior_index(graph)
     if args.index_out:
         save_indexes(args.index_out, anchor, interior)
     reads = []

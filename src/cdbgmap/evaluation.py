@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .census import count_kmers, solid_set
@@ -224,7 +224,7 @@ def evaluate_rate(
         comparison = compare_branching_mappers(sims, results, graph, anchor, params)
         subopt = comparison["subopt_frac"]
     row = EvalRow(
-        error_rate=0.0,  # caller fills the rate; kept explicit below
+        error_rate=0.0,  # the caller replaces it with the rate
         recall=recall,
         d0=shares[0],
         d1=shares[1],
@@ -271,19 +271,7 @@ def run_accuracy_sweep(
         row, _, _ = evaluate_rate(
             sims, graph, anchor, interior, params, threads, compare_exhaustive
         )
-        rows.append(
-            EvalRow(
-                error_rate=rate,
-                recall=row.recall,
-                d0=row.d0,
-                d1=row.d1,
-                d2=row.d2,
-                d3=row.d3,
-                d4plus=row.d4plus,
-                subopt_frac=row.subopt_frac,
-                reads_per_sec=row.reads_per_sec,
-            )
-        )
+        rows.append(replace(row, error_rate=rate))
         if truth_path is not None:
             for s in sims:
                 errs = ",".join(map(str, s.error_positions))

@@ -299,10 +299,8 @@ def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorInde
     overlap = graph.k - 1
     links = set()
     for key in anchor_index.keys():
-        starts = anchor_index.starts_with_key(key)
-        ends = anchor_index.ends_with_key(key)
-        for a, oa in ends:
-            for b, ob in starts:
+        for a, oa in anchor_index.ends_with_codes(key):
+            for b, ob in anchor_index.starts_with_codes(key):
                 fwd = (a, oa, b, ob)
                 mirror = (b, flip(ob), a, flip(oa))
                 links.add(min(fwd, mirror))

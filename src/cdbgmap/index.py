@@ -1,32 +1,29 @@
 """Anchor and interior (k-1)-mer indexes over a compacted graph.
 
-The anchor index maps each canonical (k-1)-mer that is a unitig prefix or
-suffix to the unitigs carrying it.  Entries are stored only for the side and
-orientation combinations whose written form equals the canonical key; a
-query for the non-canonical written form is answered by mirroring (a unitig
-starts with a word exactly when its flipped orientation ends with the word's
-reverse complement).  Palindromic keys store both orientation classes
-explicitly, merged under the single canonical key.  Orientations are the
-strings '+' and '-' everywhere in memory; only the index file stores them as
-a bit ('-' is 1).
+Both indexes are keyed by the written code of a (k-1)-mer, with no
+canonical form.  The anchor index files each oriented unitig under the word
+it starts with and the word it ends with: (u,'+') under u's first and last
+(k-1)-mer, (u,'-') under the reverse complements of its last and first.  A
+unitig starts with a word exactly when its flipped orientation ends with the
+word's reverse complement, so the key set is closed under reverse
+complement, and a palindromic word is one key like any other.  Orientations
+are the strings '+' and '-' everywhere in memory; only the index file
+stores them as a bit ('-' is 1).
 
 Successor lists (`Successors`, one per anchor index and graph, from
 `AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
-with its last (k-1)-mer; each is derived from `starts_with_codes` on that
-word when first asked for, so the overlap relation has one definition.
+with its last (k-1)-mer: the starts of the key whose ends hold it, filled in
+one pass over the anchor table.
 
-The interior index lists every (k-1)-mer occurrence inside unitigs longer
-than a length threshold, sampled at a configurable stride.  It backs the
-single-unitig mapping regime.  Its keys are the written codes of the
-forward unitig text, with no orientation bit: a read strand is placed on
+The interior index lists every (k-1)-mer occurrence inside every unitig and
+backs the single-unitig mapping regime.  Its keys are the written codes of
+the forward unitig text, with no orientation bit: a read strand is placed on
 the forward text by looking up its own windows' written codes, and on the
-reverse text by the reverse complement's pass doing the same, so a
-palindromic word needs no special case.
+reverse text by the reverse complement's pass doing the same.
 
-The index file (format version 2) carries, after k and the interior's
-length threshold and stride, a fingerprint of the graph the indexes were
-built from (`graph_fingerprint`), so a file is matched to a graph without
-rebuilding either index.
+The index file (format version 3) carries, after k, a fingerprint of the
+graph the indexes were built from (`graph_fingerprint`), so a file is
+matched to a graph without rebuilding either index.
 """
 
 from __future__ import annotations
@@ -48,14 +45,14 @@ except ImportError:
         from hashlib import sha256
 
 from .graph import CompactedGraph
-from .sequences import encode_kmer, flip, kmer_codes, rc_code, window_codes
+from .sequences import encode_kmer, kmer_codes, rc_code, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 
 # Index file records, all little-endian except the 16-byte big-endian keys.
 _VERSION = struct.Struct("<I")
-_HEADER = struct.Struct("<III32s")  # k, interior min_length, stride, graph fingerprint
+_HEADER = struct.Struct("<I32s")  # k, graph fingerprint
 _COUNT = struct.Struct("<Q")  # records in the table that follows
 _KEY = struct.Struct(">QQ")  # (k-1)-mer code, high and low words
 _ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
@@ -80,11 +77,12 @@ class Incidence:
 
 
 class AnchorIndex:
-    """Canonical (k-1)-mer -> unitig incidences for unitig ends."""
+    """Written (k-1)-mer code -> the oriented unitigs starting and ending
+    with that word."""
 
     def __init__(self, k: int):
         self.k = k
-        # key -> (starts, ends); each a tuple of (unitig_id, '+'/'-')
+        # code -> (starts, ends); each a sorted tuple of (unitig_id, '+'/'-')
         self._table: dict[int, tuple[tuple, tuple]] = {}
         self._successors: Successors | None = None
 
@@ -97,37 +95,14 @@ class AnchorIndex:
     def keys(self):
         return self._table.keys()
 
-    def starts_with_key(self, key: int) -> list[tuple[int, str]]:
-        """Stored starts for a canonical key, as (unitig_id, '+'/'-')."""
-        entry = self._table.get(key)
-        return list(entry[0]) if entry else []
+    def starts_with_codes(self, code: int) -> tuple:
+        """Oriented unitigs whose sequence starts with the written word, as
+        (unitig_id, '+'/'-'), smallest id then '+' first."""
+        return self._table.get(code, ((), ()))[0]
 
-    def ends_with_key(self, key: int) -> list[tuple[int, str]]:
-        entry = self._table.get(key)
-        return list(entry[1]) if entry else []
-
-    # Hot-path queries used by the mapper: written form given as fwd/rc codes.
-    def starts_with_codes(self, fwd: int, rc: int) -> tuple:
-        """Unitigs whose oriented sequence starts with the written word."""
-        key = fwd if fwd <= rc else rc
-        entry = self._table.get(key)
-        if entry is None:
-            return ()
-        if fwd == key:
-            return entry[0]
-        return tuple((uid, flip(o)) for uid, o in entry[1])
-
-    def ends_with_codes(self, fwd: int, rc: int) -> tuple:
-        key = fwd if fwd <= rc else rc
-        entry = self._table.get(key)
-        if entry is None:
-            return ()
-        if fwd == key:
-            return entry[1]
-        return tuple((uid, flip(o)) for uid, o in entry[0])
-
-    def has_key_codes(self, fwd: int, rc: int) -> bool:
-        return (fwd if fwd <= rc else rc) in self._table
+    def ends_with_codes(self, code: int) -> tuple:
+        """Oriented unitigs whose sequence ends with the written word."""
+        return self._table.get(code, ((), ()))[1]
 
     def successors(self, graph: CompactedGraph) -> "Successors":
         """The successor lists of `graph`'s oriented unitigs under this
@@ -139,30 +114,31 @@ class AnchorIndex:
 
 class Successors(dict):
     """(unitig_id, '+'/'-') -> the unitigs starting with that oriented
-    unitig's last (k-1)-mer, as `starting` gives them.  A list is filled on
-    its first lookup and never changes: it is a property of the graph, not
-    of any read."""
+    unitig's last (k-1)-mer, as `starting` gives them.  Every oriented
+    unitig ends with exactly one anchor key, so one pass over the table
+    fills every list; a list is a property of the graph, not of any read."""
 
     def __init__(self, graph: CompactedGraph, anchor: AnchorIndex):
         super().__init__()
+        seq = graph.oriented_sequence
         self.graph = graph
-        self.anchor = anchor
+        self._starting: dict[int, tuple] = {}
+        for code, (starts, ends) in anchor._table.items():
+            starting = tuple((uid, o, seq(uid, o)) for uid, o in starts)
+            self._starting[code] = starting
+            for end in ends:
+                self[end] = starting
 
-    def starting(self, fwd: int, rc: int) -> tuple:
-        """Unitigs whose oriented sequence starts with the written word
-        (fwd/rc codes) as (unitig_id, '+'/'-', oriented sequence), smallest
-        id then '+' first."""
-        seq = self.graph.oriented_sequence
-        starts = sorted(self.anchor.starts_with_codes(fwd, rc))
-        return tuple((uid, o, seq(uid, o)) for uid, o in starts)
-
-    def __missing__(self, key: tuple[int, str]) -> tuple:
-        suffix = self.graph.oriented_sequence(*key)[1 - self.graph.k :]
-        found = self[key] = self.starting(*kmer_codes(suffix))
-        return found
+    def starting(self, code: int) -> tuple:
+        """Unitigs whose oriented sequence starts with the written word as
+        (unitig_id, '+'/'-', oriented sequence), smallest id then '+' first."""
+        return self._starting.get(code, ())
 
 
 def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
+    """Each oriented unitig is filed under the written code of its first
+    (k-1)-mer in the starts and of its last in the ends; the key set is
+    therefore closed under reverse complement."""
     idx = AnchorIndex(k=graph.k)
     size = graph.k - 1
     starts: dict[int, list] = {}
@@ -170,20 +146,14 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     for u in graph.unitigs:
         pf, pf_rc = kmer_codes(u.sequence[:size])
         sf, sf_rc = kmer_codes(u.sequence[-size:])
-        # (written_code, rc_of_written, side_dict, orientation)
-        combos = (
-            (pf, pf_rc, starts, FORWARD),  # forward starts with its prefix
-            (sf, sf_rc, ends, FORWARD),  # forward ends with its suffix
-            (sf_rc, sf, starts, REVERSE),  # reverse starts with rc(suffix)
-            (pf_rc, pf, ends, REVERSE),  # reverse ends with rc(prefix)
-        )
-        for written, written_rc, table, orient in combos:
-            if written <= written_rc:  # written form is canonical: store it
-                table.setdefault(written, []).append((u.id, orient))
-    for key in set(starts) | set(ends):
+        starts.setdefault(pf, []).append((u.id, FORWARD))
+        ends.setdefault(sf, []).append((u.id, FORWARD))
+        starts.setdefault(sf_rc, []).append((u.id, REVERSE))
+        ends.setdefault(pf_rc, []).append((u.id, REVERSE))
+    for key in starts.keys() | ends.keys():
         idx._table[key] = (
-            tuple(starts.get(key, ())),
-            tuple(ends.get(key, ())),
+            tuple(sorted(starts.get(key, ()))),
+            tuple(sorted(ends.get(key, ()))),
         )
     return idx
 
@@ -193,35 +163,26 @@ def query_anchor(idx: AnchorIndex, mer: str) -> list[Incidence]:
     size = idx.k - 1
     if len(mer) != size:
         raise ValueError(f"anchor query must have length {size}, got {len(mer)}")
-    fwd = encode_kmer(mer)
-    rc = rc_code(fwd, size)
-    out = [
-        Incidence(uid, STARTS_WITH, orient) for uid, orient in idx.starts_with_codes(fwd, rc)
-    ]
-    out.extend(
-        Incidence(uid, ENDS_WITH, orient) for uid, orient in idx.ends_with_codes(fwd, rc)
-    )
+    code = encode_kmer(mer)
+    out = [Incidence(uid, STARTS_WITH, orient) for uid, orient in idx.starts_with_codes(code)]
+    out.extend(Incidence(uid, ENDS_WITH, orient) for uid, orient in idx.ends_with_codes(code))
     return out
 
 
 class InteriorIndex:
-    """Written (k-1)-mer code -> occurrences inside long unitigs.
+    """Written (k-1)-mer code -> occurrences inside unitigs.
 
     A key is the code of a window of a unitig's forward text, and each of
     its occurrences is (unitig_id, offset) with the window at that offset;
     there is no orientation bit, so an occurrence of the reverse text is
-    the one under the reverse complement's code.  The lengths of the
-    indexed unitigs are kept so reverse-strand offsets can be mirrored
-    without the graph at hand, and `fingerprint` is the
+    the one under the reverse complement's code.  The unitig lengths are
+    kept so reverse-strand offsets can be mirrored without the graph at
+    hand, and `fingerprint` is the
     `graph_fingerprint` of the graph the index was built from.
     """
 
-    def __init__(
-        self, k: int, min_length: int = 0, stride: int = 1, fingerprint: bytes = bytes(32)
-    ):
+    def __init__(self, k: int, fingerprint: bytes = bytes(32)):
         self.k = k
-        self.min_length = min_length
-        self.stride = stride
         self.fingerprint = fingerprint
         self._table: dict[int, tuple] = {}
         self._unitig_lengths: dict[int, int] = {}
@@ -236,21 +197,16 @@ def graph_fingerprint(graph: CompactedGraph) -> bytes:
     return sha256("".join(u.sequence + "\n" for u in graph.unitigs).encode()).digest()
 
 
-def build_interior_index(
-    graph: CompactedGraph, min_length: int = 0, stride: int = 1
-) -> InteriorIndex:
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    idx = InteriorIndex(graph.k, min_length, stride, graph_fingerprint(graph))
+def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
+    """Every (k-1)-mer window of every unitig, under its written code."""
+    idx = InteriorIndex(graph.k, graph_fingerprint(graph))
     size = graph.k - 1
     table: dict[int, list] = {}
     lengths: dict[int, int] = {}
     for u in graph.unitigs:
-        if len(u.sequence) <= min_length:
-            continue
         lengths[u.id] = len(u.sequence)
         # unitigs are exact ACGT, so window i sits at position i
-        for pos, fwd, _ in islice(window_codes(u.sequence, size), 0, None, stride):
+        for pos, fwd, _ in window_codes(u.sequence, size):
             table.setdefault(fwd, []).append((u.id, pos))
     idx._table = {key: tuple(v) for key, v in table.items()}
     idx._unitig_lengths = lengths
@@ -283,15 +239,12 @@ def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: Interior
 
 
 def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
-    """Versioned binary dump of both indexes: magic, version, k, the
-    interior's length threshold, stride and graph fingerprint, then each
-    table with its record count."""
+    """Versioned binary dump of both indexes: magic, version, k and graph
+    fingerprint, then each table with its record count."""
     with open(path, "wb") as out:
         out.write(_INDEX_MAGIC)
         out.write(_VERSION.pack(_INDEX_VERSION))
-        out.write(
-            _HEADER.pack(anchor.k, interior.min_length, interior.stride, interior.fingerprint)
-        )
+        out.write(_HEADER.pack(anchor.k, interior.fingerprint))
         out.write(_COUNT.pack(len(anchor._table)))
         for key in sorted(anchor._table):
             starts, ends = anchor._table[key]
@@ -335,7 +288,7 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
     """Decode save_indexes' layout, version checked, from `data`:
     struct.error when it runs short, IndexError on an orientation bit above
     1, ValueError on bytes left over."""
-    k, min_length, stride, fingerprint = _HEADER.unpack_from(data, 8 + _VERSION.size)
+    k, fingerprint = _HEADER.unpack_from(data, 8 + _VERSION.size)
     key_at = _KEY.unpack_from
     off = 8 + _VERSION.size + _HEADER.size
 
@@ -356,7 +309,7 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
             off += entry_size
         anchor._table[high << 64 | low] = (tuple(entries[:n_starts]), tuple(entries[n_starts:]))
 
-    interior = InteriorIndex(k, min_length, stride, fingerprint)
+    interior = InteriorIndex(k, fingerprint)
     count_at = _OCCURRENCES.unpack_from
     occ_at = _OCCURRENCE.unpack_from
     occ_size = _OCCURRENCE.size

@@ -26,24 +26,27 @@ then explores every junction choice with branch-and-bound, which makes its
 cost a lower bound for the greedy cost on every read.  Both mappers take
 their begin anchors from `_begins` and extend every junction through
 `_junction`, so they share one anchoring and extension geometry and differ
-only in search policy.  Anchors come from the read's words: the anchor
-table gives the unitigs ending with a begin overlap, and, for the greedy
-end anchor (a junction at the end overlap whose unitig reaches the read's
-end), the unitigs starting with the end overlap.  Junction candidates come
-from the graph's successor lists (`AnchorIndex.successors`): after a unitig,
-the candidates are the unitigs starting with its last (k-1)-mer, found once
-per graph and never per read.  Only the junction right at a begin overlap
-at read position 0, which has no unitig before it, looks up the read's word.
+only in search policy.  Anchors come from the read's words, each looked up
+by its written code on the strand: the anchor table gives the unitigs
+ending with a begin overlap, and, for the greedy end anchor (a junction at
+the end overlap whose unitig reaches the read's end), the unitigs starting
+with the end overlap.  A begin overlap at read position 0 is one anchor
+with an empty head, however many unitigs end with it.  Junction candidates
+come from the graph's successor lists (`AnchorIndex.successors`): after a
+unitig, the candidates are the unitigs starting with its last (k-1)-mer,
+built once per graph and never per read.  Only the junction right at a
+begin overlap at read position 0, which has no unitig before it, looks up
+the read's word.
 
 `map_read` runs the single-unitig pass on strand '+' then '-', and only then
 the branching pass on '+' then '-'.  Each regime keeps its first successful
 strand, and a perfect single-unitig placement is returned at once.  All
 passes over a read share one `ReadView`, which encodes its (k-1)-mer windows
 at most once (the '-' strand's are the forward ones mirrored) and detects its
-anchor overlaps once.  A single-unitig pass seeds only from windows whose
-written code on its own strand is an interior key, one dict lookup each;
-'+' tries window 0 before encoding the rest.  A read shorter than k is
-unmapped as `too_short`.
+anchor overlaps once, one anchor-key test per window.  A single-unitig pass
+seeds only from windows whose written code on its own strand is an interior
+key, one dict lookup each; '+' tries window 0 before encoding the rest.  A
+read shorter than k is unmapped as `too_short`.
 """
 
 from __future__ import annotations
@@ -221,11 +224,12 @@ class ReadView:
         yield from (w for w in islice(self.windows("+"), tried, None) if w[1] in keys)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
-        """Windows that are indexed unitig overlaps (either code is an anchor
-        key, as only a canonical code can be one), in ascending order."""
+        """Windows that are indexed unitig overlaps, in ascending order.  The
+        anchor keys are closed under reverse complement, so the forward code
+        alone decides for both strands."""
         if self._dets is None:
             keys = anchor.keys()
-            self._dets = [w for w in self.windows("+") if w[1] in keys or w[2] in keys]
+            self._dets = [w for w in self.windows("+") if w[1] in keys]
         if strand == "+":
             return self._dets
         return list(_mirror(self._dets, self._base))
@@ -262,21 +266,25 @@ def _first_strand(read_id, view, strand_pass, graph, index, params) -> MappingRe
     return MappingResult(read_id=read_id, regime=UNMAPPED, reason=reason)
 
 
-def _begins(pos_b, codes, graph, anchor):
-    """Begin anchors at the detected overlap at `pos_b` (its fwd/rc `codes`):
+def _begins(pos_b, code, graph, anchor):
+    """Begin anchors at the detected overlap at `pos_b` (its written `code`):
     the unitigs ending with it that reach back to read position 0, smallest
     id then '+' first.  Each is yielded as (head, start_offset, text): the
-    path it starts (empty when `pos_b` is 0, as the unitig then covers
-    nothing left of the overlap), the read's offset in the path, and the
-    unitig text under the read's [0, pos_b)."""
+    path it starts, the read's offset in the path, and the unitig text under
+    the read's [0, pos_b).  At `pos_b` 0 no unitig covers anything left of
+    the overlap, so all of them give one anchor, (), 0, '', yielded once."""
+    ends = anchor.ends_with_codes(code)
+    if not pos_b:
+        if ends:
+            yield (), 0, ""
+        return
     k1 = graph.k - 1
-    for uid, orient in sorted(anchor.ends_with_codes(*codes)):
+    for uid, orient in ends:
         s = graph.oriented_sequence(uid, orient)
         left_start = len(s) - k1 - pos_b
         if left_start < 0:
             continue  # the read would extend past the unitig start
-        head = ((uid, orient),) if pos_b else ()
-        yield head, left_start if pos_b else 0, s[left_start : left_start + pos_b]
+        yield ((uid, orient),), left_start, s[left_start : left_start + pos_b]
 
 
 def _junction(seq, jpos, cands, k1):
@@ -310,22 +318,22 @@ def _branch_pass(
     succ = anchor.successors(graph)
 
     failure = BEGIN_NOT_FOUND
-    for pos_b, bf, br in dets[:n]:
+    for pos_b, code_b, _ in dets[:n]:
         begin = None
-        for head, start_offset, text in _begins(pos_b, (bf, br), graph, anchor):
+        for head, start_offset, text in _begins(pos_b, code_b, graph, anchor):
             cost_b, plist_b = _hamming(seq, 0, text, t)
             if plist_b is not None:
-                begin = (pos_b, (bf, br), head, start_offset, cost_b, plist_b)
+                begin = (pos_b, code_b, head, start_offset, cost_b, plist_b)
                 break  # first success fixes the begin for this overlap
         if begin is None:
             continue
         failure = _worse(failure, END_NOT_FOUND)
 
-        for pos_e, ef, er in reversed(dets[-n:]):
+        for pos_e, code_e, _ in reversed(dets[-n:]):
             if pos_e < pos_b:
                 break
             end = None
-            ends = succ.starting(ef, er)
+            ends = succ.starting(code_e)
             for uid, orient, _, jnext, body in _junction(seq, pos_e, ends, k1):
                 if jnext + k1 < length:
                     continue  # the read would extend past the unitig end
@@ -345,7 +353,7 @@ def _branch_pass(
 def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     """Cover the read from the begin anchor's overlap to the end anchor's,
     one junction at a time, without backtracking."""
-    pos_b, codes, head, start_offset, cost_b, plist_b = begin
+    pos_b, code_b, head, start_offset, cost_b, plist_b = begin
     pos_e, end_unitig, cost_e, plist_e = end
     path = list(head)
     positions = list(plist_b)
@@ -355,7 +363,7 @@ def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     while jpos != pos_e:
         # the unitigs after the last path unitig; an empty head (begin
         # overlap at read position 0) has none, so the read's word is used
-        cands = succ[path[-1]] if path else succ.starting(*codes)
+        cands = succ[path[-1]] if path else succ.starting(code_b)
         fits = [c for c in _junction(seq, jpos, cands, k1) if c[3] <= pos_e]
         if not fits:
             return _Attempt(reason=COVER_FAILED)
@@ -574,8 +582,8 @@ def _exhaustive_pass(
             else:
                 dfs(jnext, succ[uid, orient], cost_u, path_u, positions_u, start_offset)
 
-    for pos_b, bf, br in dets[:n]:
-        for head, start_offset, text in _begins(pos_b, (bf, br), graph, anchor):
+    for pos_b, code_b, _ in dets[:n]:
+        for head, start_offset, text in _begins(pos_b, code_b, graph, anchor):
             cost_b, plist_b = _hamming(seq, 0, text, min(t, best_cost))
             if plist_b is None:
                 budget_blocked = True
@@ -584,7 +592,7 @@ def _exhaustive_pass(
             if pos_b + k1 == length:
                 record(head, start_offset, cost_b, plist_b)
             else:
-                cands = succ[head[0]] if head else succ.starting(bf, br)
+                cands = succ[head[0]] if head else succ.starting(code_b)
                 dfs(pos_b, cands, cost_b, head, plist_b, start_offset)
 
     if results:

@@ -45,8 +45,8 @@ def build_graph(unitig_seqs, k):
     )
 
 
-def indexes_for(graph, min_length=0, stride=1):
-    return build_anchor_index(graph), build_interior_index(graph, min_length, stride)
+def indexes_for(graph):
+    return build_anchor_index(graph), build_interior_index(graph)
 
 
 def oriented(graph, uid, orientation):

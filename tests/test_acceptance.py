@@ -276,7 +276,7 @@ def test_criterion_7_overlap_sharing_bound():
             if rc_code(key, k - 1) == key:
                 continue  # palindromic keys merge both classes: exempt
             keys_checked += 1
-            if len(anchor.starts_with_key(key)) > 4 or len(anchor.ends_with_key(key)) > 4:
+            if len(anchor.starts_with_codes(key)) > 4 or len(anchor.ends_with_codes(key)) > 4:
                 violations += 1
     _report(
         7, violations == 0, f"{keys_checked} non-palindromic keys, violations={violations}"

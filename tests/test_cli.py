@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import struct
 
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
@@ -277,7 +278,7 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 def _index_sections(idx_path):
     """End offsets of the header and the three tables of a saved index."""
     anchor, interior = load_indexes(idx_path)
-    header = 8 + 4 + 12 + 32  # magic, version, k/min_length/stride, fingerprint
+    header = 8 + 4 + 4 + 32  # magic, version, k, fingerprint
     anchor_end = header + 8 + sum(
         16 + 4 + 5 * (len(s) + len(e)) for s, e in anchor._table.values()
     )
@@ -338,12 +339,34 @@ def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
     assert rows[:11] + rows[12:] == plain.read_text().splitlines()
 
 
+def _canonical_anchor_bytes(anchor):
+    """The anchor table as formats 1 and 2 wrote it: keyed by canonical
+    (k-1)-mer, each key holding the oriented unitigs that start and end
+    with that word as written.  The written keys are closed under reverse
+    complement, so those are the canonical ones."""
+    from cdbgmap.sequences import rc_code
+
+    k1 = anchor.k - 1
+    canonical = sorted(key for key in anchor._table if key <= rc_code(key, k1))
+    out = [struct.pack("<Q", len(canonical))]
+    for key in canonical:
+        starts, ends = anchor._table[key]
+        out.append(key.to_bytes(16, "big") + struct.pack("<HH", len(starts), len(ends)))
+        out.extend(struct.pack("<IB", uid, o == "-") for uid, o in starts + ends)
+    return b"".join(out)
+
+
+def _lengths_bytes(interior):
+    lengths = interior._unitig_lengths
+    out = [struct.pack("<Q", len(lengths))]
+    out.extend(struct.pack("<II", uid, lengths[uid]) for uid in sorted(lengths))
+    return b"".join(out)
+
+
 def _v1_index_bytes(idx_path):
     """The same indexes in format version 1: a 16-byte header of version, k,
-    min_length and stride, and interior keys canonical with a written-is-
-    canonical byte on each occurrence."""
-    import struct
-
+    min_length 0 and stride 1, canonical anchor keys, and interior keys
+    canonical with a written-is-canonical byte on each occurrence."""
     from cdbgmap.sequences import rc_code
 
     anchor, interior = load_indexes(idx_path)
@@ -353,20 +376,29 @@ def _v1_index_bytes(idx_path):
         rc = rc_code(fwd, k1)
         for uid, off in occs:
             canonical.setdefault(min(fwd, rc), []).append((uid, off, int(fwd <= rc)))
-    out = [b"CDBGIDX1", struct.pack("<IIII", 1, anchor.k, interior.min_length, interior.stride)]
-    out.append(struct.pack("<Q", len(anchor._table)))
-    for key in sorted(anchor._table):
-        starts, ends = anchor._table[key]
-        out.append(key.to_bytes(16, "big") + struct.pack("<HH", len(starts), len(ends)))
-        out.extend(struct.pack("<IB", uid, o == "-") for uid, o in starts + ends)
+    out = [b"CDBGIDX1", struct.pack("<IIII", 1, anchor.k, 0, 1), _canonical_anchor_bytes(anchor)]
     out.append(struct.pack("<Q", len(canonical)))
     for key in sorted(canonical):
         occs = sorted(canonical[key])
         out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
         out.extend(struct.pack("<IIB", *occ) for occ in occs)
-    lengths = interior._unitig_lengths
-    out.append(struct.pack("<Q", len(lengths)))
-    out.extend(struct.pack("<II", uid, lengths[uid]) for uid in sorted(lengths))
+    out.append(_lengths_bytes(interior))
+    return b"".join(out)
+
+
+def _v2_index_bytes(idx_path):
+    """The same indexes in format version 2: a header of version, k,
+    min_length 0, stride 1 and the graph fingerprint, canonical anchor
+    keys, and interior keys written as in version 3."""
+    anchor, interior = load_indexes(idx_path)
+    header = struct.pack("<IIII32s", 2, anchor.k, 0, 1, interior.fingerprint)
+    out = [b"CDBGIDX1", header, _canonical_anchor_bytes(anchor)]
+    out.append(struct.pack("<Q", len(interior._table)))
+    for key in sorted(interior._table):
+        occs = interior._table[key]
+        out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
+        out.extend(struct.pack("<II", *occ) for occ in occs)
+    out.append(_lengths_bytes(interior))
     return b"".join(out)
 
 
@@ -386,8 +418,10 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     ).digest()
     wrong = bytearray(data)
     wrong[fingerprint.start] ^= 1
+    rebuild = "this cdbgmap reads version 3: rebuild it with `cdbgmap map --index-out`"
     cases = {
-        "v1": (_v1_index_bytes(idx), "version 1"),
+        "v1": (_v1_index_bytes(idx), "format version 1, " + rebuild),
+        "v2": (_v2_index_bytes(idx), "format version 2, " + rebuild),
         "fingerprint": (bytes(wrong), "was not built from"),
     }
     for name, (content, message) in cases.items():

@@ -15,7 +15,8 @@ from cdbgmap.index import (
     query_interior,
     save_indexes,
 )
-from cdbgmap.sequences import decode_kmer, encode_kmer, kmer_codes, rc_code
+from cdbgmap.mapper import ReadView
+from cdbgmap.sequences import decode_kmer, encode_kmer, rc_code, window_codes
 
 from conftest import (
     build_graph,
@@ -42,12 +43,10 @@ def scan_incidences(graph, mer):
     return out
 
 
-def scan_interior(graph, mer, min_length=0):
+def scan_interior(graph, mer):
     k1 = graph.k - 1
     out = set()
     for u in graph.unitigs:
-        if len(u.sequence) <= min_length:
-            continue
         for o in "+-":
             seq = oriented(graph, u.id, o)
             for i in range(len(seq) - k1 + 1):
@@ -116,10 +115,8 @@ def test_anchor_orientations_are_strings():
     for key in idx.keys():
         mer = decode_kmer(key, 4)
         for written in (mer, naive_rc(mer)):
-            fwd = encode_kmer(written)
-            codes = (fwd, rc_code(fwd, 4))
-            entries = idx.starts_with_key(key) + idx.ends_with_key(key)
-            entries += idx.starts_with_codes(*codes) + idx.ends_with_codes(*codes)
+            code = encode_kmer(written)
+            entries = idx.starts_with_codes(code) + idx.ends_with_codes(code)
             seen.update(orient for _, orient in entries)
             seen.update(i.orientation for i in query_anchor(idx, written))
     assert seen == {"+", "-"}
@@ -173,11 +170,11 @@ def assert_successor_lists(graph, idx):
     branching = 0
     for uid, orient, text in texts:
         suffix = text[-k1:]
-        expected = sorted(idx.starts_with_codes(*kmer_codes(suffix)))
+        expected = list(idx.starts_with_codes(encode_kmer(suffix)))
         got = succ[uid, orient]
         assert got == tuple((u, o, graph.oriented_sequence(u, o)) for u, o in expected)
         assert sorted({(u, o) for u, o, t in texts if t[:k1] == suffix}) == expected
-        assert succ.starting(*kmer_codes(suffix)) == got
+        assert succ.starting(encode_kmer(suffix)) == got
         branching += len(got) > 1
     assert len(succ) == 2 * len(graph)
     return branching
@@ -235,14 +232,48 @@ def test_sharing_bound_on_random_graphs():
         genome = random_genome(seed + 900, 500)
         graph, _ = graph_from_sequences([genome], k)
         idx = build_anchor_index(graph)
-        from cdbgmap.sequences import decode_kmer, rc_code
-
         for key in idx.keys():
-            mer = decode_kmer(key, k - 1)
-            if rc_code(key, k - 1) == key:
-                continue  # palindromic keys merge both classes and are exempt
-            assert len(idx.starts_with_key(key)) <= 4
-            assert len(idx.ends_with_key(key)) <= 4
+            assert len(idx.starts_with_codes(key)) <= 4
+            assert len(idx.ends_with_codes(key)) <= 4
+
+
+def assert_anchor_invariant(graph, idx):
+    """String-level: the keys are exactly the first and last words of the
+    oriented unitig texts, and each key's starts and ends are the oriented
+    unitigs whose text starts and ends with its word, in sorted order."""
+    k1 = graph.k - 1
+    texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
+    words = {t[:k1] for _, _, t in texts} | {t[-k1:] for _, _, t in texts}
+    assert {decode_kmer(key, k1) for key in idx.keys()} == words
+    for key in idx.keys():
+        word = decode_kmer(key, k1)
+        starts = sorted((u, o) for u, o, t in texts if t[:k1] == word)
+        ends = sorted((u, o) for u, o, t in texts if t[-k1:] == word)
+        assert (list(idx.starts_with_codes(key)), list(idx.ends_with_codes(key))) == (
+            starts,
+            ends,
+        )
+        assert rc_code(key, k1) in idx  # closed under reverse complement
+
+
+@pytest.mark.parametrize("k", [5, 9, 31])
+def test_anchor_keys_are_written_words(k):
+    genome = random_genome(900 + k, 500) + "GGATATCC" + "TTACGCGTAA" + repeat_genome(k)
+    graph, _ = graph_from_sequences([genome], k)
+    idx = build_anchor_index(graph)
+    k1 = k - 1
+    if k < 10:  # unitig ends that are their own reverse complement
+        assert any(rc_code(key, k1) == key for key in idx.keys())
+    assert_anchor_invariant(graph, idx)
+    # one anchor-key test per window detects what testing both codes did
+    keys = idx.keys()
+    rng = random.Random(k)
+    for _ in range(40):
+        start = rng.randrange(len(genome) - k)
+        seq = genome[start : start + rng.randint(k, 3 * k)]
+        for strand, text in (("+", seq), ("-", naive_rc(seq))):
+            two_codes = [w for w in window_codes(text, k1) if w[1] in keys or w[2] in keys]
+            assert ReadView(seq, k1).detected(strand, idx) == two_codes
 
 
 def test_interior_example():
@@ -258,12 +289,6 @@ def test_interior_repeat_ascending_offsets():
     idx = build_interior_index(graph)
     hits = query_interior(idx, "AC")
     assert [(u, off) for u, off, o in hits if o == "+"] == [(0, 0), (0, 3)]
-
-
-def test_interior_threshold_filters_everything():
-    graph = build_graph(["ACTGA"], 3)
-    idx = build_interior_index(graph, min_length=10)
-    assert query_interior(idx, "CT") == []
 
 
 def test_interior_matches_scan_oracle():
@@ -289,8 +314,8 @@ def test_interior_palindromic_mer_hits_both_strands():
 
 def assert_interior_invariant(graph, idx):
     """String-level: every occurrence under a key is the key's word at its
-    offset of the forward unitig text, and every stride-sampled window of
-    every unitig above the length threshold is indexed, once."""
+    offset of the forward unitig text, and every window of every unitig is
+    indexed, once."""
     k1 = graph.k - 1
     listed = []
     for key, occs in idx._table.items():
@@ -299,15 +324,10 @@ def assert_interior_invariant(graph, idx):
             assert graph.unitigs[uid].sequence[off : off + k1] == word
             listed.append((uid, off))
     expected = [
-        (u.id, off)
-        for u in graph.unitigs
-        if len(u.sequence) > idx.min_length
-        for off in range(0, len(u.sequence) - k1 + 1, idx.stride)
+        (u.id, off) for u in graph.unitigs for off in range(len(u.sequence) - k1 + 1)
     ]
     assert sorted(listed) == expected
-    assert idx._unitig_lengths == {
-        u.id: len(u.sequence) for u in graph.unitigs if len(u.sequence) > idx.min_length
-    }
+    assert idx._unitig_lengths == {u.id: len(u.sequence) for u in graph.unitigs}
 
 
 @pytest.mark.parametrize("k", [5, 9, 31])
@@ -319,33 +339,24 @@ def test_interior_keys_are_written_words(k):
         assert any(
             w == naive_rc(w) for u in graph.unitigs for w in naive_kmers(u.sequence, k1)
         )
-    for min_length, stride in ((0, 1), (k + 5, 1), (0, 3)):
-        assert_interior_invariant(graph, build_interior_index(graph, min_length, stride))
-
-
-def test_interior_stride_sampling():
-    graph = build_graph(["ACTACTACT"], 3)
-    dense = build_interior_index(graph, stride=1)
-    sparse = build_interior_index(graph, stride=2)
-    assert len(query_interior(sparse, "CT")) < len(
-        query_interior(dense, "CT")
-    )
+    assert_interior_invariant(graph, build_interior_index(graph))
 
 
 def test_serialization_round_trip_and_reproducibility(tmp_path):
     genome = random_genome(31415, 800)
     graph, _ = graph_from_sequences([genome], 7)
     anchor = build_anchor_index(graph)
-    interior = build_interior_index(graph, min_length=3, stride=1)
+    interior = build_interior_index(graph)
     p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
     save_indexes(p1, anchor, interior)
     anchor2, interior2 = load_indexes(p1)
     assert anchor2._table == anchor._table
     assert interior2._table == interior._table
-    assert (anchor2.k, interior2.min_length, interior2.stride) == (7, 3, 1)
+    assert interior2._unitig_lengths == interior._unitig_lengths
+    assert (anchor2.k, interior2.k, interior2.fingerprint) == (7, 7, interior.fingerprint)
     # equal graphs give byte-identical files
     graph_b, _ = graph_from_sequences([genome], 7)
-    save_indexes(p2, build_anchor_index(graph_b), build_interior_index(graph_b, 3, 1))
+    save_indexes(p2, build_anchor_index(graph_b), build_interior_index(graph_b))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -357,10 +368,11 @@ def test_load_rejects_garbage(tmp_path):
     graph = build_graph(["ACTG", "TGAT"], 3)
     save_indexes(p, build_anchor_index(graph), build_interior_index(graph))
     data = bytearray(p.read_bytes())
-    # magic, header (with its 32-byte graph fingerprint), key count, first
-    # key and its sizes, then the first entry's unitig id and orientation bit
-    assert data[88] in (0, 1)
-    data[88] = 2
+    # magic, version, header (k and the 32-byte graph fingerprint), key
+    # count, first key and its sizes, then the first entry's unitig id and
+    # orientation bit
+    assert data[80] in (0, 1)
+    data[80] = 2
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="malformed"):
         load_indexes(p)
