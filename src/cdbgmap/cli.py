@@ -8,8 +8,11 @@ reads on it, eval runs the simulated-read accuracy harness.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
+from itertools import chain, count
 
 from .census import count_kmers, save_solid, solid_set
 from .evaluation import run_accuracy_sweep
@@ -23,7 +26,8 @@ from .index import (
     matches_graph,
     save_indexes,
 )
-from .mapper import MappingParams, MappingResult, map_reads
+from .mapper import MappingParams, MappingResult, map_stream
+from .mapper import map_reads  # noqa: F401  (bench/traced.py wraps cli.map_reads)
 from .sequences import MAX_K
 
 TSV_COLUMNS = (
@@ -161,12 +165,13 @@ def cmd_build(args) -> int:
     _check_k(args.k)
     if args.min_coverage < 1:
         raise SystemExit2("coverage threshold must be >= 1")
-    reads = []
-    for path in args.inputs:
-        reads.extend(read_sequences(path))
-    if not reads:
+    # zip draws from `tally` only after a read, so it ends at the read count
+    tally = count()
+    reads = chain.from_iterable(map(read_sequences, args.inputs))
+    census = count_kmers((read for read, _ in zip(reads, tally)), args.k)
+    n_reads = next(tally)
+    if not n_reads:
         raise SystemExit2("no sequences")
-    census = count_kmers(reads, args.k)
     solid = solid_set(census, args.min_coverage)
     if not len(solid):
         raise SystemExit2("no solid k-mers at this coverage threshold")
@@ -176,7 +181,7 @@ def cmd_build(args) -> int:
         save_solid(args.solid_out, solid)
     if args.gfa:
         write_gfa(args.gfa, graph, build_anchor_index(graph))
-    print(f"reads={len(reads)}")
+    print(f"reads={n_reads}")
     print(f"distinct_kmers={len(census.counts)}")
     print(f"solid_kmers={len(solid)}")
     print(f"unitig_count={len(graph)}")
@@ -205,6 +210,33 @@ def _result_to_tsv(result: MappingResult) -> str:
     return "\t".join(fields)
 
 
+@contextlib.contextmanager
+def _output_on_success(path: str):
+    """A text file opened for writing that appears at `path` only if the
+    block succeeds: it is written beside `path` under a temporary name,
+    moved over `path` at the end and removed on any error.  A path that
+    exists and is not a regular file (a FIFO, /dev/stdout) is written in
+    place, since it cannot be replaced."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii") as out:
+            yield out
+        return
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        out = open(tmp, "w", encoding="ascii")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            yield out
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def cmd_map(args) -> int:
     _check_k(args.k)
     graph = read_unitigs_fasta(args.graph, k=args.k)
@@ -221,29 +253,25 @@ def cmd_map(args) -> int:
         interior = build_interior_index(graph)
     if args.index_out:
         save_indexes(args.index_out, anchor, interior)
-    reads = []
-    for path in args.reads:
-        reads.extend(read_sequences(path))
-    params = _params(args)
-    started = time.perf_counter()
-    results = map_reads(
-        reads, graph, anchor, interior, params, threads=max(1, args.threads)
-    )
-    elapsed = time.perf_counter() - started
-    with open(args.output, "w", encoding="ascii") as out:
-        out.write("\t".join(TSV_COLUMNS) + "\n")
-        for result in results:
-            out.write(_result_to_tsv(result))
-            out.write("\n")
-    total = len(results) or 1
+    reads = chain.from_iterable(map(read_sequences, args.reads))
     regimes = {"single_unitig": 0, "branching_path": 0, "unmapped": 0}
-    for r in results:
-        regimes[r.regime] += 1
-    print(f"reads={len(results)}")
+    started = time.perf_counter()
+    with _output_on_success(args.output) as out:
+        out.write("\t".join(TSV_COLUMNS) + "\n")
+        for rows in map_stream(reads, graph, anchor, interior, _params(args),
+                               threads=max(1, args.threads), render=_result_to_tsv):
+            for row in rows:  # the regime is the next-to-last column
+                regimes[row.rsplit("\t", 2)[1]] += 1
+            out.write("\n".join(rows))
+            out.write("\n")
+    elapsed = time.perf_counter() - started
+    n_reads = sum(regimes.values())
+    total = n_reads or 1
+    print(f"reads={n_reads}")
     print(f"pct_single_unitig={100.0 * regimes['single_unitig'] / total:.2f}")
     print(f"pct_branching_path={100.0 * regimes['branching_path'] / total:.2f}")
     print(f"pct_unmapped={100.0 * regimes['unmapped'] / total:.2f}")
-    print(f"reads_per_sec={len(results) / elapsed if elapsed else 0.0:.1f}")
+    print(f"reads_per_sec={n_reads / elapsed if elapsed else 0.0:.1f}")
     for name, idx in (("anchor", anchor), ("interior", interior)):
         keys = len(idx) or 1
         print(f"{name}_index_keys={len(idx)}")

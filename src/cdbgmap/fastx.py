@@ -3,13 +3,16 @@
 Compression is detected by magic bytes, never by file extension.  Sequences
 are uppercased and any symbol outside ACGT becomes N at this boundary, so
 ambiguity codes beyond N never reach the rest of the toolkit.  Record order
-is preserved and duplicate ids are made unique by suffixing.
+is preserved, and a run of records with the same id is made unique by
+suffixing.  Corrupt or truncated gzip data is reported as ValueError
+naming the file.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from collections.abc import Iterator
 from operator import itemgetter
 from pathlib import Path
@@ -38,15 +41,20 @@ def normalize_sequence(seq: str) -> str:
 
 
 class _IdDeduplicator:
-    """Appends .2, .3, ... to ids already seen in the same file."""
+    """Appends .2, .3, ... to an id that repeats the record just before it
+    (a run of equal ids, as interleaved read pairs have).  Only the last id
+    is kept, so memory does not grow with the file."""
 
     def __init__(self):
-        self._seen: dict[str, int] = {}
+        self._last: str | None = None
+        self._run = 0
 
     def __call__(self, name: str) -> str:
-        n = self._seen.get(name, 0) + 1
-        self._seen[name] = n
-        return name if n == 1 else f"{name}.{n}"
+        if name != self._last:
+            self._last, self._run = name, 1
+            return name
+        self._run += 1
+        return f"{name}.{self._run}"
 
 
 def _name_and_description(header: str) -> tuple[str, str]:
@@ -68,17 +76,20 @@ def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
             continue
         if line.startswith(">"):
             if name is not None:
-                yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks))), text
+                read = Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
+                chunks = []  # not held while the consumer works on the record
+                yield read, text
             name, text = _name_and_description(line[1:])
             if not name:
                 raise ValueError("FASTA header without a name")
-            chunks = []
         else:
             if name is None:
                 raise ValueError("FASTA data before first header")
             chunks.append(line)
     if name is not None:
-        yield Read(id=dedup(name), sequence=normalize_sequence("".join(chunks))), text
+        read = Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
+        del chunks
+        yield read, text
 
 
 def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
@@ -112,7 +123,8 @@ def read_sequences(path: str | Path) -> Iterator[Read]:
 
 def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
     """`read_sequences` with each record's header description: the text
-    after the name, '' when there is none."""
+    after the name, '' when there is none.  Corrupt or truncated gzip data
+    raises ValueError naming the file."""
     handle = _open_text(path)
     try:
         first = handle.read(1)
@@ -125,6 +137,8 @@ def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
             yield from _parse_fastq(handle)
         else:
             raise ValueError(f"unrecognized sequence file format: {path}")
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"corrupt or truncated gzip file {path}: {exc}") from exc
     finally:
         handle.close()
 

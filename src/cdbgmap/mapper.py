@@ -47,15 +47,25 @@ anchor overlaps once, one anchor-key test per window.  A single-unitig pass
 seeds only from windows whose written code on its own strand is an interior
 key, one dict lookup each; '+' tries window 0 before encoding the rest.  A
 read shorter than k is unmapped as `too_short`.
+
+`map_stream` maps a read stream of any length through one order-keeping
+engine: it draws the reads in chunks, maps them in this process with one
+worker, or with more sends them to forked workers, at most 2 x threads
+chunks in flight, and yields each chunk's results in input order.  A worker
+applies an optional `render` to its results before they cross the pipe
+(`cdbgmap map` passes its TSV-row formatter).  `map_reads` is that stream
+collected into a list.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator
 
 from .graph import CompactedGraph
 from .index import AnchorIndex, Incidence, InteriorIndex, query_anchor
@@ -656,16 +666,83 @@ def map_exhaustive_all(
 
 
 # ---------------------------------------------------------------------------
-# Parallel mapping: stateless per read over shared immutable structures.
+# Streaming mapping: stateless per read over shared immutable structures.
+# Reads are drawn in chunks, and at most 2 x threads chunks are in flight.
 # Workers are forked so the graph and indexes are inherited, never pickled;
-# output order always matches input order, whatever the worker count.
+# only the reads' ids and sequences go out and the rendered results come
+# back.  Output order always matches input order, whatever the worker count.
 
-_WORKER_STATE: tuple | None = None
+_WORKER_STATE: tuple | None = None  # set in each forked worker only
 
 
-def _map_chunk(chunk: Sequence[Read]) -> list[MappingResult]:
-    graph, anchor, interior, params = _WORKER_STATE
-    return [map_read(r, graph, anchor, interior, params) for r in chunk]
+def _map_chunk(chunk, graph, anchor, interior, params, render) -> list:
+    results = [map_read(r, graph, anchor, interior, params) for r in chunk]
+    return results if render is None else [render(r) for r in results]
+
+
+def _init_worker(*state) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
+def _worker_chunk(pairs: list[tuple[str, str]]) -> list:
+    return _map_chunk([Read(id=i, sequence=s) for i, s in pairs], *_WORKER_STATE)
+
+
+def map_stream(
+    reads: Iterable[Read],
+    graph: CompactedGraph,
+    anchor: AnchorIndex,
+    interior: InteriorIndex,
+    params: MappingParams = MappingParams(),
+    threads: int = 1,
+    chunk_size: int = 1024,
+    render: Callable[[MappingResult], Any] | None = None,
+) -> Iterator[list]:
+    """Map a read stream chunk by chunk, yielding each chunk's results (or
+    `render` of each result) as a list, in input order.
+
+    Reads are drawn `chunk_size` at a time, so memory is bounded by the
+    chunks in flight, never by the length of the input.  With one worker,
+    or when the input holds a single chunk, each chunk is mapped in this
+    process.  Otherwise a forked pool maps them: at most 2 x `threads`
+    chunks are drawn ahead of the one being yielded, and each worker
+    applies `render` before its results cross the pipe."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    state = (graph, anchor, interior, params, render)
+    source = iter(reads)
+    chunks = iter(lambda: list(islice(source, chunk_size)), [])
+    head = list(islice(chunks, 2 if threads > 1 else 1))
+    ctx = _fork_context() if len(head) > 1 else None
+    if ctx is None:
+        for chunk in chain(head, chunks):
+            yield _map_chunk(chunk, *state)
+        return
+    anchor.successors(graph)  # filled once here and inherited by every worker
+    # frozen objects are left out of every collection, here and in the
+    # workers, so no side writes to the pages they share while the pool runs
+    gc.freeze()
+    try:
+        with ctx.Pool(threads, _init_worker, state) as pool:
+            pending = deque()
+            for chunk in chain(head, chunks):
+                # (id, sequence) pairs pickle ~15x faster than Read objects
+                pairs = [(r.id, r.sequence) for r in chunk]
+                pending.append(pool.apply_async(_worker_chunk, (pairs,)))
+                if len(pending) >= 2 * threads:
+                    yield pending.popleft().get()
+            while pending:
+                yield pending.popleft().get()
+    finally:
+        gc.unfreeze()
+
+
+def _fork_context():
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - no fork on this platform
+        return None
 
 
 def map_reads(
@@ -677,23 +754,9 @@ def map_reads(
     threads: int = 1,
     chunk_size: int = 1024,
 ) -> list[MappingResult]:
-    """Map reads preserving input order, optionally over forked workers."""
-    reads = list(reads)
-    if threads <= 1 or len(reads) <= chunk_size:
-        return [map_read(r, graph, anchor, interior, params) for r in reads]
-    global _WORKER_STATE
-    _WORKER_STATE = (graph, anchor, interior, params)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - no fork on this platform
-        _WORKER_STATE = None
-        return [map_read(r, graph, anchor, interior, params) for r in reads]
-    try:
-        chunks = [reads[i : i + chunk_size] for i in range(0, len(reads), chunk_size)]
-        out: list[MappingResult] = []
-        with ctx.Pool(processes=threads) as pool:
-            for part in pool.imap(_map_chunk, chunks):
-                out.extend(part)
-        return out
-    finally:
-        _WORKER_STATE = None
+    """Every read's `MappingResult`, in input order: `map_stream` collected
+    into one list, so memory grows with the input.  Callers that stream,
+    like `cdbgmap map`, iterate `map_stream` instead."""
+    return list(chain.from_iterable(
+        map_stream(reads, graph, anchor, interior, params, threads, chunk_size)
+    ))

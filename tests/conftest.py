@@ -33,6 +33,25 @@ def random_genome(seed, length):
     return "".join(rng.choice("ACGT") for _ in range(length))
 
 
+def damaged_gzip(path, data, damage):
+    """Write a damaged copy of the gzip bytes `data` to `path`: "truncated"
+    keeps the first half, "xored" flips 200 bytes at offset 2000, and
+    "magic" keeps only the 2-byte gzip magic."""
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    elif damage == "xored":
+        assert len(data) > 2200, "too short to damage at offset 2000"
+        data = bytearray(data)
+        for i in range(2000, 2200):
+            data[i] ^= 0x5A
+    elif damage == "magic":
+        data = data[:2]
+    else:
+        raise ValueError(damage)
+    path.write_bytes(bytes(data))
+    return path
+
+
 def graph_from_sequences(seqs, k, min_count=1):
     solid = solid_set(count_kmers(seqs, k), min_count)
     return compact(solid), solid

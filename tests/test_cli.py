@@ -1,13 +1,18 @@
 import gzip
 import hashlib
+import os
+import random
 import struct
+import threading
+
+import pytest
 
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import read_unitigs_fasta
 from cdbgmap.index import load_indexes
 
-from conftest import naive_canonical, naive_kmers, random_genome
+from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome
 
 
 def run(capsys, *argv):
@@ -128,18 +133,97 @@ def test_map_tsv_schema_order_and_summary(tmp_path, capsys):
 
 def test_map_threads_byte_identical(tmp_path, capsys):
     genome, unitigs = _built_workspace(tmp_path, capsys)
-    reads = _reads_file(tmp_path, genome, n=200)
-    out1 = tmp_path / "t1.tsv"
-    out8 = tmp_path / "t8.tsv"
-    assert run(
-        capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out1),
-        "--threads", "1", str(reads),
-    )[0] == 0
-    assert run(
-        capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out8),
-        "--threads", "8", str(reads),
-    )[0] == 0
-    assert out1.read_bytes() == out8.read_bytes()
+    n = 8 * 1024 + 300  # more 1,024-read chunks than 4 workers keep in flight (8)
+    reads = _reads_file(tmp_path, genome, n=n)
+    outputs = []
+    for threads in ("1", "2", "4", "8"):
+        out = tmp_path / f"t{threads}.tsv"
+        code, stdout, _ = run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
+            "--threads", threads, str(reads),
+        )
+        assert code == 0
+        assert kv(stdout)["reads"] == str(n)
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 1 + n
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+def _fastq_text(genome, n, length=60, seed=98):
+    rng = random.Random(seed)
+    records = []
+    for i in range(n):
+        start = rng.randrange(0, len(genome) - length)
+        records.append(f"@r{i}\n{genome[start : start + length]}\n+\n{'I' * length}\n")
+    return "".join(records)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "xored", "magic"])
+def test_damaged_gzip_input_exits_2(tmp_path, capsys, damage):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = damaged_gzip(
+        tmp_path / "reads.fq.gz", gzip.compress(_fastq_text(genome, 600).encode()), damage
+    )
+    ref_text = f">chr\n{random_genome(3004, 20000)}\n".encode()
+    ref = damaged_gzip(tmp_path / "ref.fa.gz", gzip.compress(ref_text), damage)
+    commands = (
+        ("build", "-k", "15", "-c", "1", "-o", str(tmp_path / "u.fa"), str(reads)),
+        ("map", "-k", "15", "-g", str(unitigs), "-o", str(tmp_path / "m.tsv"), str(reads)),
+        ("eval", "-k", "15", "--reference", str(ref), "--rates", "0",
+         "--reads-per-rate", "20", "-o", str(tmp_path / "e.csv")),
+    )
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert err.startswith("error: corrupt or truncated gzip file"), err
+        assert str(ref if argv[0] == "eval" else reads) in err
+    assert not (tmp_path / "m.tsv").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("damage", ["malformed", "truncated"])
+def test_map_input_error_leaves_no_tsv(tmp_path, capsys, threads, damage):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    if damage == "malformed":  # rows are written before the bad record is read
+        reads = tmp_path / "reads.fq"
+        reads.write_text(_fastq_text(genome, 3000) + "@bad\nACGT\nIIII\n")
+    else:
+        text = _fastq_text(genome, 12000)
+        reads = damaged_gzip(tmp_path / "reads.fq.gz", gzip.compress(text.encode()), damage)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run(
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out_dir / "map.tsv"),
+        "--threads", threads, str(reads),
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert os.listdir(out_dir) == []
+
+
+def test_map_output_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=5)
+    out = tmp_path / "nodir" / "map.tsv"
+    code, _, err = run(capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out), str(reads))
+    assert code == 2
+    assert err.startswith("error:") and f"{out}'" in err
+
+
+def test_map_writes_into_a_fifo_in_place(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=50)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(fifo), str(reads))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    assert got[0].count(b"\n") == 1 + 50
+    assert os.listdir(tmp_path).count("out.fifo") == 1
 
 
 def test_map_index_round_trip_equivalent(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import gzip
+import random
 
 import pytest
 
 from cdbgmap.fastx import read_described, read_sequences, write_fasta
 from cdbgmap.sequences import Read
+
+from conftest import damaged_gzip
 
 
 def test_multiline_fasta(tmp_path):
@@ -72,6 +75,24 @@ def test_duplicate_ids_suffixed(tmp_path):
     ids = [r.id for r in read_sequences(p)]
     assert ids == ["a", "a.2", "a.3", "b"]
     assert len(set(ids)) == len(ids)
+
+
+def test_only_runs_of_equal_ids_suffixed(tmp_path):
+    p = tmp_path / "r.fa"
+    p.write_text(">a\nAA\n>b\nCC\n>a\nGG\n>a\nTT\n")
+    assert [r.id for r in read_sequences(p)] == ["a", "b", "a", "a.2"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "xored", "magic"])
+def test_damaged_gzip_is_a_value_error_naming_the_file(tmp_path, damage):
+    rng = random.Random(8)
+    text = "".join(
+        f"@r{i}\n{''.join(rng.choice('ACGT') for _ in range(60))}\n+\n{'I' * 60}\n"
+        for i in range(300)
+    )
+    p = damaged_gzip(tmp_path / "reads.fq.gz", gzip.compress(text.encode()), damage)
+    with pytest.raises(ValueError, match="corrupt or truncated gzip file .*reads.fq.gz"):
+        list(read_sequences(p))
 
 
 def test_empty_file(tmp_path):

@@ -14,6 +14,7 @@ from cdbgmap.mapper import (
     map_read,
     map_reads,
     map_single_unitig,
+    map_stream,
 )
 from cdbgmap.sequences import Read, reverse_complement_read, window_codes
 
@@ -649,3 +650,55 @@ def test_map_reads_parallel_matches_serial():
     )
     assert serial == parallel
     assert [r.read_id for r in serial] == [r.id for r in reads]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_stream_draws_a_bounded_look_ahead(threads):
+    genome = random_genome(778, 3000)
+    graph, _ = graph_from_sequences([genome], 15)
+    anchor, interior = indexes_for(graph)
+    rng = random.Random(12)
+    reads = []
+    for i in range(400):
+        start = rng.randrange(0, len(genome) - 50)
+        seq = genome[start : start + 50]
+        reads.append(Read(id=f"r{i}", sequence=seq if i % 2 else naive_rc(seq)))
+    drawn = 0
+
+    def counting():
+        nonlocal drawn
+        for read in reads:
+            drawn += 1
+            yield read
+
+    chunk = 16
+    stream = map_stream(
+        counting(), graph, anchor, interior, PARAMS, threads=threads, chunk_size=chunk
+    )
+    first = next(stream)
+    assert len(first) == chunk
+    assert drawn <= (2 * threads + 1) * chunk
+    results = first + [r for part in stream for r in part]
+    assert drawn == len(reads)
+    assert results == map_reads(reads, graph, anchor, interior, PARAMS)
+
+
+def test_map_stream_workers_render_their_results():
+    genome = random_genome(779, 3000)
+    graph, _ = graph_from_sequences([genome], 15)
+    anchor, interior = indexes_for(graph)
+    reads = [Read(id=f"r{i}", sequence=genome[i : i + 40]) for i in range(0, 2000, 10)]
+    parts = list(map_stream(
+        reads, graph, anchor, interior, PARAMS, threads=2, chunk_size=16,
+        render=lambda r: f"{r.read_id}:{r.regime}",
+    ))
+    assert len(parts) == -(-len(reads) // 16)
+    expected = [f"{r.read_id}:{r.regime}" for r in map_reads(reads, graph, anchor, interior)]
+    assert [row for part in parts for row in part] == expected
+
+
+def test_map_stream_rejects_a_chunk_size_below_1():
+    graph = branch_graph()
+    anchor, interior = indexes_for(graph)
+    with pytest.raises(ValueError, match="chunk_size"):
+        map_reads([Read(id="r", sequence="ACTGAT")], graph, anchor, interior, chunk_size=0)
