@@ -160,7 +160,6 @@ def compare_branching_mappers(
     graph: CompactedGraph,
     anchor: AnchorIndex,
     params: MappingParams,
-    expansion_budget: int = 200_000,
 ) -> dict:
     """Greedy-vs-exhaustive audit over one simulated batch.
 
@@ -173,7 +172,7 @@ def compare_branching_mappers(
     dominance_violations = 0
     for sim in sims:
         greedy = map_branching(sim.read, graph, anchor, params)
-        exact = map_exhaustive(sim.read, graph, anchor, params, expansion_budget)
+        exact = map_exhaustive(sim.read, graph, anchor, params)
         if exact.mapped and not greedy.mapped:
             exhaustive_only += 1
         elif exact.mapped and greedy.mapped:

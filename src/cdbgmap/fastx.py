@@ -4,8 +4,8 @@ Compression is detected by magic bytes, never by file extension.  Sequences
 are uppercased and any symbol outside ACGT becomes N at this boundary, so
 ambiguity codes beyond N never reach the rest of the toolkit.  Record order
 is preserved, and a run of records with the same id is made unique by
-suffixing.  Corrupt or truncated gzip data is reported as ValueError
-naming the file.
+suffixing.  Corrupt or truncated gzip data, malformed records and
+non-ASCII bytes are reported as ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ def read_sequences(path: str | Path) -> Iterator[Read]:
 
 def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
     """`read_sequences` with each record's header description: the text
-    after the name, '' when there is none.  Corrupt or truncated gzip data
-    raises ValueError naming the file."""
+    after the name, '' when there is none.  Every ValueError it raises
+    (corrupt or truncated gzip data, an unrecognized format, a malformed or
+    empty record, a non-ASCII byte) names the file once."""
     handle = _open_text(path)
     try:
         first = handle.read(1)
@@ -136,9 +137,11 @@ def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
         elif first == "@":
             yield from _parse_fastq(handle)
         else:
-            raise ValueError(f"unrecognized sequence file format: {path}")
+            raise ValueError("unrecognized sequence file format")
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"corrupt or truncated gzip file {path}: {exc}") from exc
+    except ValueError as exc:  # an unknown format, a bad record, a non-ASCII byte
+        raise ValueError(f"{path}: {exc}") from exc
     finally:
         handle.close()
 

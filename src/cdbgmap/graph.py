@@ -5,7 +5,13 @@ Unitigs are maximal non-branching paths; extension across a junction is
 allowed only when the current end has exactly one forward neighbour, that
 neighbour has exactly one backward neighbour, the junction (k-1)-overlap is
 not its own reverse complement, and the neighbour has not already been
-consumed (which also cuts cycles).
+consumed (which also cuts cycles).  One step, the single successor of an
+oriented k-mer, is used both ways: forward from the end, and forward from
+the neighbour's reverse orientation, whose successors are the neighbour's
+predecessors.  A unitig's left arm is its right arm walked from the seed's
+reverse orientation.  A palindromic overlap needs no test of its own: past
+it, the neighbour's reverse complement is a second predecessor, unless the
+neighbour is the current end reversed, which is consumed.
 
 Construction is deterministic: seeds are taken in ascending packed-canonical
 order, ids are dense in seed order, and each unitig is stored in whichever
@@ -21,6 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .census import SolidKmerSet
 from .fastx import read_described, write_fasta
 from .sequences import (
+    BASES,
     canonical_code,
     decode_kmer,
     encode_kmer,
@@ -32,8 +39,6 @@ from .sequences import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .index import AnchorIndex
-
-BASES = "ACGT"
 
 
 @dataclass(frozen=True)
@@ -95,82 +100,55 @@ class CompactedGraph:
         return self.total_length() / len(self.unitigs) if self.unitigs else 0.0
 
 
-def _unique_forward(fwd: int, rc: int, codes, mask: int, shift: int):
-    """The single forward extension of an oriented k-mer, or None if 0 or >1."""
-    found = None
-    for b in range(4):
-        nf = ((fwd << 2) | b) & mask
-        nr = (rc >> 2) | ((3 - b) << shift)
-        nc = nf if nf < nr else nr
-        if nc in codes:
-            if found is not None:
-                return None
-            found = (nf, nr, nc)
-    return found
-
-
-def _backward_degree_is_one(fwd: int, rc: int, codes, mask: int, shift: int) -> bool:
-    n = 0
-    for b in range(4):
-        pf = (fwd >> 2) | (b << shift)
-        pr = ((rc << 2) | (3 - b)) & mask
-        pc = pf if pf < pr else pr
-        if pc in codes:
-            n += 1
-            if n > 1:
-                return False
-    return n == 1
-
-
-def _extend_right(fwd: int, rc: int, codes, used: set[int], consumed, k: int) -> list[int]:
-    """Greedy maximal rightward extension; returns appended base codes.
-
-    Mutates `used` with the canonical codes it consumes.
-    """
-    mask = (1 << (2 * k)) - 1
-    shift = 2 * (k - 1)
-    k1mask = (1 << (2 * (k - 1))) - 1
-    out = []
-    while True:
-        # stop at a palindromic junction overlap (possible when k-1 is even)
-        if (fwd & k1mask) == (rc >> 2):
-            break
-        step = _unique_forward(fwd, rc, codes, mask, shift)
-        if step is None:
-            break
-        nf, nr, nc = step
-        if nc in used or nc in consumed:
-            break
-        if not _backward_degree_is_one(nf, nr, codes, mask, shift):
-            break
-        out.append(nf & 3)
-        used.add(nc)
-        fwd, rc = nf, nr
-    return out
-
-
 def compact(solid: SolidKmerSet) -> CompactedGraph:
     """Build the compacted graph; every solid k-mer lands in exactly one unitig."""
     if not solid.codes:
         raise ValueError("cannot compact an empty solid k-mer set")
     k = solid.k
     codes = solid.codes
+    mask = (1 << (2 * k)) - 1
+    shift = 2 * (k - 1)
     consumed: set[int] = set()
+
+    def _step(fwd: int, rc: int):
+        """The single oriented successor (nf, nr) of an oriented k-mer, or
+        None if it has 0 or more than 1."""
+        found = None
+        for b in range(4):
+            nf = ((fwd << 2) | b) & mask
+            nr = (rc >> 2) | ((3 - b) << shift)
+            if (nf if nf < nr else nr) in codes:
+                if found is not None:
+                    return None
+                found = nf, nr
+        return found
+
+    def _arm(fwd: int, rc: int) -> str:
+        """The bases of the maximal rightward extension, consuming its k-mers."""
+        out = []
+        while step := _step(fwd, rc):
+            nf, nr = step
+            nc = nf if nf < nr else nr
+            # its predecessors are the successors of its reverse orientation
+            if nc in consumed or _step(nr, nf) is None:
+                break
+            out.append(BASES[nf & 3])
+            consumed.add(nc)
+            fwd, rc = nf, nr
+        return "".join(out)
+
     unitigs: list[Unitig] = []
     for seed in sorted(codes):
         if seed in consumed:
             continue
-        fwd = seed
+        consumed.add(seed)
         rc = rc_code(seed, k)
-        used = {seed}
-        right = _extend_right(fwd, rc, codes, used, consumed, k)
+        right = _arm(seed, rc)
         # leftward extension is rightward extension of the reverse orientation
-        left = _extend_right(rc, fwd, codes, used, consumed, k)
-        prefix = "".join(BASES[3 - b] for b in reversed(left))
-        seq = prefix + decode_kmer(seed, k) + "".join(BASES[b] for b in right)
+        left = _arm(rc, seed)
+        seq = reverse_complement(left) + decode_kmer(seed, k) + right
         seq = min(seq, reverse_complement(seq))
         unitigs.append(Unitig(id=len(unitigs), sequence=seq))
-        consumed |= used
     return CompactedGraph(k=k, unitigs=unitigs)
 
 

@@ -23,7 +23,9 @@ are the strings '+' and '-' throughout, and '+' < '-' sorts forward first.
 
 The exhaustive mapper anchors like the greedy one (begin anchors only) and
 then explores every junction choice with branch-and-bound, which makes its
-cost a lower bound for the greedy cost on every read.  Both mappers take
+cost a lower bound for the greedy cost on every read.  It keeps one optimum:
+the first cheapest path it meets, in begin-anchor then candidate order, on
+the first strand that reaches that cost.  Both mappers take
 their begin anchors from `_begins` and extend every junction through
 `_junction`, so they share one anchoring and extension geometry and differ
 only in search policy.  Anchors come from the read's words, each looked up
@@ -532,11 +534,11 @@ def _exhaustive_pass(
     anchor: AnchorIndex,
     params: MappingParams,
     expansion_budget: int,
-    collect_limit: int,
 ):
     """Branch-and-bound over all junction choices from the begin anchors.
 
-    Returns (list of co-optimal _Attempts, reason, truncated, budget_blocked).
+    Returns (attempt, truncated): the first cheapest _Attempt found, or an
+    unmapped one carrying the reason.
     """
     k1 = graph.k - 1
     t = params.max_mismatches
@@ -546,27 +548,21 @@ def _exhaustive_pass(
 
     dets = view.detected(strand, anchor)
     if not dets:
-        return [], NO_ANCHOR, False, False
+        return _Attempt(reason=NO_ANCHOR), False
     succ = anchor.successors(graph)
 
     best_cost = t + 1
-    results: list[_Attempt] = []
+    best = None
     expansions = 0
     truncated = False
     budget_blocked = False
     anchored = False
 
     def record(path, start_offset, cost, positions):
-        nonlocal best_cost, results
+        nonlocal best_cost, best
         if cost < best_cost:
             best_cost = cost
-            results = []
-        if cost == best_cost and len(results) < collect_limit:
-            path = list(path)
-            # the same path can be reached from several begin anchors
-            if any(a.path == path and a.start_offset == start_offset for a in results):
-                return
-            results.append(_Attempt(path, start_offset, cost, positions))
+            best = _Attempt(list(path), start_offset, cost, positions)
 
     def dfs(jpos, cands, cost_so_far, path, positions, start_offset):
         nonlocal expansions, truncated, budget_blocked
@@ -605,11 +601,11 @@ def _exhaustive_pass(
                 cands = succ[head[0]] if head else succ.starting(code_b)
                 dfs(pos_b, cands, cost_b, head, plist_b, start_offset)
 
-    if results:
-        return results, None, truncated, budget_blocked
+    if best is not None:
+        return best, truncated
     if not anchored:
-        return [], BEGIN_NOT_FOUND, truncated, budget_blocked
-    return [], BUDGET_EXCEEDED if budget_blocked else COVER_FAILED, truncated, budget_blocked
+        return _Attempt(reason=BEGIN_NOT_FOUND), truncated
+    return _Attempt(reason=BUDGET_EXCEEDED if budget_blocked else COVER_FAILED), truncated
 
 
 def map_exhaustive(
@@ -620,49 +616,27 @@ def map_exhaustive(
     expansion_budget: int = 200_000,
 ) -> MappingResult:
     """Minimum-cost mapping over all anchored paths; cost never exceeds the
-    greedy mapper's on the same input."""
-    results = map_exhaustive_all(read, graph, anchor, params, expansion_budget, limit=1)
-    return results[0]
-
-
-def map_exhaustive_all(
-    read: Read,
-    graph: CompactedGraph,
-    anchor: AnchorIndex,
-    params: MappingParams = MappingParams(),
-    expansion_budget: int = 200_000,
-    limit: int = 1,
-) -> list[MappingResult]:
-    """Up to `limit` co-optimal exhaustive mappings (at least one element;
-    a single unmapped result when nothing is reachable)."""
+    greedy mapper's on the same input.  The first strand reaching the
+    minimum wins; unmapped, the reason is the worst over the strands."""
     _require_length(read.sequence, graph.k)
-    best: list[MappingResult] = []
-    best_cost = None
+    view = ReadView(read.sequence, graph.k - 1)
+    best = None
     reason = None
     truncated_any = False
-    view = ReadView(read.sequence, graph.k - 1)
     for strand in params.strands:
-        attempts, fail, truncated, _ = _exhaustive_pass(
-            view, strand, graph, anchor, params, expansion_budget, limit
+        attempt, truncated = _exhaustive_pass(
+            view, strand, graph, anchor, params, expansion_budget
         )
         truncated_any = truncated_any or truncated
-        if attempts:
-            cost = attempts[0].cost
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best = [
-                    replace(_finish(read.id, strand, a), truncated=truncated)
-                    for a in attempts
-                ]
-        else:
-            reason = _worse(reason, fail)
-    if best:
-        return best[:limit]
-    return [
-        MappingResult(
-            read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated_any
-        )
-    ]
+        if not attempt.ok:
+            reason = _worse(reason, attempt.reason)
+        elif best is None or attempt.cost < best.mismatches:
+            best = replace(_finish(read.id, strand, attempt), truncated=truncated)
+    if best is not None:
+        return best
+    return MappingResult(
+        read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated_any
+    )
 
 
 # ---------------------------------------------------------------------------

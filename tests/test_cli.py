@@ -180,6 +180,28 @@ def test_damaged_gzip_input_exits_2(tmp_path, capsys, damage):
     assert not (tmp_path / "m.tsv").exists()
 
 
+@pytest.mark.parametrize("name, data", [
+    ("accent.fq", b"@r1\nACGT\xc3\xa9ACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIIIII\n"),
+    ("empty.fa", b">r1\n>r2\n" + b"ACGT" * 10 + b"\n"),
+])
+def test_bad_record_exits_2_naming_the_file(tmp_path, capsys, name, data):
+    _, unitigs = _built_workspace(tmp_path, capsys)
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    commands = (
+        ("build", "-k", "15", "-c", "1", "-o", str(tmp_path / "u.fa"), str(bad)),
+        ("map", "-k", "15", "-g", str(unitigs), "-o", str(tmp_path / "m.tsv"), str(bad)),
+        ("eval", "-k", "15", "--reference", str(bad), "--rates", "0",
+         "--reads-per-rate", "20", "-o", str(tmp_path / "e.csv")),
+    )
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert err.count(str(bad)) == 1, err
+    assert not (tmp_path / "m.tsv").exists()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("damage", ["malformed", "truncated"])
 def test_map_input_error_leaves_no_tsv(tmp_path, capsys, threads, damage):

@@ -69,6 +69,70 @@ def test_spectrum_preservation_random_genomes():
         assert set(multiset) == solid.as_strings()
 
 
+def naive_compact(kmers):
+    """String-level reference for `compact`: the stored unitig sequences in
+    id order.  Seeds go in sorted canonical order; each grows its right arm,
+    then its left arm as the right arm of its reverse complement.  An arm
+    stops at a palindromic (k-1)-overlap, at 0 or more than 1 successor, at
+    a successor with more than 1 predecessor, or at a consumed k-mer."""
+    solid = {naive_canonical(w) for w in kmers}
+
+    def neighbours(words):
+        return [w for w in words if naive_canonical(w) in solid]
+
+    consumed = set()
+    out = []
+    for seed in sorted(solid):
+        if seed in consumed:
+            continue
+        consumed.add(seed)
+        arms = []
+        for end in (seed, naive_rc(seed)):
+            arm = ""
+            while end[1:] != naive_rc(end[1:]):
+                succ = neighbours(end[1:] + b for b in "ACGT")
+                if len(succ) != 1:
+                    break
+                (nxt,) = succ
+                if naive_canonical(nxt) in consumed:
+                    break
+                if len(neighbours(b + nxt[:-1] for b in "ACGT")) != 1:
+                    break
+                consumed.add(naive_canonical(nxt))
+                arm += nxt[-1]
+                end = nxt
+            arms.append(arm)
+        right, left = arms
+        seq = naive_rc(left) + seed + right
+        out.append(min(seq, naive_rc(seq)))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+def test_compact_matches_string_level_reference(k):
+    rng = random.Random(k)
+    cases = []
+    for seed in range(10):
+        genome = random_genome(100 * k + seed, rng.randint(k, 400))
+        cases.append([genome])
+        cases.append([genome + naive_rc(genome)])  # a hairpin at the join
+        cases.append([genome, naive_rc(genome[: len(genome) // 2])])
+    for _ in range(10):  # tandem repeats
+        unit = random_genome(rng.randrange(10**6), rng.randint(1, 8))
+        cases.append([unit * rng.randint(2, 12)])
+    for base in "ACGT":  # homopolymers, alone and in runs
+        cases.append([base * (k + 5)])
+        cases.append([base * 12 + "ACGT"[3 - "ACGT".index(base)] * 12])
+    for seqs in cases:
+        seqs = [s for s in seqs if len(s) >= k]
+        if not seqs:
+            continue
+        solid = solid_from(seqs, k)
+        graph = compact(solid)
+        expected = naive_compact(solid.as_strings())
+        assert [(u.id, u.sequence) for u in graph.unitigs] == list(enumerate(expected))
+
+
 def _neighbors(mer, solid, direction):
     out = []
     for b in "ACGT":

@@ -10,7 +10,6 @@ from cdbgmap.mapper import (
     detect_read_overlaps,
     map_branching,
     map_exhaustive,
-    map_exhaustive_all,
     map_read,
     map_reads,
     map_single_unitig,
@@ -547,16 +546,6 @@ def test_exhaustive_searches_once_from_a_begin_overlap_at_read_start():
     result = map_exhaustive(read, graph, anchor, PARAMS, expansion_budget=1)
     assert (result.path, result.start_offset, result.mismatches) == (((2, "+"),), 0, 0)
     assert not result.truncated
-
-
-def test_exhaustive_co_optimal_results():
-    # two parallel branches generating the same sequence cost
-    graph = trap_graph()
-    anchor, _ = indexes_for(graph)
-    read = Read(id="trap", sequence=TRAP_READ)
-    results = map_exhaustive_all(read, graph, anchor, PARAMS, limit=4)
-    assert all(r.mismatches == results[0].mismatches for r in results)
-    assert len({tuple(r.path) for r in results}) == len(results)
 
 
 def test_repeat_flag_on_cyclic_path():
