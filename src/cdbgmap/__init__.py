@@ -35,19 +35,15 @@ from .graph import (
 )
 from .index import (
     AnchorIndex,
-    Incidence,
     InteriorIndex,
     build_anchor_index,
     build_interior_index,
     load_indexes,
-    query_anchor,
-    query_interior,
     save_indexes,
 )
 from .mapper import (
     MappingParams,
     MappingResult,
-    detect_read_overlaps,
     map_branching,
     map_exhaustive,
     map_read,
@@ -73,7 +69,6 @@ __all__ = [
     "DbgWalk",
     "EvalReport",
     "EvalRow",
-    "Incidence",
     "InteriorIndex",
     "Kmer",
     "KmerCensus",
@@ -92,7 +87,6 @@ __all__ = [
     "canonical_kmer",
     "compact",
     "count_kmers",
-    "detect_read_overlaps",
     "distance_to_optimum",
     "enumerate_kmers",
     "enumerate_paths",
@@ -104,8 +98,6 @@ __all__ = [
     "map_reads",
     "map_single_unitig",
     "map_stream",
-    "query_anchor",
-    "query_interior",
     "read_sequences",
     "read_unitigs_fasta",
     "reverse_complement",

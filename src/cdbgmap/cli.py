@@ -161,6 +161,11 @@ def _check_k(k: int) -> None:
         raise SystemExit2(f"k must be in [2, {MAX_K}], got {k}")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise SystemExit2("--threads must be >= 1")
+
+
 def cmd_build(args) -> int:
     _check_k(args.k)
     if args.min_coverage < 1:
@@ -239,6 +244,7 @@ def _output_on_success(path: str):
 
 def cmd_map(args) -> int:
     _check_k(args.k)
+    _check_threads(args.threads)
     graph = read_unitigs_fasta(args.graph, k=args.k)
     if args.index_in:
         anchor, interior = load_indexes(args.index_in)
@@ -259,7 +265,7 @@ def cmd_map(args) -> int:
     with _output_on_success(args.output) as out:
         out.write("\t".join(TSV_COLUMNS) + "\n")
         for rows in map_stream(reads, graph, anchor, interior, _params(args),
-                               threads=max(1, args.threads), render=_result_to_tsv):
+                               threads=args.threads, render=_result_to_tsv):
             for row in rows:  # the regime is the next-to-last column
                 regimes[row.rsplit("\t", 2)[1]] += 1
             out.write("\n".join(rows))
@@ -281,6 +287,7 @@ def cmd_map(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_k(args.k)
+    _check_threads(args.threads)
     if args.random_ref is not None:
         import random
 
@@ -305,7 +312,7 @@ def cmd_eval(args) -> int:
         params=_params(args),
         read_length=args.read_length,
         seed=args.seed,
-        threads=max(1, args.threads),
+        threads=args.threads,
         compare_exhaustive=not args.no_exhaustive,
         truth_path=args.truth_out,
     )

@@ -254,17 +254,22 @@ def _recorded_k(description: str) -> int | None:
 
 def read_unitigs_fasta(path: str | Path, k: int) -> CompactedGraph:
     """Inverse of write_unitigs_fasta.  A header that records a k other than
-    `k` raises ValueError; a header without one is taken to be at `k`."""
-    records = []
-    for rec, description in read_described(path):
-        if not rec.id.startswith("u"):
-            raise ValueError(f"not a unitig FASTA header: {rec.id!r}")
-        recorded = _recorded_k(description)
-        if recorded is not None and recorded != k:
-            raise ValueError(f"graph {path} was built with k={recorded}, requested k={k}")
-        records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
-    records.sort(key=lambda u: u.id)
-    return CompactedGraph(k=k, unitigs=records)
+    `k` raises ValueError; a header without one is taken to be at `k`.
+    Every ValueError names the file once, as `<path>: <message>`."""
+    described = list(read_described(path))  # its errors name the file already
+    try:
+        records = []
+        for rec, description in described:
+            if rec.id[:1] != "u" or not rec.id[1:].isdigit():
+                raise ValueError(f"not a unitig FASTA header: {rec.id!r}")
+            recorded = _recorded_k(description)
+            if recorded is not None and recorded != k:
+                raise ValueError(f"graph built with k={recorded}, requested k={k}")
+            records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
+        records.sort(key=lambda u: u.id)
+        return CompactedGraph(k=k, unitigs=records)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorIndex") -> None:

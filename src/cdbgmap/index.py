@@ -21,16 +21,18 @@ the forward unitig text, with no orientation bit: a read strand is placed on
 the forward text by looking up its own windows' written codes, and on the
 reverse text by the reverse complement's pass doing the same.
 
-The index file (format version 3) carries, after k, a fingerprint of the
-graph the indexes were built from (`graph_fingerprint`), so a file is
-matched to a graph without rebuilding either index.
+The index file (format version 4) holds a header of magic, version, k and
+a fingerprint of the graph the indexes were built from
+(`graph_fingerprint`), then the anchor table and the interior table, and
+nothing else.  The fingerprint matches a file to a graph without
+rebuilding either index, and the mapper reads everything else from that
+graph.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -45,10 +47,10 @@ except ImportError:
         from hashlib import sha256
 
 from .graph import CompactedGraph
-from .sequences import encode_kmer, kmer_codes, rc_code, window_codes
+from .sequences import kmer_codes, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 
 # Index file records, all little-endian except the 16-byte big-endian keys.
 _VERSION = struct.Struct("<I")
@@ -59,21 +61,9 @@ _ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
 _ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit: 1 for '-'
 _OCCURRENCES = struct.Struct("<I")
 _OCCURRENCE = struct.Struct("<II")  # unitig id, offset
-_UNITIG_LENGTH = struct.Struct("<II")  # unitig id, length
 
 FORWARD = "+"
 REVERSE = "-"
-STARTS_WITH = "starts_with"
-ENDS_WITH = "ends_with"
-
-
-@dataclass(frozen=True)
-class Incidence:
-    """One unitig end carrying an overlap, as written under the given orientation."""
-
-    unitig_id: int
-    side: str  # STARTS_WITH or ENDS_WITH
-    orientation: str  # "+" or "-"
 
 
 class AnchorIndex:
@@ -88,9 +78,6 @@ class AnchorIndex:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._table
 
     def keys(self):
         return self._table.keys()
@@ -158,26 +145,13 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     return idx
 
 
-def query_anchor(idx: AnchorIndex, mer: str) -> list[Incidence]:
-    """Exact incidence lookup for a written (k-1)-mer; [] when absent."""
-    size = idx.k - 1
-    if len(mer) != size:
-        raise ValueError(f"anchor query must have length {size}, got {len(mer)}")
-    code = encode_kmer(mer)
-    out = [Incidence(uid, STARTS_WITH, orient) for uid, orient in idx.starts_with_codes(code)]
-    out.extend(Incidence(uid, ENDS_WITH, orient) for uid, orient in idx.ends_with_codes(code))
-    return out
-
-
 class InteriorIndex:
     """Written (k-1)-mer code -> occurrences inside unitigs.
 
     A key is the code of a window of a unitig's forward text, and each of
     its occurrences is (unitig_id, offset) with the window at that offset;
     there is no orientation bit, so an occurrence of the reverse text is
-    the one under the reverse complement's code.  The unitig lengths are
-    kept so reverse-strand offsets can be mirrored without the graph at
-    hand, and `fingerprint` is the
+    the one under the reverse complement's code.  `fingerprint` is the
     `graph_fingerprint` of the graph the index was built from.
     """
 
@@ -185,7 +159,6 @@ class InteriorIndex:
         self.k = k
         self.fingerprint = fingerprint
         self._table: dict[int, tuple] = {}
-        self._unitig_lengths: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -202,34 +175,12 @@ def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
     idx = InteriorIndex(graph.k, graph_fingerprint(graph))
     size = graph.k - 1
     table: dict[int, list] = {}
-    lengths: dict[int, int] = {}
     for u in graph.unitigs:
-        lengths[u.id] = len(u.sequence)
         # unitigs are exact ACGT, so window i sits at position i
         for pos, fwd, _ in window_codes(u.sequence, size):
             table.setdefault(fwd, []).append((u.id, pos))
     idx._table = {key: tuple(v) for key, v in table.items()}
-    idx._unitig_lengths = lengths
     return idx
-
-
-def query_interior(idx: InteriorIndex, mer: str) -> list[tuple]:
-    """Occurrences of a written (k-1)-mer as (unitig_id, offset, orientation).
-
-    The offset is within the unitig's oriented sequence, so the mer matches
-    graph.oriented_sequence(uid, orientation)[offset : offset + k - 1] exactly.
-    """
-    size = idx.k - 1
-    if len(mer) != size:
-        raise ValueError(f"interior query must have length {size}, got {len(mer)}")
-    fwd = encode_kmer(mer)
-    out = [(uid, off, FORWARD) for uid, off in idx._table.get(fwd, ())]
-    lengths = idx._unitig_lengths
-    out.extend(
-        (uid, lengths[uid] - size - off, REVERSE)
-        for uid, off in idx._table.get(rc_code(fwd, size), ())
-    )
-    return out
 
 
 def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
@@ -259,9 +210,6 @@ def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex)
             out.write(_OCCURRENCES.pack(len(occs)))
             for occ in occs:
                 out.write(_OCCURRENCE.pack(*occ))
-        out.write(_COUNT.pack(len(interior._unitig_lengths)))
-        for uid in sorted(interior._unitig_lengths):
-            out.write(_UNITIG_LENGTH.pack(uid, interior._unitig_lengths[uid]))
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
@@ -327,13 +275,6 @@ def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
         off += n_occ * occ_size
         table[high << 64 | low] = occs
 
-    (n_lengths,) = _COUNT.unpack_from(data, off)
-    off += _COUNT.size
-    length_size = _UNITIG_LENGTH.size
-    interior._unitig_lengths = dict(
-        _UNITIG_LENGTH.unpack_from(data, off + i * length_size) for i in range(n_lengths)
-    )
-    off += n_lengths * length_size
     if off != len(data):
         raise ValueError(f"{len(data) - off} bytes after the index tables")
     return anchor, interior

@@ -70,7 +70,7 @@ from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .graph import CompactedGraph
-from .index import AnchorIndex, Incidence, InteriorIndex, query_anchor
+from .index import AnchorIndex, InteriorIndex
 from .sequences import Read, kmer_codes, reverse_complement_read, window_codes
 
 SINGLE_UNITIG = "single_unitig"
@@ -157,19 +157,6 @@ def _hamming(seq: str, base: int, text: str, limit: int):
 def _require_length(seq: str, k: int) -> None:
     if len(seq) < k:
         raise ValueError("read below k")
-
-
-def detect_read_overlaps(
-    read: Read | str, index: AnchorIndex
-) -> list[tuple[int, str, list[Incidence]]]:
-    """Indexed overlaps present in the read, in ascending position order."""
-    seq = read.sequence if isinstance(read, Read) else read
-    _require_length(seq, index.k)
-    out = []
-    for pos, _, _ in ReadView(seq, index.k - 1).detected("+", index):
-        mer = seq[pos : pos + index.k - 1]
-        out.append((pos, mer, query_anchor(index, mer)))
-    return out
 
 
 def _mirror(wins, base: int):

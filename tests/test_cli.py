@@ -333,6 +333,43 @@ def test_map_missing_graph_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("reads.fa", ">r0\nACGTACGTACGTACGTACGT\n"),
+    ("with_n.fa", ">u0 k=15\nACGTACGTNCGTACGTACGT\n"),
+    ("letter_id.fa", ">uX k=15\nACGTACGTACGTACGTACGT\n"),
+    ("no_header.fa", "ACGTACGTACGTACGTACGT\n"),  # an error the FASTX reader raises
+])
+def test_map_bad_graph_file_exits_2_naming_it_once(tmp_path, capsys, name, text):
+    graph = tmp_path / name
+    graph.write_text(text)
+    reads = tmp_path / "input.fa"
+    write_fasta(reads, [("r0", "ACGTACGTACGTACGTACGT")])
+    out = tmp_path / "map.tsv"
+    code, _, err = run(capsys, "map", "-k", "15", "-g", str(graph), "-o", str(out), str(reads))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.count(str(graph)) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["map", "eval"])
+def test_threads_below_1_exits_2(tmp_path, capsys, command, threads):
+    out = tmp_path / "out"
+    if command == "map":
+        genome, unitigs = _built_workspace(tmp_path, capsys)
+        reads = _reads_file(tmp_path, genome, n=5)
+        argv = ["map", "-k", "15", "-g", str(unitigs), "--threads", threads,
+                "-o", str(out), str(reads)]
+    else:
+        argv = ["eval", "-k", "15", "--random-ref", "500", "--reads-per-rate", "10",
+                "--read-length", "60", "--threads", threads, "-o", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: --threads must be >= 1\n"
+    assert not out.exists()
+
+
 def test_eval_csv_and_gating(tmp_path, capsys):
     out = tmp_path / "report.csv"
     code, stdout, _ = run(
@@ -382,16 +419,16 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 
 
 def _index_sections(idx_path):
-    """End offsets of the header and the three tables of a saved index."""
+    """End offsets of the header and the two tables of a saved index; the
+    file ends where the interior table does."""
     anchor, interior = load_indexes(idx_path)
     header = 8 + 4 + 4 + 32  # magic, version, k, fingerprint
     anchor_end = header + 8 + sum(
         16 + 4 + 5 * (len(s) + len(e)) for s, e in anchor._table.values()
     )
     interior_end = anchor_end + 8 + sum(16 + 4 + 8 * len(o) for o in interior._table.values())
-    lengths_end = interior_end + 8 + 8 * len(interior._unitig_lengths)
-    assert lengths_end == idx_path.stat().st_size
-    return header, anchor_end, interior_end, lengths_end
+    assert interior_end == idx_path.stat().st_size
+    return header, anchor_end, interior_end
 
 
 def test_map_truncated_index_exits_2(tmp_path, capsys):
@@ -403,12 +440,11 @@ def test_map_truncated_index_exits_2(tmp_path, capsys):
         str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
     )[0] == 0
     data = idx.read_bytes()
-    header, anchor_end, interior_end, lengths_end = _index_sections(idx)
+    header, anchor_end, interior_end = _index_sections(idx)
     cuts = {
         "header": 12,
         "anchor table": (header + anchor_end) // 2,
         "interior table": (anchor_end + interior_end) // 2,
-        "lengths table": lengths_end - 4,
     }
     for where, cut in cuts.items():
         bad = tmp_path / "cut.idx"
@@ -462,17 +498,20 @@ def _canonical_anchor_bytes(anchor):
     return b"".join(out)
 
 
-def _lengths_bytes(interior):
-    lengths = interior._unitig_lengths
-    out = [struct.pack("<Q", len(lengths))]
-    out.extend(struct.pack("<II", uid, lengths[uid]) for uid in sorted(lengths))
+def _lengths_bytes(unitigs, k):
+    """The table of (unitig id, length) records that formats 1 to 3 ended
+    with, for the graph in the unitig FASTA `unitigs`."""
+    graph = read_unitigs_fasta(unitigs, k)
+    out = [struct.pack("<Q", len(graph))]
+    out.extend(struct.pack("<II", u.id, len(u.sequence)) for u in graph.unitigs)
     return b"".join(out)
 
 
-def _v1_index_bytes(idx_path):
+def _v1_index_bytes(idx_path, unitigs):
     """The same indexes in format version 1: a 16-byte header of version, k,
-    min_length 0 and stride 1, canonical anchor keys, and interior keys
-    canonical with a written-is-canonical byte on each occurrence."""
+    min_length 0 and stride 1, canonical anchor keys, interior keys
+    canonical with a written-is-canonical byte on each occurrence, and the
+    unitig lengths."""
     from cdbgmap.sequences import rc_code
 
     anchor, interior = load_indexes(idx_path)
@@ -488,14 +527,15 @@ def _v1_index_bytes(idx_path):
         occs = sorted(canonical[key])
         out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
         out.extend(struct.pack("<IIB", *occ) for occ in occs)
-    out.append(_lengths_bytes(interior))
+    out.append(_lengths_bytes(unitigs, anchor.k))
     return b"".join(out)
 
 
-def _v2_index_bytes(idx_path):
+def _v2_index_bytes(idx_path, unitigs):
     """The same indexes in format version 2: a header of version, k,
     min_length 0, stride 1 and the graph fingerprint, canonical anchor
-    keys, and interior keys written as in version 3."""
+    keys, interior keys written as in versions 3 and 4, and the unitig
+    lengths."""
     anchor, interior = load_indexes(idx_path)
     header = struct.pack("<IIII32s", 2, anchor.k, 0, 1, interior.fingerprint)
     out = [b"CDBGIDX1", header, _canonical_anchor_bytes(anchor)]
@@ -504,8 +544,17 @@ def _v2_index_bytes(idx_path):
         occs = interior._table[key]
         out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
         out.extend(struct.pack("<II", *occ) for occ in occs)
-    out.append(_lengths_bytes(interior))
+    out.append(_lengths_bytes(unitigs, anchor.k))
     return b"".join(out)
+
+
+def _v3_index_bytes(idx_path, unitigs):
+    """The same indexes in format version 3: the version 4 bytes under
+    version 3, followed by the unitig lengths."""
+    data = bytearray(idx_path.read_bytes())
+    struct.pack_into("<I", data, 8, 3)
+    (k,) = struct.unpack_from("<I", data, 12)
+    return bytes(data) + _lengths_bytes(unitigs, k)
 
 
 def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
@@ -524,10 +573,11 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     ).digest()
     wrong = bytearray(data)
     wrong[fingerprint.start] ^= 1
-    rebuild = "this cdbgmap reads version 3: rebuild it with `cdbgmap map --index-out`"
+    rebuild = "this cdbgmap reads version 4: rebuild it with `cdbgmap map --index-out`"
     cases = {
-        "v1": (_v1_index_bytes(idx), "format version 1, " + rebuild),
-        "v2": (_v2_index_bytes(idx), "format version 2, " + rebuild),
+        "v1": (_v1_index_bytes(idx, unitigs), "format version 1, " + rebuild),
+        "v2": (_v2_index_bytes(idx, unitigs), "format version 2, " + rebuild),
+        "v3": (_v3_index_bytes(idx, unitigs), "format version 3, " + rebuild),
         "fingerprint": (bytes(wrong), "was not built from"),
     }
     for name, (content, message) in cases.items():

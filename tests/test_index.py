@@ -6,13 +6,11 @@ import pytest
 from cdbgmap.graph import compact
 from cdbgmap.index import (
     AnchorIndex,
-    Incidence,
     approximate_bytes,
     build_anchor_index,
     build_interior_index,
+    graph_fingerprint,
     load_indexes,
-    query_anchor,
-    query_interior,
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
@@ -43,25 +41,34 @@ def scan_incidences(graph, mer):
     return out
 
 
+def lookup(idx, mer):
+    """The anchor table's (starts, ends) under a written word, looked up by
+    its code as the mapper does."""
+    code = encode_kmer(mer)
+    return idx.starts_with_codes(code), idx.ends_with_codes(code)
+
+
+def incidences(idx, mer):
+    """`lookup` in the form of `scan_incidences`."""
+    starts, ends = lookup(idx, mer)
+    return {(u, "starts_with", o) for u, o in starts} | {(u, "ends_with", o) for u, o in ends}
+
+
 def scan_interior(graph, mer):
+    """Exhaustive oracle: every (unitig, offset) of the word in a forward
+    unitig text."""
     k1 = graph.k - 1
-    out = set()
-    for u in graph.unitigs:
-        for o in "+-":
-            seq = oriented(graph, u.id, o)
-            for i in range(len(seq) - k1 + 1):
-                if seq[i : i + k1] == mer:
-                    out.add((u.id, i, o))
-    return out
+    return {
+        (u.id, i)
+        for u in graph.unitigs
+        for i in range(len(u.sequence) - k1 + 1)
+        if u.sequence[i : i + k1] == mer
+    }
 
 
 def test_anchor_example_branching_set():
     graph, _ = graph_from_sequences(["ACTG", "ACTT"], 3)
-    hits = set(
-        (i.unitig_id, i.side, i.orientation) for i in query_anchor(
-            build_anchor_index(graph), "CT"
-        )
-    )
+    hits = incidences(build_anchor_index(graph), "CT")
     assert hits == scan_incidences(graph, "CT")
     # CT starts the unitigs carrying CTG and CTT, ends the one carrying ACT
     started = {graph.oriented_sequence(u, o)[:2] for u, s, o in hits if s == "starts_with"}
@@ -74,34 +81,25 @@ def test_anchor_example_branching_set():
 def test_anchor_single_unitig_keys():
     graph, _ = graph_from_sequences(["ACTGA"], 3)
     idx = build_anchor_index(graph)
-    assert query_anchor(idx, "AC") == [Incidence(0, "starts_with", "+")]
-    assert query_anchor(idx, "GA") == [Incidence(0, "ends_with", "+")]
+    assert lookup(idx, "AC") == (((0, "+"),), ())
+    assert lookup(idx, "GA") == ((), ((0, "+"),))
     # the reverse-complement written forms hit the mirrored incidences
-    assert query_anchor(idx, "GT") == [Incidence(0, "ends_with", "-")]
-    assert query_anchor(idx, "TC") == [Incidence(0, "starts_with", "-")]
-    assert query_anchor(idx, "GG") == []
-
-
-def test_anchor_wrong_length_rejected():
-    graph, _ = graph_from_sequences(["ACTGA"], 3)
-    idx = build_anchor_index(graph)
-    with pytest.raises(ValueError, match="length 2"):
-        query_anchor(idx, "ACT")
+    assert lookup(idx, "GT") == ((), ((0, "-"),))
+    assert lookup(idx, "TC") == (((0, "-"),), ())
+    assert lookup(idx, "GG") == ((), ())
 
 
 def test_anchor_empty_graph():
     idx = AnchorIndex(k=3)
     assert len(idx) == 0
-    assert query_anchor(idx, "AC") == []
+    assert lookup(idx, "AC") == ((), ())
 
 
 def test_anchor_palindromic_key_merges_orientation_classes():
     # k=5 unitig ending in ATAT, which is its own reverse complement
     graph = build_graph(["GGATAT", "ATATCC"], 5)
     idx = build_anchor_index(graph)
-    hits = set(
-        (i.unitig_id, i.side, i.orientation) for i in query_anchor(idx, "ATAT")
-    )
+    hits = incidences(idx, "ATAT")
     assert hits == scan_incidences(graph, "ATAT")
     orientations = {o for _, _, o in hits}
     assert orientations == {"+", "-"}
@@ -118,7 +116,6 @@ def test_anchor_orientations_are_strings():
             code = encode_kmer(written)
             entries = idx.starts_with_codes(code) + idx.ends_with_codes(code)
             seen.update(orient for _, orient in entries)
-            seen.update(i.orientation for i in query_anchor(idx, written))
     assert seen == {"+", "-"}
 
 
@@ -137,10 +134,7 @@ def test_anchor_matches_scan_oracle_on_random_graphs():
         for _ in range(10):
             mers.add("".join(rng.choice("ACGT") for _ in range(k - 1)))
         for mer in mers:
-            got = set(
-                (i.unitig_id, i.side, i.orientation) for i in query_anchor(idx, mer)
-            )
-            assert got == scan_incidences(graph, mer), (mer, seed)
+            assert incidences(idx, mer) == scan_incidences(graph, mer), (mer, seed)
 
 
 def repeat_genome(seed, unit_length=90, copies=6):
@@ -214,16 +208,8 @@ def test_every_unitig_contributes_prefix_and_suffix():
     graph, _ = graph_from_sequences([genome], 7)
     idx = build_anchor_index(graph)
     for u in graph.unitigs:
-        pre = query_anchor(idx, u.sequence[:6])
-        suf = query_anchor(idx, u.sequence[-6:])
-        assert any(
-            i.unitig_id == u.id and i.side == "starts_with" and i.orientation == "+"
-            for i in pre
-        )
-        assert any(
-            i.unitig_id == u.id and i.side == "ends_with" and i.orientation == "+"
-            for i in suf
-        )
+        assert (u.id, "+") in lookup(idx, u.sequence[:6])[0]
+        assert (u.id, "+") in lookup(idx, u.sequence[-6:])[1]
 
 
 def test_sharing_bound_on_random_graphs():
@@ -253,7 +239,7 @@ def assert_anchor_invariant(graph, idx):
             starts,
             ends,
         )
-        assert rc_code(key, k1) in idx  # closed under reverse complement
+        assert rc_code(key, k1) in idx.keys()  # closed under reverse complement
 
 
 @pytest.mark.parametrize("k", [5, 9, 31])
@@ -279,16 +265,17 @@ def test_anchor_keys_are_written_words(k):
 def test_interior_example():
     graph = build_graph(["ACTGA"], 3)
     idx = build_interior_index(graph)
-    assert query_interior(idx, "CT") == [(0, 1, "+")]
-    # reverse-strand written form of the same site
-    assert query_interior(idx, "AG") == [(0, 2, "-")]
+    assert idx._table[encode_kmer("CT")] == ((0, 1),)
+    # the reverse-strand written form of the same site is no key: the
+    # reverse complement's pass finds it under its own written code
+    assert encode_kmer("AG") not in idx._table
+    assert idx._table[encode_kmer(naive_rc("AG"))] == ((0, 1),)
 
 
 def test_interior_repeat_ascending_offsets():
     graph = build_graph(["ACTACT"], 3)
     idx = build_interior_index(graph)
-    hits = query_interior(idx, "AC")
-    assert [(u, off) for u, off, o in hits if o == "+"] == [(0, 0), (0, 3)]
+    assert idx._table[encode_kmer("AC")] == ((0, 0), (0, 3))
 
 
 def test_interior_matches_scan_oracle():
@@ -301,15 +288,19 @@ def test_interior_matches_scan_oracle():
         mers = {genome[i : i + k - 1] for i in range(0, 200, 17)}
         mers |= {"".join(rng.choice("ACGT") for _ in range(k - 1)) for _ in range(8)}
         for mer in mers:
-            assert set(query_interior(idx, mer)) == scan_interior(graph, mer)
+            got = idx._table.get(encode_kmer(mer), ())
+            assert list(got) == sorted(scan_interior(graph, mer)), (mer, seed)
 
 
 def test_interior_palindromic_mer_hits_both_strands():
     graph = build_graph(["GGATATCC"], 5)
     idx = build_interior_index(graph)
-    got = set(query_interior(idx, "ATAT"))
-    assert got == scan_interior(graph, "ATAT")
-    assert {o for _, _, o in got} == {"+", "-"}
+    code = encode_kmer("ATAT")
+    # a word that is its own reverse complement is one key, which both
+    # strands' passes look up
+    assert rc_code(code, 4) == code
+    assert idx._table[code] == ((0, 2),)
+    assert set(idx._table[code]) == scan_interior(graph, "ATAT")
 
 
 def assert_interior_invariant(graph, idx):
@@ -327,7 +318,6 @@ def assert_interior_invariant(graph, idx):
         (u.id, off) for u in graph.unitigs for off in range(len(u.sequence) - k1 + 1)
     ]
     assert sorted(listed) == expected
-    assert idx._unitig_lengths == {u.id: len(u.sequence) for u in graph.unitigs}
 
 
 @pytest.mark.parametrize("k", [5, 9, 31])
@@ -352,8 +342,8 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     anchor2, interior2 = load_indexes(p1)
     assert anchor2._table == anchor._table
     assert interior2._table == interior._table
-    assert interior2._unitig_lengths == interior._unitig_lengths
-    assert (anchor2.k, interior2.k, interior2.fingerprint) == (7, 7, interior.fingerprint)
+    assert (anchor2.k, interior2.k) == (7, 7)
+    assert interior2.fingerprint == interior.fingerprint == graph_fingerprint(graph)
     # equal graphs give byte-identical files
     graph_b, _ = graph_from_sequences([genome], 7)
     save_indexes(p2, build_anchor_index(graph_b), build_interior_index(graph_b))

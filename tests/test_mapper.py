@@ -7,7 +7,6 @@ from cdbgmap.mapper import (
     MappingParams,
     MappingResult,
     ReadView,
-    detect_read_overlaps,
     map_branching,
     map_exhaustive,
     map_read,
@@ -15,7 +14,7 @@ from cdbgmap.mapper import (
     map_single_unitig,
     map_stream,
 )
-from cdbgmap.sequences import Read, reverse_complement_read, window_codes
+from cdbgmap.sequences import Read, decode_kmer, reverse_complement_read, window_codes
 
 from conftest import (
     assert_result_consistent,
@@ -59,28 +58,28 @@ def trap_graph():
 def test_detect_read_overlaps_positions_and_incidences():
     graph = build_graph(["ACTG", "TGAT"], 3)
     anchor, _ = indexes_for(graph)
-    hits = detect_read_overlaps("ACTGAT", anchor)
-    assert [(pos, mer) for pos, mer, _ in hits] == [(0, "AC"), (2, "TG"), (4, "AT")]
-    by_pos = {pos: incs for pos, _, incs in hits}
-    assert any(
-        i.unitig_id == 0 and i.side == "ends_with" for i in by_pos[2]
-    )
-    assert any(
-        i.unitig_id == 1 and i.side == "starts_with" for i in by_pos[2]
-    )
+    dets = ReadView("ACTGAT", 2).detected("+", anchor)
+    assert [(pos, decode_kmer(code, 2)) for pos, code, _ in dets] == [
+        (0, "AC"), (2, "TG"), (4, "AT")
+    ]
+    code = dets[1][1]
+    assert (0, "+") in anchor.ends_with_codes(code)
+    assert (1, "+") in anchor.starts_with_codes(code)
 
 
 def test_detect_read_overlaps_no_hits():
     graph = build_graph(["ACTGA"], 3)
     anchor, _ = indexes_for(graph)
-    assert detect_read_overlaps("GGGGGG", anchor) == []
+    view = ReadView("GGGGGG", 2)
+    assert view.detected("+", anchor) == view.detected("-", anchor) == []
 
 
 def test_detect_read_overlaps_interior_only_read():
     # the read sits inside the unitig, away from both end overlaps (AA / TT)
     graph = build_graph(["AAGCGCGCGTT"], 3)
     anchor, _ = indexes_for(graph)
-    assert detect_read_overlaps("GCGCGCG", anchor) == []
+    view = ReadView("GCGCGCG", 2)
+    assert view.detected("+", anchor) == view.detected("-", anchor) == []
 
 
 def test_map_branching_zero_cost_across_branch():
@@ -464,8 +463,8 @@ def test_n_counts_as_mismatch():
 def test_greedy_trap_construction_preconditions():
     graph = trap_graph()
     anchor, _ = indexes_for(graph)
-    hits = detect_read_overlaps(TRAP_READ, anchor)
-    assert [pos for pos, _, _ in hits] == [0, 3, 8, 13, 16, 21, 24]
+    dets = ReadView(TRAP_READ, 4).detected("+", anchor)
+    assert [pos for pos, _, _ in dets] == [0, 3, 8, 13, 16, 21, 24]
 
 
 def test_greedy_shortcut_beaten_by_exhaustive():
