@@ -53,10 +53,7 @@ from .mapper import (
 )
 from .sequences import (
     MAX_K,
-    Kmer,
     Read,
-    canonical_kmer,
-    enumerate_kmers,
     reverse_complement,
     reverse_complement_read,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "EvalReport",
     "EvalRow",
     "InteriorIndex",
-    "Kmer",
     "KmerCensus",
     "MappingParams",
     "MappingResult",
@@ -84,11 +80,9 @@ __all__ = [
     "build_anchor_index",
     "build_interior_index",
     "build_reference_graph",
-    "canonical_kmer",
     "compact",
     "count_kmers",
     "distance_to_optimum",
-    "enumerate_kmers",
     "enumerate_paths",
     "load_indexes",
     "load_solid",

@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .sequences import MAX_K, Read, decode_kmer, encode_kmer, rc_code, window_codes
+from .sequences import MAX_K, Read, decode_kmer, window_codes
 
 _SOLID_MAGIC = b"SLDKMER1"
 
@@ -27,10 +27,6 @@ class KmerCensus:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def count_of(self, kmer: str) -> int:
-        bits = encode_kmer(kmer)
-        return self.counts.get(min(bits, rc_code(bits, self.k)), 0)
-
     def as_strings(self) -> dict[str, int]:
         return {decode_kmer(c, self.k): n for c, n in self.counts.items()}
 
@@ -44,10 +40,6 @@ class SolidKmerSet:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def contains(self, kmer: str) -> bool:
-        bits = encode_kmer(kmer)
-        return min(bits, rc_code(bits, self.k)) in self.codes
 
     def as_strings(self) -> set[str]:
         return {decode_kmer(c, self.k) for c in self.codes}

@@ -3,6 +3,7 @@
 Build constructs the unitig graph from reads or a reference, map places
 reads on it, eval runs the simulated-read accuracy harness.  Exit codes:
 0 success, 1 quality gates unmet in eval gating mode, 2 usage or IO error.
+On exit 2 no output file is created or replaced.
 """
 
 from __future__ import annotations
@@ -166,26 +167,59 @@ def _check_threads(threads: int) -> None:
         raise SystemExit2("--threads must be >= 1")
 
 
+@contextlib.contextmanager
+def _output_on_success(*paths: str | None):
+    """Temporary paths to write the outputs at `paths` to (None for an output
+    not asked for), which appear at `paths` only if the block succeeds.  Each
+    is created beside its output at once, so an unwritable place fails
+    before any work, and all are moved over their outputs at the end or
+    removed on any error.  A path that exists and is not a regular file (a
+    FIFO, /dev/stdout) is yielded as is, since it cannot be replaced."""
+    temps, moves = [], []
+    try:
+        for path in paths:
+            if path is None or os.path.exists(path) and not os.path.isfile(path):
+                temps.append(path)
+                continue
+            real = os.path.realpath(path)
+            tmp = f"{real}.{os.getpid()}.{len(moves)}.tmp"
+            try:
+                open(tmp, "w").close()
+            except OSError as exc:  # name the path asked for, not the temporary one
+                raise OSError(exc.errno, exc.strerror, path) from None
+            moves.append((tmp, real))
+            temps.append(tmp)
+        yield temps
+        for tmp, real in moves:
+            os.replace(tmp, real)
+    except BaseException:
+        for tmp, _ in moves:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+
+
 def cmd_build(args) -> int:
     _check_k(args.k)
     if args.min_coverage < 1:
         raise SystemExit2("coverage threshold must be >= 1")
-    # zip draws from `tally` only after a read, so it ends at the read count
-    tally = count()
-    reads = chain.from_iterable(map(read_sequences, args.inputs))
-    census = count_kmers((read for read, _ in zip(reads, tally)), args.k)
-    n_reads = next(tally)
-    if not n_reads:
-        raise SystemExit2("no sequences")
-    solid = solid_set(census, args.min_coverage)
-    if not len(solid):
-        raise SystemExit2("no solid k-mers at this coverage threshold")
-    graph = compact(solid)
-    write_unitigs_fasta(args.output, graph)
-    if args.solid_out:
-        save_solid(args.solid_out, solid)
-    if args.gfa:
-        write_gfa(args.gfa, graph, build_anchor_index(graph))
+    with _output_on_success(args.output, args.gfa, args.solid_out) as (output, gfa, solid_out):
+        # zip draws from `tally` only after a read, so it ends at the read count
+        tally = count()
+        reads = chain.from_iterable(map(read_sequences, args.inputs))
+        census = count_kmers((read for read, _ in zip(reads, tally)), args.k)
+        n_reads = next(tally)
+        if not n_reads:
+            raise SystemExit2("no sequences")
+        solid = solid_set(census, args.min_coverage)
+        if not len(solid):
+            raise SystemExit2("no solid k-mers at this coverage threshold")
+        graph = compact(solid)
+        write_unitigs_fasta(output, graph)
+        if solid_out:
+            save_solid(solid_out, solid)
+        if gfa:
+            write_gfa(gfa, graph, build_anchor_index(graph))
     print(f"reads={n_reads}")
     print(f"distinct_kmers={len(census.counts)}")
     print(f"solid_kmers={len(solid)}")
@@ -215,61 +249,35 @@ def _result_to_tsv(result: MappingResult) -> str:
     return "\t".join(fields)
 
 
-@contextlib.contextmanager
-def _output_on_success(path: str):
-    """A text file opened for writing that appears at `path` only if the
-    block succeeds: it is written beside `path` under a temporary name,
-    moved over `path` at the end and removed on any error.  A path that
-    exists and is not a regular file (a FIFO, /dev/stdout) is written in
-    place, since it cannot be replaced."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="ascii") as out:
-            yield out
-        return
-    real = os.path.realpath(path)
-    tmp = f"{real}.{os.getpid()}.tmp"
-    try:
-        out = open(tmp, "w", encoding="ascii")
-    except OSError as exc:  # name the path asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with out:
-            yield out
-        os.replace(tmp, real)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def cmd_map(args) -> int:
     _check_k(args.k)
     _check_threads(args.threads)
-    graph = read_unitigs_fasta(args.graph, k=args.k)
-    if args.index_in:
-        anchor, interior = load_indexes(args.index_in)
-        if anchor.k != args.k:
-            raise SystemExit2(
-                f"index was built for k={anchor.k}, requested k={args.k}"
-            )
-        if not matches_graph(graph, anchor, interior):
-            raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
-    else:
-        anchor = build_anchor_index(graph)
-        interior = build_interior_index(graph)
-    if args.index_out:
-        save_indexes(args.index_out, anchor, interior)
-    reads = chain.from_iterable(map(read_sequences, args.reads))
-    regimes = {"single_unitig": 0, "branching_path": 0, "unmapped": 0}
-    started = time.perf_counter()
-    with _output_on_success(args.output) as out:
-        out.write("\t".join(TSV_COLUMNS) + "\n")
-        for rows in map_stream(reads, graph, anchor, interior, _params(args),
-                               threads=args.threads, render=_result_to_tsv):
-            for row in rows:  # the regime is the next-to-last column
-                regimes[row.rsplit("\t", 2)[1]] += 1
-            out.write("\n".join(rows))
-            out.write("\n")
+    with _output_on_success(args.output, args.index_out) as (output, index_out):
+        graph = read_unitigs_fasta(args.graph, k=args.k)
+        if args.index_in:
+            anchor, interior = load_indexes(args.index_in)
+            if anchor.k != args.k:
+                raise SystemExit2(
+                    f"index was built for k={anchor.k}, requested k={args.k}"
+                )
+            if not matches_graph(graph, anchor, interior):
+                raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
+        else:
+            anchor = build_anchor_index(graph)
+            interior = build_interior_index(graph)
+        if index_out:
+            save_indexes(index_out, anchor, interior)
+        reads = chain.from_iterable(map(read_sequences, args.reads))
+        regimes = {"single_unitig": 0, "branching_path": 0, "unmapped": 0}
+        started = time.perf_counter()
+        with open(output, "w", encoding="ascii") as out:
+            out.write("\t".join(TSV_COLUMNS) + "\n")
+            for rows in map_stream(reads, graph, anchor, interior, _params(args),
+                                   threads=args.threads, render=_result_to_tsv):
+                for row in rows:  # the regime is the next-to-last column
+                    regimes[row.rsplit("\t", 2)[1]] += 1
+                out.write("\n".join(rows))
+                out.write("\n")
     elapsed = time.perf_counter() - started
     n_reads = sum(regimes.values())
     total = n_reads or 1
@@ -304,19 +312,20 @@ def cmd_eval(args) -> int:
         rates = [float(r) for r in args.rates.split(",") if r.strip() != ""]
     except ValueError as exc:
         raise SystemExit2(f"bad rate list: {exc}")
-    report = run_accuracy_sweep(
-        reference,
-        k=args.k,
-        rates=rates,
-        read_count=args.reads_per_rate,
-        params=_params(args),
-        read_length=args.read_length,
-        seed=args.seed,
-        threads=args.threads,
-        compare_exhaustive=not args.no_exhaustive,
-        truth_path=args.truth_out,
-    )
-    report.write_csv(args.output)
+    with _output_on_success(args.output, args.truth_out) as (output, truth_out):
+        report = run_accuracy_sweep(
+            reference,
+            k=args.k,
+            rates=rates,
+            read_count=args.reads_per_rate,
+            params=_params(args),
+            read_length=args.read_length,
+            seed=args.seed,
+            threads=args.threads,
+            compare_exhaustive=not args.no_exhaustive,
+            truth_path=truth_out,
+        )
+        report.write_csv(output)
     for row in report.rows:
         print(
             f"rate={row.error_rate:g} recall={row.recall:.4f} d0={row.d0:.2f} "

@@ -253,9 +253,8 @@ def run_accuracy_sweep(
     histogram.  An empty rate list gives an empty report."""
     if read_length < k:
         raise ValueError("read_length must be >= k")
-    if not rates:
-        return EvalReport(rows=[])
-    graph, anchor, interior = build_reference_graph(reference, k)
+    if rates:
+        graph, anchor, interior = build_reference_graph(reference, k)
     rows = []
     truth_lines = []
     for i, rate in enumerate(rates):

@@ -107,13 +107,12 @@ def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
         plus = handle.readline()
         if not plus.startswith("+"):
             raise ValueError("malformed FASTQ record: missing '+' line")
-        qual = handle.readline().rstrip("\r\n")
-        if len(qual) != len(seq):
+        if len(handle.readline().rstrip("\r\n")) != len(seq):
             raise ValueError("malformed FASTQ record: quality length mismatch")
         name, text = _name_and_description(header[1:])
         if not name:
             raise ValueError("FASTQ header without a name")
-        yield Read(id=dedup(name), sequence=normalize_sequence(seq), quality=qual), text
+        yield Read(id=dedup(name), sequence=normalize_sequence(seq)), text
 
 
 def read_sequences(path: str | Path) -> Iterator[Read]:

@@ -28,10 +28,9 @@ from .census import SolidKmerSet
 from .fastx import read_described, write_fasta
 from .sequences import (
     BASES,
-    canonical_code,
     decode_kmer,
-    encode_kmer,
     flip,
+    kmer_codes,
     non_acgt,
     rc_code,
     reverse_complement,
@@ -76,9 +75,6 @@ class CompactedGraph:
             and self.unitigs == other.unitigs
         )
 
-    def sequence(self, unitig_id: int) -> str:
-        return self.unitigs[unitig_id].sequence
-
     def rc_sequence(self, unitig_id: int) -> str:
         cached = self._rc_cache.get(unitig_id)
         if cached is None:
@@ -93,11 +89,9 @@ class CompactedGraph:
             return self.rc_sequence(unitig_id)
         raise ValueError(f"orientation must be '+' or '-', got {orientation!r}")
 
-    def total_length(self) -> int:
-        return sum(len(u.sequence) for u in self.unitigs)
-
     def mean_length(self) -> float:
-        return self.total_length() / len(self.unitigs) if self.unitigs else 0.0
+        total = sum(len(u.sequence) for u in self.unitigs)
+        return total / len(self.unitigs) if self.unitigs else 0.0
 
 
 def compact(solid: SolidKmerSet) -> CompactedGraph:
@@ -198,8 +192,8 @@ def enumerate_paths(
     k = solid.k
     if len(start) != k:
         raise ValueError(f"start must be a {k}-mer")
-    bits = encode_kmer(start)
-    if canonical_code(bits, k) not in solid.codes:
+    bits, rc = kmer_codes(start)
+    if min(bits, rc) not in solid.codes:
         return PathEnumeration([], False)
 
     codes = solid.codes
@@ -235,7 +229,7 @@ def enumerate_paths(
             if truncated:
                 return
 
-    recurse(bits, rc_code(bits, k))
+    recurse(bits, rc)
     return PathEnumeration(walks, truncated)
 
 
@@ -248,6 +242,8 @@ def write_unitigs_fasta(path: str | Path, graph: CompactedGraph) -> int:
 def _recorded_k(description: str) -> int | None:
     for field in description.split():
         if field.startswith("k="):
+            if not field[2:].isdigit():
+                raise ValueError(f"unitig header has a bad k field: {field!r}")
             return int(field[2:])
     return None
 

@@ -154,11 +154,6 @@ def _hamming(seq: str, base: int, text: str, limit: int):
     return cost, tuple(out)
 
 
-def _require_length(seq: str, k: int) -> None:
-    if len(seq) < k:
-        raise ValueError("read below k")
-
-
 def _mirror(wins, base: int):
     """Forward windows as the reverse complement sees them, in ascending order."""
     return ((base - pos, rc, fwd) for pos, fwd, rc in reversed(wins))
@@ -424,7 +419,8 @@ def map_branching(
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
     """Greedy mapping of a read across branching unitig paths."""
-    _require_length(read.sequence, graph.k)
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
     return _first_strand(read.id, view, _branch_pass, graph, anchor, params)
 
@@ -479,7 +475,8 @@ def map_single_unitig(
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
     """Place a read entirely inside one unitig via the interior index."""
-    _require_length(read.sequence, graph.k)
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
     return _first_strand(read.id, view, _single_pass, graph, interior, params)
 
@@ -605,7 +602,8 @@ def map_exhaustive(
     """Minimum-cost mapping over all anchored paths; cost never exceeds the
     greedy mapper's on the same input.  The first strand reaching the
     minimum wins; unmapped, the reason is the worst over the strands."""
-    _require_length(read.sequence, graph.k)
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
     best = None
     reason = None

@@ -1,10 +1,13 @@
 """DNA alphabet, bit-packed k-mers, and read records shared by the whole toolkit.
 
-K-mers are packed two bits per base, most significant bits first, with
-A=0, C=1, G=2, T=3.  Because the code order matches the lexicographic base
-order, integer comparison of two packed k-mers of equal length is exactly
-lexicographic comparison of their sequences, so the canonical form of a
-k-mer is simply ``min(code, rc_code)``.
+Packed codes are the only k-mer form: two bits per base, most significant
+bits first, with A=0, C=1, G=2, T=3.  `kmer_codes` (one exact word) and
+`window_codes` (every N-free window of a sequence) are the encoders from
+strings; each gives a word's forward code and its reverse complement's.
+Because the code order matches the lexicographic base order, integer
+comparison of two packed k-mers of equal length is exactly lexicographic
+comparison of their sequences, so the canonical form of a k-mer is simply
+``min(fwd, rc)``.
 """
 
 from __future__ import annotations
@@ -23,11 +26,6 @@ _COMPLEMENT_WITH_N = str.maketrans("ACGTN", "TGCAN")
 _DIGITS = str.maketrans("ACGT", "0123")
 _RC_DIGITS = str.maketrans("ACGT", "3210")
 _DROP_ACGT = str.maketrans("", "", "ACGT")
-
-# ord(base) -> 2-bit code; 4 marks anything that is not A/C/G/T.
-_CODE = [4] * 256
-for _i, _b in enumerate(BASES):
-    _CODE[ord(_b)] = _i
 
 
 def non_acgt(s: str) -> str:
@@ -57,22 +55,11 @@ def flip(orientation: str) -> str:
     return "-" if orientation == "+" else "+"
 
 
-def canonical_kmer(s: str) -> str:
-    """Lexicographic minimum of a k-mer and its reverse complement."""
-    return min(s, reverse_complement(s))
-
-
 def encode_kmer(s: str) -> int:
     """Pack an ACGT string into an integer, first base in the highest bits."""
     if not 1 <= len(s) <= MAX_K:
         raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {len(s)}")
-    bits = 0
-    for ch in s:
-        code = _CODE[ord(ch)]
-        if code == 4:
-            raise ValueError(f"non-ACGT in exact context: {ch!r}")
-        bits = (bits << 2) | code
-    return bits
+    return kmer_codes(s)[0]
 
 
 def kmer_codes(word: str) -> tuple[int, int]:
@@ -100,43 +87,13 @@ def rc_code(bits: int, length: int) -> int:
     return out
 
 
-def canonical_code(bits: int, length: int) -> int:
-    """Packed canonical form (min of the k-mer and its reverse complement)."""
-    rc = rc_code(bits, length)
-    return bits if bits <= rc else rc
-
-
-@dataclass(frozen=True, slots=True)
-class Kmer:
-    """A fixed-length DNA word in 2-bit packed form (oriented, not canonical)."""
-
-    length: int
-    bits: int
-
-    @classmethod
-    def from_string(cls, s: str) -> "Kmer":
-        return cls(length=len(s), bits=encode_kmer(s))
-
-    def to_string(self) -> str:
-        return decode_kmer(self.bits, self.length)
-
-    def reverse_complement(self) -> "Kmer":
-        return Kmer(self.length, rc_code(self.bits, self.length))
-
-    def canonical(self) -> "Kmer":
-        return Kmer(self.length, canonical_code(self.bits, self.length))
-
-    def is_canonical(self) -> bool:
-        return self.bits <= rc_code(self.bits, self.length)
-
-
 @dataclass(frozen=True, slots=True)
 class Read:
-    """A sequencing read; quality is carried through parsing but never scored."""
+    """A sequencing read.  FASTQ quality is validated at parsing and dropped:
+    nothing downstream scores it."""
 
     id: str
     sequence: str
-    quality: str | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -177,16 +134,3 @@ def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
                 [rc >> s & mask for s in range(0, top + 1, 2)],
             ))
     return out
-
-
-def enumerate_kmers(read: Read | str, k: int) -> list[tuple[int, Kmer]]:
-    """All N-free k-mer windows of a read as (position, Kmer) pairs.
-
-    A read shorter than k yields nothing; that is not an error.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > MAX_K:
-        raise ValueError(f"k must be <= {MAX_K}, got {k}")
-    seq = read.sequence if isinstance(read, Read) else read
-    return [(pos, Kmer(k, fwd)) for pos, fwd, _ in window_codes(seq, k)]

@@ -352,6 +352,74 @@ def test_map_bad_graph_file_exits_2_naming_it_once(tmp_path, capsys, name, text)
     assert not out.exists()
 
 
+def test_map_graph_with_a_bad_k_field_exits_2(tmp_path, capsys):
+    graph = tmp_path / "bad_k.fa"
+    graph.write_text(">u0 k=abc\nACGTACGTACGTACGTACGT\n")
+    reads = tmp_path / "input.fa"
+    write_fasta(reads, [("r0", "ACGTACGTACGTACGTACGT")])
+    out = tmp_path / "map.tsv"
+    code, _, err = run(capsys, "map", "-k", "15", "-g", str(graph), "-o", str(out), str(reads))
+    assert code == 2
+    assert err == f"error: {graph}: unitig header has a bad k field: 'k=abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gfa", ["nodir/x.gfa", "a_directory"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_build_error_leaves_no_output(tmp_path, capsys, gfa, existing):
+    # a missing directory fails before any work, a directory only when the
+    # GFA is written, after the unitig FASTA
+    ref = tmp_path / "ref.fa"
+    write_fasta(ref, [("chr", random_genome(1001, 1000))])
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / "b.fa"
+    if existing:
+        out.write_bytes(b">old\nACGT\n")
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(capsys, "build", "-k", "15", "-c", "1", "-o", str(out),
+                       "--gfa", str(tmp_path / gfa), "--solid-out", str(tmp_path / "s.bin"),
+                       str(ref))
+    assert code == 2
+    assert err.startswith("error:") and f"{tmp_path / gfa}'" in err, err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(tmp_path / "a_directory") == []
+    if existing:
+        assert out.read_bytes() == b">old\nACGT\n"
+
+
+@pytest.mark.parametrize("output", ["nodir/r.csv", "a_directory"])
+def test_eval_error_leaves_no_truth(tmp_path, capsys, output):
+    (tmp_path / "a_directory").mkdir()
+    truth = tmp_path / "t.tsv"
+    code, _, err = run(
+        capsys, "eval", "-k", "15", "--random-ref", "1000", "--rates", "0",
+        "--reads-per-rate", "20", "--read-length", "60", "--no-exhaustive",
+        "-o", str(tmp_path / output), "--truth-out", str(truth),
+    )
+    assert code == 2
+    assert err.startswith("error:") and f"{tmp_path / output}'" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["a_directory"]
+    assert os.listdir(tmp_path / "a_directory") == []
+
+
+def test_map_malformed_fastq_keeps_an_existing_output(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = tmp_path / "reads.fq"
+    reads.write_text(_fastq_text(genome, 50) + "@bad\nACGT\n+\nIII\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "map.tsv"
+    out.write_bytes(b"old\n")
+    code, _, err = run(
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
+        "--index-out", str(out_dir / "graph.idx"), str(reads),
+    )
+    assert code == 2
+    assert err == f"error: {reads}: malformed FASTQ record: quality length mismatch\n"
+    assert os.listdir(out_dir) == ["map.tsv"]
+    assert out.read_bytes() == b"old\n"
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 @pytest.mark.parametrize("command", ["map", "eval"])
 def test_threads_below_1_exits_2(tmp_path, capsys, command, threads):

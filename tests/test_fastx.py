@@ -1,5 +1,6 @@
 import gzip
 import random
+import re
 
 import pytest
 
@@ -40,9 +41,7 @@ def test_fastq_with_quality(tmp_path):
     p = tmp_path / "r.fq"
     p.write_text("@r1 extra\nACGT\n+\nIIII\n@r2\nGGTT\n+r2\nFFFF\n")
     reads = list(read_sequences(p))
-    assert reads[0] == Read(id="r1", sequence="ACGT", quality="IIII")
-    assert reads[1].id == "r2"
-    assert reads[1].quality == "FFFF"
+    assert reads == [Read(id="r1", sequence="ACGT"), Read(id="r2", sequence="GGTT")]
 
 
 def test_gzip_detected_by_magic_not_extension(tmp_path):
@@ -56,10 +55,7 @@ def test_gzip_fastq(tmp_path):
     p = tmp_path / "reads.fq.gz"
     p.write_bytes(gzip.compress(b"@r1\nACGT\n+\nIIII\n@r2\nTTAA\n+\nFFFF\n"))
     reads = list(read_sequences(p))
-    assert [(r.id, r.sequence, r.quality) for r in reads] == [
-        ("r1", "ACGT", "IIII"),
-        ("r2", "TTAA", "FFFF"),
-    ]
+    assert [(r.id, r.sequence) for r in reads] == [("r1", "ACGT"), ("r2", "TTAA")]
 
 
 def test_lowercase_and_ambiguity_normalized(tmp_path):
@@ -112,6 +108,22 @@ def test_malformed_fastq(tmp_path):
     p = tmp_path / "bad.fq"
     p.write_text("@r1\nACGT\nIIII\n")
     with pytest.raises(ValueError, match="'\\+'"):
+        list(read_sequences(p))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("@r1\nACGT\n+\nIII\n", "quality length mismatch"),
+    ("@r1\nACGT\nIIII\n", "missing '\\+' line"),
+    ("@r1\nACGT\n", "missing '\\+' line"),
+    ("@r1\nACGT\n+\n", "quality length mismatch"),
+    ("r1\nACGT\n+\nIIII\n", "unrecognized sequence file format"),
+    ("@r1\nACGT\n+\nIIII\nr2\nACGT\n+\nIIII\n", "malformed FASTQ record header"),
+    ("@\nACGT\n+\nIIII\n", "FASTQ header without a name"),
+])
+def test_malformed_fastq_records_name_the_file(tmp_path, text, message):
+    p = tmp_path / "bad.fq"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{message}"):
         list(read_sequences(p))
 
 

@@ -159,9 +159,16 @@ def test_map_branching_requires_anchor():
 
 def test_map_branching_read_below_k():
     graph = build_graph(["ACTGA"], 3)
-    anchor, _ = indexes_for(graph)
-    with pytest.raises(ValueError, match="read below k"):
-        map_branching(Read(id="r", sequence="AC"), graph, anchor, PARAMS)
+    anchor, interior = indexes_for(graph)
+    read = Read(id="r", sequence="AC")
+    results = (
+        map_read(read, graph, anchor, interior, PARAMS),
+        map_single_unitig(read, graph, interior, PARAMS),
+        map_branching(read, graph, anchor, PARAMS),
+        map_exhaustive(read, graph, anchor, PARAMS),
+    )
+    for result in results:
+        assert result == MappingResult(read_id="r", regime="unmapped", reason="too_short")
 
 
 def test_map_single_unitig_interior_substring():

@@ -4,13 +4,9 @@ import pytest
 
 from cdbgmap.sequences import (
     MAX_K,
-    Kmer,
     Read,
-    canonical_code,
-    canonical_kmer,
     decode_kmer,
     encode_kmer,
-    enumerate_kmers,
     kmer_codes,
     rc_code,
     reverse_complement,
@@ -90,11 +86,10 @@ def test_canonical_properties():
     for _ in range(300):
         k = rng.randint(2, 31)
         s = random_dna(rng, k)
-        canon = canonical_kmer(s)
+        canon = decode_kmer(min(kmer_codes(s)), k)
         assert canon == naive_canonical(s)
-        assert canonical_kmer(canon) == canon
-        assert canonical_kmer(naive_rc(s)) == canon
-        assert decode_kmer(canonical_code(encode_kmer(s), k), k) == canon
+        assert decode_kmer(min(kmer_codes(canon)), k) == canon
+        assert decode_kmer(min(kmer_codes(naive_rc(s))), k) == canon
 
 
 def test_rc_code_matches_string_rc():
@@ -109,64 +104,13 @@ def test_rc_code_matches_string_rc():
             kmer_codes(bad)
 
 
-def test_kmer_dataclass_round_trip():
-    km = Kmer.from_string("ACTGA")
-    assert km.to_string() == "ACTGA"
-    assert km.reverse_complement().to_string() == "TCAGT"
-    assert km.canonical().to_string() == "ACTGA"
-    assert km.is_canonical()
-    assert not Kmer.from_string("TTT").is_canonical()
-
-
-def test_enumerate_kmers_examples():
-    got = [(p, km.to_string()) for p, km in enumerate_kmers("ACTGA", 3)]
-    assert got == [(0, "ACT"), (1, "CTG"), (2, "TGA")]
-    assert enumerate_kmers("ACNGA", 3) == []
-    assert enumerate_kmers("AC", 3) == []
-
-
-def test_enumerate_kmers_skips_n_windows_preserving_positions():
-    got = [(p, km.to_string()) for p, km in enumerate_kmers("ACNGATC", 3)]
-    assert got == [(3, "GAT"), (4, "ATC")]
-
-
-def test_enumerate_kmers_count_property():
-    rng = random.Random(13)
-    for _ in range(50):
-        n = rng.randint(0, 40)
-        s = random_dna(rng, n) if n else "A"
-        k = rng.randint(2, 9)
-        assert len(enumerate_kmers(s, k)) == max(0, len(s) - k + 1)
-
-
-def test_enumerate_kmers_validates_k():
-    with pytest.raises(ValueError):
-        enumerate_kmers("ACGT", 1)
-    with pytest.raises(ValueError):
-        enumerate_kmers("ACGT", MAX_K + 1)
-
-
-def test_window_codes_agree_with_enumerate():
-    rng = random.Random(17)
-    for _ in range(40):
-        s = "".join(rng.choice("ACGTN") for _ in range(rng.randint(5, 60)))
-        k = rng.randint(2, 8)
-        wins = window_codes(s, k)
-        kms = enumerate_kmers(s, k)
-        assert [(p, decode_kmer(f, k)) for p, f, _ in wins] == [
-            (p, km.to_string()) for p, km in kms
-        ]
-        for _, f, r in wins:
-            assert decode_kmer(r, k) == naive_rc(decode_kmer(f, k))
-
-
 def test_read_validation():
     with pytest.raises(ValueError):
         Read(id="", sequence="ACGT")
     with pytest.raises(ValueError):
         Read(id="r1", sequence="")
-    r = Read(id="r1", sequence="ACGT", quality="IIII")
-    assert r.quality == "IIII"
+    r = Read(id="r1", sequence="ACGT")
+    assert (r.id, r.sequence) == ("r1", "ACGT")
 
 
 # ord(base) -> 2-bit code; 4 marks anything that is not A/C/G/T.
