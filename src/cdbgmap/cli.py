@@ -212,6 +212,8 @@ def cmd_build(args) -> int:
         if not n_reads:
             raise SystemExit2("no sequences")
         solid = solid_set(census, args.min_coverage)
+        distinct_kmers = len(census.counts)
+        del census  # release the counts before compaction
         if not len(solid):
             raise SystemExit2("no solid k-mers at this coverage threshold")
         graph = compact(solid)
@@ -221,7 +223,7 @@ def cmd_build(args) -> int:
         if gfa:
             write_gfa(gfa, graph, build_anchor_index(graph))
     print(f"reads={n_reads}")
-    print(f"distinct_kmers={len(census.counts)}")
+    print(f"distinct_kmers={distinct_kmers}")
     print(f"solid_kmers={len(solid)}")
     print(f"unitig_count={len(graph)}")
     print(f"mean_len={graph.mean_length():.2f}")

@@ -21,19 +21,28 @@ the forward unitig text, with no orientation bit: a read strand is placed on
 the forward text by looking up its own windows' written codes, and on the
 reverse text by the reverse complement's pass doing the same.
 
-The index file (format version 4) holds a header of magic, version, k and
-a fingerprint of the graph the indexes were built from
-(`graph_fingerprint`), then the anchor table and the interior table, and
-nothing else.  The fingerprint matches a file to a graph without
-rebuilding either index, and the mapper reads everything else from that
-graph.
+The index file (format version 5) holds a header of magic, version, k, a
+fingerprint of the graph the indexes were built from (`graph_fingerprint`)
+and its unitig count; then the anchor table and the interior table in one
+layout, a key and an entry count and then little-endian columns, in key
+order, of the keys' high and low 64-bit words, one size per group (an
+anchor key's starts then its ends; an interior key's occurrences) and two
+32-bit fields per entry (unitig id, then orientation bit or offset); and
+last a CRC-32 of every byte before it.  The fingerprint and count match a
+file to a graph without rebuilding either index.  A load rejects a CRC
+mismatch, columns that do not add up and any unitig id not below the
+count; a file of versions 1 to 4 is rejected, from its version field
+alone, with a message to rebuild it.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from itertools import islice
+import zlib
+from array import array
+from itertools import chain, islice, repeat
+from operator import and_, lshift, or_, rshift
 from pathlib import Path
 
 # The interpreter's own SHA-256: importing hashlib also loads OpenSSL, which
@@ -50,17 +59,13 @@ from .graph import CompactedGraph
 from .sequences import kmer_codes, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 4
+_INDEX_VERSION = 5
 
-# Index file records, all little-endian except the 16-byte big-endian keys.
-_VERSION = struct.Struct("<I")
-_HEADER = struct.Struct("<I32s")  # k, graph fingerprint
-_COUNT = struct.Struct("<Q")  # records in the table that follows
-_KEY = struct.Struct(">QQ")  # (k-1)-mer code, high and low words
-_ANCHOR_SIZES = struct.Struct("<HH")  # starts, ends
-_ANCHOR_ENTRY = struct.Struct("<IB")  # unitig id, orientation bit: 1 for '-'
-_OCCURRENCES = struct.Struct("<I")
-_OCCURRENCE = struct.Struct("<II")  # unitig id, offset
+# magic, version, k, graph fingerprint, unitig count; little-endian, as are
+# the columns (byte-swapped on a big-endian host)
+_HEADER = struct.Struct("<8sII32sI")
+_SWAP = sys.byteorder == "big"
+_REBUILD = "rebuild it with `cdbgmap map --index-out`"
 
 FORWARD = "+"
 REVERSE = "-"
@@ -152,12 +157,14 @@ class InteriorIndex:
     its occurrences is (unitig_id, offset) with the window at that offset;
     there is no orientation bit, so an occurrence of the reverse text is
     the one under the reverse complement's code.  `fingerprint` is the
-    `graph_fingerprint` of the graph the index was built from.
+    `graph_fingerprint` of the graph the index was built from, and
+    `unitig_count` its number of unitigs.
     """
 
     def __init__(self, k: int, fingerprint: bytes = bytes(32)):
         self.k = k
         self.fingerprint = fingerprint
+        self.unitig_count = 0
         self._table: dict[int, tuple] = {}
 
     def __len__(self) -> int:
@@ -173,6 +180,7 @@ def graph_fingerprint(graph: CompactedGraph) -> bytes:
 def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
     """Every (k-1)-mer window of every unitig, under its written code."""
     idx = InteriorIndex(graph.k, graph_fingerprint(graph))
+    idx.unitig_count = len(graph)
     size = graph.k - 1
     table: dict[int, list] = {}
     for u in graph.unitigs:
@@ -184,99 +192,99 @@ def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
 
 
 def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
-    """Whether loaded indexes were built from `graph`: same k and the same
-    fingerprint."""
-    return anchor.k == graph.k and interior.fingerprint == graph_fingerprint(graph)
+    """Whether loaded indexes were built from `graph`: same k, unitig count
+    and fingerprint."""
+    return (anchor.k, interior.unitig_count, interior.fingerprint) == (
+        graph.k, len(graph), graph_fingerprint(graph))
 
 
 def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
-    """Versioned binary dump of both indexes: magic, version, k and graph
-    fingerprint, then each table with its record count."""
+    """Both indexes in the file layout of the module docstring, the CRC
+    folded over the columns as they are written."""
+    header = _HEADER.pack(
+        _INDEX_MAGIC, _INDEX_VERSION, anchor.k, interior.fingerprint, interior.unitig_count
+    )
+    anchor_keys, interior_keys = sorted(anchor._table), sorted(interior._table)
+    tables = (  # anchor groups: starts then ends, with orientation bits
+        (anchor_keys, [[(u, o == REVERSE) for u, o in group]
+                       for key in anchor_keys for group in anchor._table[key]]),
+        (interior_keys, [interior._table[key] for key in interior_keys]),
+    )
     with open(path, "wb") as out:
-        out.write(_INDEX_MAGIC)
-        out.write(_VERSION.pack(_INDEX_VERSION))
-        out.write(_HEADER.pack(anchor.k, interior.fingerprint))
-        out.write(_COUNT.pack(len(anchor._table)))
-        for key in sorted(anchor._table):
-            starts, ends = anchor._table[key]
-            out.write(key.to_bytes(16, "big"))
-            out.write(_ANCHOR_SIZES.pack(len(starts), len(ends)))
-            for uid, orient in starts + ends:
-                out.write(_ANCHOR_ENTRY.pack(uid, orient == REVERSE))
-        out.write(_COUNT.pack(len(interior._table)))
-        for key in sorted(interior._table):
-            occs = interior._table[key]
-            out.write(key.to_bytes(16, "big"))
-            out.write(_OCCURRENCES.pack(len(occs)))
-            for occ in occs:
-                out.write(_OCCURRENCE.pack(*occ))
+        out.write(header)
+        crc = zlib.crc32(header)
+        for keys, groups in tables:
+            for typecode, values in (
+                ("Q", (len(keys), sum(map(len, groups)))),
+                ("Q", map(rshift, keys, repeat(64))),
+                ("Q", map(and_, keys, repeat((1 << 64) - 1))),
+                ("I", map(len, groups)),
+                ("I", chain.from_iterable(chain.from_iterable(groups))),
+            ):
+                col = array(typecode, values)
+                if _SWAP:
+                    col.byteswap()
+                out.write(col)
+                crc = zlib.crc32(col, crc)
+        out.write(crc.to_bytes(4, "little"))
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
-    """Inverse of save_indexes.  The file is read whole; one of another
-    format version, or a truncated or malformed one, raises ValueError."""
+    """Inverse of save_indexes.  A file of another format version (nothing
+    past its version is read), or a truncated or malformed one, raises
+    ValueError."""
     with open(path, "rb") as inp:
         data = inp.read()
     if data[:8] != _INDEX_MAGIC:
         raise ValueError(f"not an index file: {path}")
-    if len(data) >= 8 + _VERSION.size:
-        (version,) = _VERSION.unpack_from(data, 8)
-        if version != _INDEX_VERSION:
-            raise ValueError(
-                f"index {path} has format version {version}, this cdbgmap reads "
-                f"version {_INDEX_VERSION}: rebuild it with `cdbgmap map --index-out`"
-            )
+    version = int.from_bytes(data[8:12], "little")
+    if len(data) >= 12 and version != _INDEX_VERSION:
+        raise ValueError(
+            f"index {path} has format version {version}, this cdbgmap reads "
+            f"version {_INDEX_VERSION}: {_REBUILD}"
+        )
+    body = memoryview(data)[:-4]
+    off = _HEADER.size
+
+    def take(typecode: str, n: int):
+        nonlocal off
+        start, off = off, off + n * struct.calcsize(typecode)
+        if off > len(body):
+            raise ValueError("a column is cut short")
+        col = body[start:off].cast(typecode)
+        if _SWAP:
+            col = array(typecode, col)
+            col.byteswap()
+        return col
+
     try:
-        return _decode_indexes(data)
-    except (struct.error, ValueError, IndexError) as exc:
-        raise ValueError(f"truncated or malformed index file {path}: {exc}") from None
+        if len(body) < _HEADER.size or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
+            raise ValueError("CRC-32 mismatch")
+        _, _, k, fingerprint, count = _HEADER.unpack_from(data)
+        tables = []
+        for groups_per_key in (2, 1):  # anchor: starts and ends; interior: occurrences
+            n_keys, n_entries = take("Q", 2)
+            keys = map(or_, map(lshift, take("Q", n_keys), repeat(64)), take("Q", n_keys))
+            sizes, entries = take("I", groups_per_key * n_keys), take("I", 2 * n_entries)
+            if sum(sizes) != n_entries:
+                raise ValueError("group sizes do not sum to the entry count")
+            if max(entries[0::2], default=-1) >= count:
+                raise ValueError(f"a unitig id is not below the unitig count {count}")
+            tables.append((keys, sizes, entries[0::2], entries[1::2]))
+        if off != len(body):
+            raise ValueError(f"{len(body) - off} bytes between the tables and the CRC trailer")
+        if max(tables[0][3], default=0) > 1:
+            raise ValueError("an orientation bit above 1")
+    except ValueError as exc:
+        raise ValueError(f"truncated or malformed index file {path} ({exc}): {_REBUILD}") from None
 
-
-def _decode_indexes(data: bytes) -> tuple[AnchorIndex, InteriorIndex]:
-    """Decode save_indexes' layout, version checked, from `data`:
-    struct.error when it runs short, IndexError on an orientation bit above
-    1, ValueError on bytes left over."""
-    k, fingerprint = _HEADER.unpack_from(data, 8 + _VERSION.size)
-    key_at = _KEY.unpack_from
-    off = 8 + _VERSION.size + _HEADER.size
-
-    anchor = AnchorIndex(k=k)
-    sizes_at = _ANCHOR_SIZES.unpack_from
-    entry_at = _ANCHOR_ENTRY.unpack_from
-    entry_size = _ANCHOR_ENTRY.size
-    (n_keys,) = _COUNT.unpack_from(data, off)
-    off += _COUNT.size
-    for _ in range(n_keys):
-        high, low = key_at(data, off)
-        n_starts, n_ends = sizes_at(data, off + 16)
-        off += 20
-        entries = []
-        for _ in range(n_starts + n_ends):
-            uid, bit = entry_at(data, off)
-            entries.append((uid, "+-"[bit]))
-            off += entry_size
-        anchor._table[high << 64 | low] = (tuple(entries[:n_starts]), tuple(entries[n_starts:]))
-
-    interior = InteriorIndex(k, fingerprint)
-    count_at = _OCCURRENCES.unpack_from
-    occ_at = _OCCURRENCE.unpack_from
-    occ_size = _OCCURRENCE.size
-    table = interior._table
-    (n_keys,) = _COUNT.unpack_from(data, off)
-    off += _COUNT.size
-    for _ in range(n_keys):
-        high, low = key_at(data, off)
-        (n_occ,) = count_at(data, off + 16)
-        off += 20
-        if n_occ == 1:  # nearly every key outside repeats
-            occs = (occ_at(data, off),)
-        else:
-            occs = tuple(occ_at(data, off + i * occ_size) for i in range(n_occ))
-        off += n_occ * occ_size
-        table[high << 64 | low] = occs
-
-    if off != len(data):
-        raise ValueError(f"{len(data) - off} bytes after the index tables")
+    anchor, interior = AnchorIndex(k), InteriorIndex(k, fingerprint)
+    interior.unitig_count = count
+    (keys, sizes, uids, bits), (ikeys, isizes, iuids, offsets) = tables
+    groups = map(tuple, map(islice, repeat(zip(uids, map("+-".__getitem__, bits))), sizes))
+    anchor._table = dict(zip(keys, zip(groups, groups)))  # starts, then ends
+    groups = map(tuple, map(islice, repeat(zip(iuids, offsets)), isizes))
+    interior._table = dict(zip(ikeys, groups))
     return anchor, interior
 
 

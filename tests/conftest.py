@@ -6,6 +6,7 @@ cannot hide in the tests that check it.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -51,6 +52,13 @@ def damaged_gzip(path, data, damage):
         raise ValueError(damage)
     path.write_bytes(bytes(data))
     return path
+
+
+def with_crc(data):
+    """Index file bytes with the CRC-32 trailer recomputed, so that a load
+    gets past the checksum to the check a corruption aims at."""
+    body = bytes(data[:-4])
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def graph_from_sequences(seqs, k, min_count=1):

@@ -12,7 +12,7 @@ from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import read_unitigs_fasta
 from cdbgmap.index import load_indexes
 
-from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome
+from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome, with_crc
 
 
 def run(capsys, *argv):
@@ -487,48 +487,71 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 
 
 def _index_sections(idx_path):
-    """End offsets of the header and the two tables of a saved index; the
-    file ends where the interior table does."""
+    """(start, end) byte ranges of a saved index by name, in file order: the
+    header fields, each table's five columns and the CRC trailer."""
     anchor, interior = load_indexes(idx_path)
-    header = 8 + 4 + 4 + 32  # magic, version, k, fingerprint
-    anchor_end = header + 8 + sum(
-        16 + 4 + 5 * (len(s) + len(e)) for s, e in anchor._table.values()
-    )
-    interior_end = anchor_end + 8 + sum(16 + 4 + 8 * len(o) for o in interior._table.values())
-    assert interior_end == idx_path.stat().st_size
-    return header, anchor_end, interior_end
+    tables = {
+        "anchor": (anchor._table, 2, sum(len(s) + len(e) for s, e in anchor._table.values())),
+        "interior": (interior._table, 1, sum(map(len, interior._table.values()))),
+    }
+    sizes = [("magic", 8), ("version", 4), ("k", 4), ("fingerprint", 32), ("unitig count", 4)]
+    for name, (table, groups_per_key, n_entries) in tables.items():
+        sizes += [
+            (f"{name} counts", 16),
+            (f"{name} key high words", 8 * len(table)),
+            (f"{name} key low words", 8 * len(table)),
+            (f"{name} group sizes", 4 * groups_per_key * len(table)),
+            (f"{name} entries", 8 * n_entries),
+        ]
+    sections, end = {}, 0
+    for name, size in sizes + [("trailer", 4)]:
+        sections[name] = (end, end + size)
+        end += size
+    assert end == idx_path.stat().st_size
+    return sections
 
 
-def test_map_truncated_index_exits_2(tmp_path, capsys):
-    genome, unitigs = _built_workspace(tmp_path, capsys)
+def _saved_index(tmp_path, capsys, genome=None):
+    """A built graph, a few reads and the index `map --index-out` saved."""
+    genome, unitigs = _built_workspace(tmp_path, capsys, genome)
     reads = _reads_file(tmp_path, genome, n=5)
     idx = tmp_path / "graph.idx"
     assert run(
         capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
         str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
     )[0] == 0
-    data = idx.read_bytes()
-    header, anchor_end, interior_end = _index_sections(idx)
-    cuts = {
-        "header": 12,
-        "anchor table": (header + anchor_end) // 2,
-        "interior table": (anchor_end + interior_end) // 2,
-    }
-    for where, cut in cuts.items():
-        bad = tmp_path / "cut.idx"
-        bad.write_bytes(data[:cut])
-        code, _, err = run(
-            capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
-            str(tmp_path / "b.tsv"), "--index-in", str(bad), str(reads),
-        )
-        assert code == 2, where
-        assert err.startswith("error:") and "Traceback" not in err, where
-    bad.write_bytes(data + b"\x00")
+    return unitigs, reads, idx
+
+
+def _map_with_index(tmp_path, capsys, unitigs, reads, content, name="bad"):
+    """Exit code and stderr of `map --index-in` on an index of `content`,
+    checking that a failure leaves no TSV."""
+    bad = tmp_path / f"{name}.idx"
+    bad.write_bytes(content)
+    out = tmp_path / f"{name}.tsv"
     code, _, err = run(
-        capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
-        str(tmp_path / "b.tsv"), "--index-in", str(bad), str(reads),
+        capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
+        "--index-in", str(bad), str(reads),
     )
-    assert code == 2 and "after the index tables" in err
+    if code:
+        assert err.startswith("error:") and "Traceback" not in err, (name, err)
+        assert not out.exists(), name
+    return code, err
+
+
+def test_map_truncated_index_exits_2(tmp_path, capsys):
+    unitigs, reads, idx = _saved_index(tmp_path, capsys)
+    data = idx.read_bytes()
+    sections = _index_sections(idx)
+    cuts = {"version": 10}
+    for part in ("fingerprint", "anchor key low words", "interior entries", "trailer"):
+        start, end = sections[part]
+        cuts[part] = (start + end) // 2
+    for where, cut in cuts.items():
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, data[:cut], where)
+        assert code == 2 and "truncated or malformed" in err, where
+    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, data + b"\x00", "extra")
+    assert code == 2 and "CRC-32 mismatch" in err
 
 
 def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
@@ -549,113 +572,51 @@ def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
     assert rows[:11] + rows[12:] == plain.read_text().splitlines()
 
 
-def _canonical_anchor_bytes(anchor):
-    """The anchor table as formats 1 and 2 wrote it: keyed by canonical
-    (k-1)-mer, each key holding the oriented unitigs that start and end
-    with that word as written.  The written keys are closed under reverse
-    complement, so those are the canonical ones."""
-    from cdbgmap.sequences import rc_code
-
-    k1 = anchor.k - 1
-    canonical = sorted(key for key in anchor._table if key <= rc_code(key, k1))
-    out = [struct.pack("<Q", len(canonical))]
-    for key in canonical:
-        starts, ends = anchor._table[key]
-        out.append(key.to_bytes(16, "big") + struct.pack("<HH", len(starts), len(ends)))
-        out.extend(struct.pack("<IB", uid, o == "-") for uid, o in starts + ends)
-    return b"".join(out)
-
-
-def _lengths_bytes(unitigs, k):
-    """The table of (unitig id, length) records that formats 1 to 3 ended
-    with, for the graph in the unitig FASTA `unitigs`."""
-    graph = read_unitigs_fasta(unitigs, k)
-    out = [struct.pack("<Q", len(graph))]
-    out.extend(struct.pack("<II", u.id, len(u.sequence)) for u in graph.unitigs)
-    return b"".join(out)
-
-
-def _v1_index_bytes(idx_path, unitigs):
-    """The same indexes in format version 1: a 16-byte header of version, k,
-    min_length 0 and stride 1, canonical anchor keys, interior keys
-    canonical with a written-is-canonical byte on each occurrence, and the
-    unitig lengths."""
-    from cdbgmap.sequences import rc_code
-
-    anchor, interior = load_indexes(idx_path)
-    k1 = anchor.k - 1
-    canonical = {}
-    for fwd, occs in interior._table.items():
-        rc = rc_code(fwd, k1)
-        for uid, off in occs:
-            canonical.setdefault(min(fwd, rc), []).append((uid, off, int(fwd <= rc)))
-    out = [b"CDBGIDX1", struct.pack("<IIII", 1, anchor.k, 0, 1), _canonical_anchor_bytes(anchor)]
-    out.append(struct.pack("<Q", len(canonical)))
-    for key in sorted(canonical):
-        occs = sorted(canonical[key])
-        out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
-        out.extend(struct.pack("<IIB", *occ) for occ in occs)
-    out.append(_lengths_bytes(unitigs, anchor.k))
-    return b"".join(out)
-
-
-def _v2_index_bytes(idx_path, unitigs):
-    """The same indexes in format version 2: a header of version, k,
-    min_length 0, stride 1 and the graph fingerprint, canonical anchor
-    keys, interior keys written as in versions 3 and 4, and the unitig
-    lengths."""
-    anchor, interior = load_indexes(idx_path)
-    header = struct.pack("<IIII32s", 2, anchor.k, 0, 1, interior.fingerprint)
-    out = [b"CDBGIDX1", header, _canonical_anchor_bytes(anchor)]
-    out.append(struct.pack("<Q", len(interior._table)))
-    for key in sorted(interior._table):
-        occs = interior._table[key]
-        out.append(key.to_bytes(16, "big") + struct.pack("<I", len(occs)))
-        out.extend(struct.pack("<II", *occ) for occ in occs)
-    out.append(_lengths_bytes(unitigs, anchor.k))
-    return b"".join(out)
-
-
-def _v3_index_bytes(idx_path, unitigs):
-    """The same indexes in format version 3: the version 4 bytes under
-    version 3, followed by the unitig lengths."""
-    data = bytearray(idx_path.read_bytes())
-    struct.pack_into("<I", data, 8, 3)
-    (k,) = struct.unpack_from("<I", data, 12)
-    return bytes(data) + _lengths_bytes(unitigs, k)
-
-
 def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
-    genome, unitigs = _built_workspace(tmp_path, capsys)
-    reads = _reads_file(tmp_path, genome, n=5)
-    idx = tmp_path / "graph.idx"
-    assert run(
-        capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
-        str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
-    )[0] == 0
+    unitigs, reads, idx = _saved_index(tmp_path, capsys)
     data = idx.read_bytes()
-    header = _index_sections(idx)[0]
-    fingerprint = slice(header - 32, header)
-    assert data[fingerprint] == hashlib.sha256(
+    sections = _index_sections(idx)
+    start, end = sections["fingerprint"]
+    assert data[start:end] == hashlib.sha256(
         "".join(u.sequence + "\n" for u in read_unitigs_fasta(unitigs, 15).unitigs).encode()
     ).digest()
+    rebuild = "this cdbgmap reads version 5: rebuild it with `cdbgmap map --index-out`"
+    cases = {}
+    for version in (1, 2, 3, 4):  # the loader reads nothing past another version
+        old = bytearray(data)
+        struct.pack_into("<I", old, 8, version)
+        cases[f"v{version}"] = (bytes(old), f"format version {version}, " + rebuild)
     wrong = bytearray(data)
-    wrong[fingerprint.start] ^= 1
-    rebuild = "this cdbgmap reads version 4: rebuild it with `cdbgmap map --index-out`"
-    cases = {
-        "v1": (_v1_index_bytes(idx, unitigs), "format version 1, " + rebuild),
-        "v2": (_v2_index_bytes(idx, unitigs), "format version 2, " + rebuild),
-        "v3": (_v3_index_bytes(idx, unitigs), "format version 3, " + rebuild),
-        "fingerprint": (bytes(wrong), "was not built from"),
-    }
+    wrong[start] ^= 1
+    cases["fingerprint"] = (with_crc(wrong), "was not built from")
+    wrong = bytearray(data)  # one unitig more than the graph has
+    count_at = sections["unitig count"][0]
+    struct.pack_into("<I", wrong, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
+    cases["unitig count"] = (with_crc(wrong), "was not built from")
     for name, (content, message) in cases.items():
-        bad = tmp_path / f"{name}.idx"
-        bad.write_bytes(content)
-        out = tmp_path / f"{name}.tsv"
-        code, _, err = run(
-            capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
-            "--index-in", str(bad), str(reads),
-        )
-        assert code == 2, name
-        assert err.startswith("error:") and message in err, (name, err)
-        assert "Traceback" not in err and not out.exists(), name
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
+        assert code == 2 and message in err, (name, err)
+
+
+def test_map_corrupt_index_exits_2(tmp_path, capsys):
+    repeat = random_genome(2005, 40)
+    genome = random_genome(2003, 300) + repeat + random_genome(2004, 300) + repeat
+    unitigs, reads, idx = _saved_index(tmp_path, capsys, genome)
+    data = idx.read_bytes()
+    sections = _index_sections(idx)
+    rng = random.Random(1105)
+    cases = 0
+    for name, (start, end) in sections.items():
+        for pos in rng.sample(range(start, end), 3):  # each section has 4 bytes or more
+            bad = bytearray(data)
+            bad[pos] ^= rng.randrange(1, 256)
+            code, _ = _map_with_index(tmp_path, capsys, unitigs, reads, bytes(bad), f"flip{pos}")
+            assert code == 2, (name, pos)
+            cases += 1
+    assert cases >= 40
+    # a valid CRC over a unitig id out of range, in either table
+    for table in ("anchor", "interior"):
+        bad = bytearray(data)
+        struct.pack_into("<I", bad, sections[f"{table} entries"][0], 10**6)
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), table)
+        assert code == 2 and "not below the unitig count" in err, table

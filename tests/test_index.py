@@ -1,4 +1,5 @@
 import random
+import struct
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     naive_rc,
     oriented,
     random_genome,
+    with_crc,
 )
 
 
@@ -356,16 +358,50 @@ def test_load_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not an index"):
         load_indexes(p)
     graph = build_graph(["ACTG", "TGAT"], 3)
-    save_indexes(p, build_anchor_index(graph), build_interior_index(graph))
+    anchor = build_anchor_index(graph)
+    save_indexes(p, anchor, build_interior_index(graph))
     data = bytearray(p.read_bytes())
-    # magic, version, header (k and the 32-byte graph fingerprint), key
-    # count, first key and its sizes, then the first entry's unitig id and
+    # header (52 bytes), the anchor table's counts, its key high and low
+    # words and its two sizes per key, then the first entry's unitig id and
     # orientation bit
-    assert data[80] in (0, 1)
-    data[80] = 2
+    bit = 52 + 16 + 16 * len(anchor) + 8 * len(anchor) + 4
+    assert data[bit] in (0, 1)
+    data[bit] = 2
     p.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match="malformed.*CRC-32 mismatch"):
         load_indexes(p)
+    p.write_bytes(with_crc(data))
+    with pytest.raises(ValueError, match="malformed.*orientation bit above 1.*rebuild"):
+        load_indexes(p)
+
+
+def test_load_rejects_inconsistent_tables_with_a_valid_crc(tmp_path):
+    graph, _ = graph_from_sequences([repeat_genome(5)], 9)
+    anchor, interior = build_anchor_index(graph), build_interior_index(graph)
+    p = tmp_path / "g.idx"
+    save_indexes(p, anchor, interior)
+    data = p.read_bytes()
+    n_anchor = sum(len(s) + len(e) for s, e in anchor._table.values())
+    anchor_sizes = 52 + 16 + 16 * len(anchor)
+    anchor_entries = anchor_sizes + 8 * len(anchor)
+    interior_entries = len(data) - 4 - 8 * sum(map(len, interior._table.values()))
+
+    def at(offset, value):
+        bad = bytearray(data)
+        struct.pack_into("<I", bad, offset, value)
+        return bad
+
+    cases = [
+        ("group sizes do not sum", at(anchor_sizes, data[anchor_sizes] + 1)),
+        ("unitig id is not below the unitig count", at(anchor_entries, len(graph))),
+        ("unitig id is not below the unitig count", at(interior_entries + 8 * 7, 10**6)),
+        ("a column is cut short", data[: anchor_entries + 8 * n_anchor - 4] + data[-4:]),
+        ("1 bytes between the tables and the CRC trailer", data[:-4] + b"\x00" + data[-4:]),
+    ]
+    for message, bad in cases:
+        p.write_bytes(with_crc(bad))
+        with pytest.raises(ValueError, match=f"malformed.*{message}"):
+            load_indexes(p)
 
 
 def test_approximate_bytes_positive():
