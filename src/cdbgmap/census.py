@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .sequences import MAX_K, Read, decode_kmer, window_codes
+from .sequences import MAX_K, Read, decode_kmer, slices, window_codes
 
 _SOLID_MAGIC = b"SLDKMER1"
 
@@ -57,11 +57,12 @@ def count_kmers(reads: Iterable[Read | str], k: int) -> KmerCensus:
     get = counts.get
     for read in reads:
         seq = read.sequence if isinstance(read, Read) else read
-        for _, fwd, rc in window_codes(seq, k):
-            # `| 0` keeps a copy allocated to its value's size: a code of
-            # more than 60 bits from window_codes may carry one spare digit
-            code = fwd | 0 if fwd < rc else rc | 0
-            counts[code] = get(code, 0) + 1
+        for _, part in slices(seq, k):
+            for _, fwd, rc in window_codes(part, k):
+                # `| 0` keeps a copy allocated to its value's size: a code of
+                # more than 60 bits from window_codes may carry one spare digit
+                code = fwd | 0 if fwd < rc else rc | 0
+                counts[code] = get(code, 0) + 1
     return KmerCensus(k=k, counts=counts)
 
 

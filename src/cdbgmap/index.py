@@ -19,7 +19,10 @@ The interior index lists every (k-1)-mer occurrence inside every unitig and
 backs the single-unitig mapping regime.  Its keys are the written codes of
 the forward unitig text, with no orientation bit: a read strand is placed on
 the forward text by looking up its own windows' written codes, and on the
-reverse text by the reverse complement's pass doing the same.
+reverse text by the reverse complement's pass doing the same.  Each
+occurrence is one int, `offset << 32 | unitig_id`, and a key with one
+occurrence holds that int alone.  The build encodes each unitig in bounded
+slices (`sequences.slices`), never as one whole-unitig window list.
 
 The index file (format version 5) holds a header of magic, version, k, a
 fingerprint of the graph the indexes were built from (`graph_fingerprint`)
@@ -28,11 +31,15 @@ layout, a key and an entry count and then little-endian columns, in key
 order, of the keys' high and low 64-bit words, one size per group (an
 anchor key's starts then its ends; an interior key's occurrences) and two
 32-bit fields per entry (unitig id, then orientation bit or offset); and
-last a CRC-32 of every byte before it.  The fingerprint and count match a
-file to a graph without rebuilding either index.  A load rejects a CRC
-mismatch, columns that do not add up and any unitig id not below the
-count; a file of versions 1 to 4 is rejected, from its version field
-alone, with a message to rebuild it.
+last a CRC-32 of every byte before it.  An interior entry's two 32-bit
+fields, read as one little-endian 64-bit value, are its packed occurrence,
+so the interior entries column is written from the in-memory ints and read
+back as them with no arithmetic per entry.  The fingerprint and count match
+a file to a graph without rebuilding either index.  A load rejects a CRC
+mismatch, columns that do not add up, an interior key with no occurrences
+and any unitig id not below the count; `matches_graph` rejects an interior
+offset past its unitig's last (k-1)-mer.  A file of versions 1 to 4 is
+rejected, from its version field alone, with a message to rebuild it.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import struct
 import sys
 import zlib
 from array import array
+from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from operator import and_, lshift, or_, rshift
 from pathlib import Path
@@ -56,7 +64,7 @@ except ImportError:
         from hashlib import sha256
 
 from .graph import CompactedGraph
-from .sequences import kmer_codes, window_codes
+from .sequences import kmer_codes, slices, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 5
@@ -69,6 +77,9 @@ _REBUILD = "rebuild it with `cdbgmap map --index-out`"
 
 FORWARD = "+"
 REVERSE = "-"
+
+# a packed interior occurrence is `offset << 32 | unitig_id`
+_UID = (1 << 32) - 1
 
 
 class AnchorIndex:
@@ -153,19 +164,21 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
 class InteriorIndex:
     """Written (k-1)-mer code -> occurrences inside unitigs.
 
-    A key is the code of a window of a unitig's forward text, and each of
-    its occurrences is (unitig_id, offset) with the window at that offset;
-    there is no orientation bit, so an occurrence of the reverse text is
-    the one under the reverse complement's code.  `fingerprint` is the
-    `graph_fingerprint` of the graph the index was built from, and
-    `unitig_count` its number of unitigs.
+    A key is the code of a window of a unitig's forward text; there is no
+    orientation bit, so an occurrence of the reverse text is the one under
+    the reverse complement's code.  An occurrence of the window at `offset`
+    of unitig `uid` is the packed int `offset << 32 | uid`.  A key with one
+    occurrence holds that int; a key with more holds a tuple of them in
+    ascending (uid, offset) order.  `fingerprint` is the `graph_fingerprint`
+    of the graph the index was built from, and `unitig_count` its number of
+    unitigs.
     """
 
     def __init__(self, k: int, fingerprint: bytes = bytes(32)):
         self.k = k
         self.fingerprint = fingerprint
         self.unitig_count = 0
-        self._table: dict[int, tuple] = {}
+        self._table: dict[int, int | tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -178,24 +191,62 @@ def graph_fingerprint(graph: CompactedGraph) -> bytes:
 
 
 def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
-    """Every (k-1)-mer window of every unitig, under its written code."""
+    """Every (k-1)-mer window of every unitig, under its written code, as
+    packed occurrences; each unitig is encoded a bounded slice at a time."""
     idx = InteriorIndex(graph.k, graph_fingerprint(graph))
     idx.unitig_count = len(graph)
     size = graph.k - 1
-    table: dict[int, list] = {}
+    table = idx._table
+    add = table.setdefault
+    repeated = []  # keys seen twice, whose occurrences are kept in a list
     for u in graph.unitigs:
-        # unitigs are exact ACGT, so window i sits at position i
-        for pos, fwd, _ in window_codes(u.sequence, size):
-            table.setdefault(fwd, []).append((u.id, pos))
-    idx._table = {key: tuple(v) for key, v in table.items()}
+        uid = u.id
+        for start, part in slices(u.sequence, size):
+            # unitigs are exact ACGT, so window i of a part sits at start + i
+            for pos, fwd, _ in window_codes(part, size):
+                packed = (start + pos) << 32 | uid
+                held = add(fwd, packed)
+                if held is packed:  # a new key
+                    continue
+                if type(held) is list:
+                    held.append(packed)
+                else:
+                    table[fwd] = [held, packed]
+                    repeated.append(fwd)
+    for key in repeated:
+        table[key] = tuple(table[key])
     return idx
+
+
+def _occurrences(values):
+    """The packed occurrences of interior table values, in order."""
+    for value in values:
+        if type(value) is int:
+            yield value
+        else:
+            yield from value
 
 
 def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
     """Whether loaded indexes were built from `graph`: same k, unitig count
-    and fingerprint."""
-    return (anchor.k, interior.unitig_count, interior.fingerprint) == (
-        graph.k, len(graph), graph_fingerprint(graph))
+    and fingerprint, and every interior occurrence places a (k-1)-mer inside
+    its unitig.  The unitig ids are below the count, as a load checks."""
+    if (anchor.k, interior.unitig_count, interior.fingerprint) != (
+            graph.k, len(graph), graph_fingerprint(graph)):
+        return False
+    last = [len(u.sequence) - graph.k + 1 for u in graph.unitigs]  # last window offsets
+    return all(p >> 32 <= last[p & _UID] for p in _occurrences(interior._table.values()))
+
+
+def _columns(keys: list, sizes: array, entries: array) -> Iterator[array]:
+    """One table's columns in file order: the key and entry counts, the
+    keys' high and low words (each built when it is asked for), the group
+    sizes and the entries."""
+    yield array("Q", (len(keys), sum(sizes)))
+    yield array("Q", map(rshift, keys, repeat(64)))
+    yield array("Q", map(and_, keys, repeat((1 << 64) - 1)))
+    yield sizes
+    yield entries
 
 
 def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
@@ -204,29 +255,38 @@ def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex)
     header = _HEADER.pack(
         _INDEX_MAGIC, _INDEX_VERSION, anchor.k, interior.fingerprint, interior.unitig_count
     )
-    anchor_keys, interior_keys = sorted(anchor._table), sorted(interior._table)
-    tables = (  # anchor groups: starts then ends, with orientation bits
-        (anchor_keys, [[(u, o == REVERSE) for u, o in group]
-                       for key in anchor_keys for group in anchor._table[key]]),
-        (interior_keys, [interior._table[key] for key in interior_keys]),
+    anchor_keys = sorted(anchor._table)
+    # anchor groups: starts then ends, with orientation bits
+    groups = [[(u, o == REVERSE) for u, o in group]
+              for key in anchor_keys for group in anchor._table[key]]
+    interior_keys = sorted(interior._table)
+    values = list(map(interior._table.__getitem__, interior_keys))
+    columns = chain(
+        _columns(anchor_keys, array("I", map(len, groups)),
+                 array("I", chain.from_iterable(chain.from_iterable(groups)))),
+        # a packed occurrence is its (unitig id, offset) entry as one
+        # little-endian 64-bit value
+        _columns(interior_keys, array("I", [1 if type(v) is int else len(v) for v in values]),
+                 array("Q", _occurrences(values))),
     )
     with open(path, "wb") as out:
         out.write(header)
         crc = zlib.crc32(header)
-        for keys, groups in tables:
-            for typecode, values in (
-                ("Q", (len(keys), sum(map(len, groups)))),
-                ("Q", map(rshift, keys, repeat(64))),
-                ("Q", map(and_, keys, repeat((1 << 64) - 1))),
-                ("I", map(len, groups)),
-                ("I", chain.from_iterable(chain.from_iterable(groups))),
-            ):
-                col = array(typecode, values)
-                if _SWAP:
-                    col.byteswap()
-                out.write(col)
-                crc = zlib.crc32(col, crc)
+        for col in columns:
+            if _SWAP:
+                col.byteswap()
+            out.write(col)
+            crc = zlib.crc32(col, crc)
         out.write(crc.to_bytes(4, "little"))
+
+
+def _column(raw: memoryview, typecode: str):
+    """Little-endian file bytes as a sequence of native `typecode` values."""
+    if not _SWAP:
+        return raw.cast(typecode)
+    col = array(typecode, bytes(raw))
+    col.byteswap()
+    return col
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
@@ -246,16 +306,12 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
     body = memoryview(data)[:-4]
     off = _HEADER.size
 
-    def take(typecode: str, n: int):
+    def take(n_bytes: int) -> memoryview:
         nonlocal off
-        start, off = off, off + n * struct.calcsize(typecode)
+        start, off = off, off + n_bytes
         if off > len(body):
             raise ValueError("a column is cut short")
-        col = body[start:off].cast(typecode)
-        if _SWAP:
-            col = array(typecode, col)
-            col.byteswap()
-        return col
+        return body[start:off]
 
     try:
         if len(body) < _HEADER.size or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
@@ -263,28 +319,40 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
         _, _, k, fingerprint, count = _HEADER.unpack_from(data)
         tables = []
         for groups_per_key in (2, 1):  # anchor: starts and ends; interior: occurrences
-            n_keys, n_entries = take("Q", 2)
-            keys = map(or_, map(lshift, take("Q", n_keys), repeat(64)), take("Q", n_keys))
-            sizes, entries = take("I", groups_per_key * n_keys), take("I", 2 * n_entries)
+            n_keys, n_entries = _column(take(16), "Q")
+            high, low = _column(take(8 * n_keys), "Q"), _column(take(8 * n_keys), "Q")
+            sizes = _column(take(4 * groups_per_key * n_keys), "I")
+            raw = take(8 * n_entries)
+            entries = _column(raw, "I")  # unitig id, then orientation bit or offset
             if sum(sizes) != n_entries:
                 raise ValueError("group sizes do not sum to the entry count")
             if max(entries[0::2], default=-1) >= count:
                 raise ValueError(f"a unitig id is not below the unitig count {count}")
-            tables.append((keys, sizes, entries[0::2], entries[1::2]))
+            keys = map(or_, map(lshift, high, repeat(64)), low)
+            tables.append((keys, sizes, entries, raw))
         if off != len(body):
             raise ValueError(f"{len(body) - off} bytes between the tables and the CRC trailer")
-        if max(tables[0][3], default=0) > 1:
+        (keys, sizes, entries, _), (ikeys, isizes, _, iraw) = tables
+        if max(entries[1::2], default=0) > 1:
             raise ValueError("an orientation bit above 1")
+        if min(isizes, default=1) < 1:
+            raise ValueError("an interior key with no occurrences")
     except ValueError as exc:
         raise ValueError(f"truncated or malformed index file {path} ({exc}): {_REBUILD}") from None
 
     anchor, interior = AnchorIndex(k), InteriorIndex(k, fingerprint)
     interior.unitig_count = count
-    (keys, sizes, uids, bits), (ikeys, isizes, iuids, offsets) = tables
-    groups = map(tuple, map(islice, repeat(zip(uids, map("+-".__getitem__, bits))), sizes))
+    groups = map(tuple, map(islice, repeat(zip(entries[0::2], map("+-".__getitem__,
+                                                                  entries[1::2]))), sizes))
     anchor._table = dict(zip(keys, zip(groups, groups)))  # starts, then ends
-    groups = map(tuple, map(islice, repeat(zip(iuids, offsets)), isizes))
-    interior._table = dict(zip(ikeys, groups))
+    packed = _column(iraw, "Q")
+    if len(packed) == len(isizes):  # one occurrence per key
+        values = packed
+    else:
+        occurrences = iter(packed)
+        values = [next(occurrences) if n == 1 else tuple(islice(occurrences, n))
+                  for n in isizes]
+    interior._table = dict(zip(ikeys, values))
     return anchor, interior
 
 
@@ -302,6 +370,6 @@ def approximate_bytes(index: AnchorIndex | InteriorIndex) -> int:
     sampled = 0
     for key, value in sample:
         sampled += sys.getsizeof(key) + sys.getsizeof(value)
-        if value and isinstance(value[0], tuple):
+        if type(value) is tuple:  # an int value holds no other object
             sampled += sum(map(sys.getsizeof, value))
     return sys.getsizeof(table) + (sampled * len(table) // len(sample) if sample else 0)

@@ -445,8 +445,11 @@ def _single_pass(
     for pos, f, _ in islice(view.hits(strand, table), n):
         best = None
         structural = False
-        for uid, off in table[f]:
-            start = off - pos
+        occurrences = table[f]  # packed `offset << 32 | uid`, see InteriorIndex
+        if type(occurrences) is int:
+            occurrences = (occurrences,)
+        for packed in occurrences:
+            uid, start = packed & 0xFFFFFFFF, (packed >> 32) - pos
             if start < 0:
                 continue
             useq = unitigs[uid].sequence

@@ -134,3 +134,18 @@ def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
                 [rc >> s & mask for s in range(0, top + 1, 2)],
             ))
     return out
+
+
+# Windows per slice in `slices`: counting and indexing encode a long
+# sequence one bounded slice at a time, never as one whole-sequence list.
+_SLICE = 4096
+
+
+def slices(seq: str, size: int):
+    """(start, part) pairs that cut `seq` into parts of `_SLICE` windows of
+    `size` bases: each part is `_SLICE + size - 1` bases or fewer and
+    overlaps the next by size-1 bases, so every window of `seq` is a window
+    of exactly one part, at its position in `seq` minus `start`."""
+    span = _SLICE + size - 1
+    for start in range(0, len(seq) - size + 1, _SLICE):
+        yield start, seq[start : start + span]

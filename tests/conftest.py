@@ -77,6 +77,18 @@ def indexes_for(graph):
     return build_anchor_index(graph), build_interior_index(graph)
 
 
+def interior_table(interior):
+    """The interior index's table with every value decoded to its tuple of
+    (unitig id, offset) occurrences.  A packed occurrence is
+    offset * 2**32 + unitig id, and a key with one occurrence holds it as a
+    bare int."""
+    decoded = {}
+    for key, value in interior._table.items():
+        packed = (value,) if isinstance(value, int) else value
+        decoded[key] = tuple(divmod(p, 2**32)[::-1] for p in packed)
+    return decoded
+
+
 def oriented(graph, uid, orientation):
     """Orientation helper that does not reuse the graph's cached RC."""
     seq = graph.unitigs[uid].sequence

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from cdbgmap.census import count_kmers, load_solid, save_solid, solid_set
-from cdbgmap.sequences import Read
+from cdbgmap.sequences import _SLICE, Read
 
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
 
@@ -49,6 +49,19 @@ def test_count_kmers_matches_oracle():
         reads = [s for s in reads if s]
         k = rng.randint(2, 9)
         assert count_kmers(reads, k).as_strings() == naive_census(reads, k)
+
+
+@pytest.mark.parametrize("k", [5, 31])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_count_kmers_across_slice_cuts(k, extra):
+    # two slices of windows, one window fewer or one more: every window
+    # next to a cut is counted once, and an N run across the first cut
+    # drops exactly the windows that hold it
+    rng = random.Random(k * 10 + extra)
+    seq = "".join(rng.choice("ACGT") for _ in range(2 * _SLICE + k - 1 + extra))
+    with_n = seq[: _SLICE - 3] + "NNNNNN" + seq[_SLICE + 3 :]
+    for read in (seq, with_n):
+        assert count_kmers([read], k).as_strings() == naive_census([read], k)
 
 
 def test_total_counts_all_clean_windows():

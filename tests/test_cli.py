@@ -12,7 +12,9 @@ from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import read_unitigs_fasta
 from cdbgmap.index import load_indexes
 
-from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome, with_crc
+from conftest import (
+    damaged_gzip, interior_table, naive_canonical, naive_kmers, random_genome, with_crc
+)
 
 
 def run(capsys, *argv):
@@ -492,7 +494,7 @@ def _index_sections(idx_path):
     anchor, interior = load_indexes(idx_path)
     tables = {
         "anchor": (anchor._table, 2, sum(len(s) + len(e) for s, e in anchor._table.values())),
-        "interior": (interior._table, 1, sum(map(len, interior._table.values()))),
+        "interior": (interior._table, 1, sum(map(len, interior_table(interior).values()))),
     }
     sizes = [("magic", 8), ("version", 4), ("k", 4), ("fingerprint", 32), ("unitig count", 4)]
     for name, (table, groups_per_key, n_entries) in tables.items():
@@ -620,3 +622,18 @@ def test_map_corrupt_index_exits_2(tmp_path, capsys):
         struct.pack_into("<I", bad, sections[f"{table} entries"][0], 10**6)
         code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), table)
         assert code == 2 and "not below the unitig count" in err, table
+    # a valid CRC over an interior offset that places no (k-1)-mer inside its
+    # unitig: far out of range, or one past the unitig's last (k-1)-mer
+    entry = sections["interior entries"][0]
+    uid = struct.unpack_from("<I", data, entry)[0]
+    last = len(read_unitigs_fasta(unitigs, 15).unitigs[uid].sequence) - 14
+    for name, offset in (("huge offset", 2**32 - 1), ("offset past the end", last + 1)):
+        bad = bytearray(data)
+        struct.pack_into("<I", bad, entry + 4, offset)
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), name)
+        assert code == 2 and "was not built from" in err, name
+    # an offset moved within range passes the check (only the CRC catches
+    # it): the bound is the last (k-1)-mer's offset, not one less
+    bad = bytearray(data)
+    struct.pack_into("<I", bad, entry + 4, last)
+    assert _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "last")[0] == 0

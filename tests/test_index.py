@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cdbgmap.census import count_kmers
 from cdbgmap.graph import compact
 from cdbgmap.index import (
     AnchorIndex,
@@ -15,11 +16,12 @@ from cdbgmap.index import (
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import decode_kmer, encode_kmer, rc_code, window_codes
+from cdbgmap.sequences import _SLICE, decode_kmer, encode_kmer, rc_code, window_codes
 
 from conftest import (
     build_graph,
     graph_from_sequences,
+    interior_table,
     naive_canonical,
     naive_kmers,
     naive_rc,
@@ -267,17 +269,21 @@ def test_anchor_keys_are_written_words(k):
 def test_interior_example():
     graph = build_graph(["ACTGA"], 3)
     idx = build_interior_index(graph)
-    assert idx._table[encode_kmer("CT")] == ((0, 1),)
+    table = interior_table(idx)
+    assert table[encode_kmer("CT")] == ((0, 1),)
     # the reverse-strand written form of the same site is no key: the
     # reverse complement's pass finds it under its own written code
-    assert encode_kmer("AG") not in idx._table
-    assert idx._table[encode_kmer(naive_rc("AG"))] == ((0, 1),)
+    assert encode_kmer("AG") not in table
+    assert table[encode_kmer(naive_rc("AG"))] == ((0, 1),)
+    # a key with one occurrence holds it as one packed int
+    assert idx._table[encode_kmer("CT")] == 1 * 2**32 + 0
 
 
 def test_interior_repeat_ascending_offsets():
     graph = build_graph(["ACTACT"], 3)
     idx = build_interior_index(graph)
-    assert idx._table[encode_kmer("AC")] == ((0, 0), (0, 3))
+    assert interior_table(idx)[encode_kmer("AC")] == ((0, 0), (0, 3))
+    assert idx._table[encode_kmer("AC")] == (0 * 2**32 + 0, 3 * 2**32 + 0)
 
 
 def test_interior_matches_scan_oracle():
@@ -286,23 +292,23 @@ def test_interior_matches_scan_oracle():
         k = (5, 7)[seed % 2]
         genome = random_genome(seed + 300, 300)
         graph, _ = graph_from_sequences([genome], k)
-        idx = build_interior_index(graph)
+        table = interior_table(build_interior_index(graph))
         mers = {genome[i : i + k - 1] for i in range(0, 200, 17)}
         mers |= {"".join(rng.choice("ACGT") for _ in range(k - 1)) for _ in range(8)}
         for mer in mers:
-            got = idx._table.get(encode_kmer(mer), ())
+            got = table.get(encode_kmer(mer), ())
             assert list(got) == sorted(scan_interior(graph, mer)), (mer, seed)
 
 
 def test_interior_palindromic_mer_hits_both_strands():
     graph = build_graph(["GGATATCC"], 5)
-    idx = build_interior_index(graph)
+    table = interior_table(build_interior_index(graph))
     code = encode_kmer("ATAT")
     # a word that is its own reverse complement is one key, which both
     # strands' passes look up
     assert rc_code(code, 4) == code
-    assert idx._table[code] == ((0, 2),)
-    assert set(idx._table[code]) == scan_interior(graph, "ATAT")
+    assert table[code] == ((0, 2),)
+    assert set(table[code]) == scan_interior(graph, "ATAT")
 
 
 def assert_interior_invariant(graph, idx):
@@ -311,7 +317,7 @@ def assert_interior_invariant(graph, idx):
     indexed, once."""
     k1 = graph.k - 1
     listed = []
-    for key, occs in idx._table.items():
+    for key, occs in interior_table(idx).items():
         word = decode_kmer(key, k1)
         for uid, off in occs:
             assert graph.unitigs[uid].sequence[off : off + k1] == word
@@ -332,6 +338,36 @@ def test_interior_keys_are_written_words(k):
             w == naive_rc(w) for u in graph.unitigs for w in naive_kmers(u.sequence, k1)
         )
     assert_interior_invariant(graph, build_interior_index(graph))
+
+
+@pytest.mark.parametrize("k", [5, 31])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_interior_index_across_slice_cuts(k, extra):
+    # a unitig of two slices of (k-1)-mer windows, one window fewer or one
+    # more, then a second unitig: every window next to a cut is indexed
+    # once, at its own offset and unitig
+    size = k - 1
+    long = random_genome(5000 + 10 * k + extra, 2 * _SLICE + size - 1 + extra)
+    graph = build_graph([long, random_genome(5100 + k, 3 * k)], k)
+    assert_interior_invariant(graph, build_interior_index(graph))
+
+
+def test_counting_and_indexing_encode_bounded_slices(monkeypatch):
+    from cdbgmap import census, index
+
+    calls = []
+    for module in (census, index):
+        def recorded(seq, size, encode=module.window_codes, layer=module.__name__):
+            calls.append((layer, len(seq), size))
+            return encode(seq, size)
+
+        monkeypatch.setattr(module, "window_codes", recorded)
+    genome = random_genome(4096, 3 * _SLICE + 100)
+    census_counts = count_kmers([genome], 31).counts
+    interior = build_interior_index(build_graph([genome], 31))
+    assert len(census_counts) > 3 * _SLICE and len(interior) > 3 * _SLICE
+    assert [layer for layer, _, _ in calls] == ["cdbgmap.census"] * 4 + ["cdbgmap.index"] * 4
+    assert all(n <= _SLICE + size - 1 for _, n, size in calls), calls
 
 
 def test_serialization_round_trip_and_reproducibility(tmp_path):
@@ -384,15 +420,20 @@ def test_load_rejects_inconsistent_tables_with_a_valid_crc(tmp_path):
     n_anchor = sum(len(s) + len(e) for s, e in anchor._table.values())
     anchor_sizes = 52 + 16 + 16 * len(anchor)
     anchor_entries = anchor_sizes + 8 * len(anchor)
-    interior_entries = len(data) - 4 - 8 * sum(map(len, interior._table.values()))
+    interior_entries = len(data) - 4 - 8 * sum(map(len, interior_table(interior).values()))
+    interior_sizes = interior_entries - 4 * len(interior)
 
     def at(offset, value):
         bad = bytearray(data)
         struct.pack_into("<I", bad, offset, value)
         return bad
 
+    first_two = struct.unpack_from("<2I", data, interior_sizes)
+    no_occurrence = at(interior_sizes, 0)  # its occurrence moved to the next key
+    struct.pack_into("<I", no_occurrence, interior_sizes + 4, sum(first_two))
     cases = [
         ("group sizes do not sum", at(anchor_sizes, data[anchor_sizes] + 1)),
+        ("an interior key with no occurrences", no_occurrence),
         ("unitig id is not below the unitig count", at(anchor_entries, len(graph))),
         ("unitig id is not below the unitig count", at(interior_entries + 8 * 7, 10**6)),
         ("a column is cut short", data[: anchor_entries + 8 * n_anchor - 4] + data[-4:]),
@@ -414,9 +455,13 @@ def test_approximate_bytes_positive():
     graph, _ = graph_from_sequences([random_genome(27, 3000)], 11)
     table = build_interior_index(graph)._table
     assert len(table) > 2000
+    assert any(isinstance(value, tuple) for value in table.values())
+    # every object the table holds: a key, its value and, for a key with
+    # more than one occurrence, the packed ints in the value's tuple
     walked = sys.getsizeof(table) + sum(
-        sys.getsizeof(key) + sys.getsizeof(occs) + sum(map(sys.getsizeof, occs))
-        for key, occs in table.items()
+        sys.getsizeof(key) + sys.getsizeof(value)
+        + (sum(map(sys.getsizeof, value)) if isinstance(value, tuple) else 0)
+        for key, value in table.items()
     )
     estimate = approximate_bytes(build_interior_index(graph))
     assert abs(estimate - walked) < 0.05 * walked

@@ -21,6 +21,7 @@ from conftest import (
     build_graph,
     graph_from_sequences,
     indexes_for,
+    interior_table,
     naive_rc,
     random_genome,
     reconstruct_mapping,
@@ -394,7 +395,7 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
     unitigs = [random_genome(60 + k, 3 * k) + "GGATATCC", random_genome(61 + k, 2 * k)]
     graph = build_graph(unitigs, k)
     _, interior = indexes_for(graph)
-    table = interior._table
+    table, occurrences = interior._table, interior_table(interior)
     reads = []
     for _ in range(30):
         u = rng.choice(unitigs)
@@ -411,7 +412,7 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
             got = list(view.hits(strand, table))
             assert got == [w for w in window_codes(text, size) if w[1] in table]
             for pos, fwd, _ in got:
-                for uid, off in table[fwd]:
+                for uid, off in occurrences[fwd]:
                     assert unitigs[uid][off : off + size] == text[pos : pos + size]
 
 
