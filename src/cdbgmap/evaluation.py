@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .census import count_kmers, solid_set
@@ -194,6 +194,7 @@ def compare_branching_mappers(
 
 
 def evaluate_rate(
+    rate: float,
     sims: list[SimulatedRead],
     graph: CompactedGraph,
     anchor: AnchorIndex,
@@ -201,7 +202,10 @@ def evaluate_rate(
     params: MappingParams,
     threads: int = 1,
     compare_exhaustive: bool = True,
-) -> tuple[EvalRow, list[MappingResult], dict | None]:
+) -> EvalRow:
+    """The report row of reads simulated at error rate `rate`: map them,
+    score them against their truth and, when asked, audit them with the
+    exhaustive mapper."""
     started = time.perf_counter()
     results = map_reads(
         [s.read for s in sims], graph, anchor, interior, params, threads=threads
@@ -217,13 +221,11 @@ def evaluate_rate(
         buckets[min(d, 4)] += 1
     recall = mapped / len(sims) if sims else 0.0
     shares = [100.0 * b / mapped if mapped else 0.0 for b in buckets]
-    comparison = None
     subopt = 0.0
     if compare_exhaustive:
-        comparison = compare_branching_mappers(sims, results, graph, anchor, params)
-        subopt = comparison["subopt_frac"]
-    row = EvalRow(
-        error_rate=0.0,  # the caller replaces it with the rate
+        subopt = compare_branching_mappers(sims, results, graph, anchor, params)["subopt_frac"]
+    return EvalRow(
+        error_rate=rate,
         recall=recall,
         d0=shares[0],
         d1=shares[1],
@@ -233,7 +235,6 @@ def evaluate_rate(
         subopt_frac=subopt,
         reads_per_sec=len(sims) / elapsed if elapsed > 0 else 0.0,
     )
-    return row, results, comparison
 
 
 def run_accuracy_sweep(
@@ -266,10 +267,9 @@ def run_accuracy_sweep(
             rng_seed=seed + i,
         )
         sims = list(simulate_reads(cfg))
-        row, _, _ = evaluate_rate(
-            sims, graph, anchor, interior, params, threads, compare_exhaustive
-        )
-        rows.append(replace(row, error_rate=rate))
+        rows.append(evaluate_rate(
+            rate, sims, graph, anchor, interior, params, threads, compare_exhaustive
+        ))
         if truth_path is not None:
             for s in sims:
                 errs = ",".join(map(str, s.error_positions))

@@ -146,14 +146,10 @@ def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
 
 
 def write_fasta(path: str | Path, records, width: int = 80) -> int:
-    """Write (id, sequence) pairs or Read objects as FASTA; returns count."""
+    """Write (id, sequence) pairs as FASTA; returns count."""
     n = 0
     with open(path, "w", encoding="ascii") as out:
-        for rec in records:
-            if isinstance(rec, Read):
-                name, seq = rec.id, rec.sequence
-            else:
-                name, seq = rec
+        for name, seq in records:
             out.write(f">{name}\n")
             for i in range(0, len(seq), width):
                 out.write(seq[i : i + width])

@@ -40,15 +40,22 @@ built once per graph and never per read.  Only the junction right at a
 begin overlap at read position 0, which has no unitig before it, looks up
 the read's word.
 
-`map_read` runs the single-unitig pass on strand '+' then '-', and only then
-the branching pass on '+' then '-'.  Each regime keeps its first successful
-strand, and a perfect single-unitig placement is returned at once.  All
-passes over a read share one `ReadView`, which encodes its (k-1)-mer windows
-at most once (the '-' strand's are the forward ones mirrored) and detects its
-anchor overlaps once, one anchor-key test per window.  A single-unitig pass
-seeds only from windows whose written code on its own strand is an interior
-key, one dict lookup each; '+' tries window 0 before encoding the rest.  A
-read shorter than k is unmapped as `too_short`.
+All four mappers are one driver, `_map`, run over a list of regimes, each a
+strand pass with its index and the strands it tries.  Three rules settle the
+result: a regime's result is its first strand whose pass succeeds; a later
+regime's result replaces an earlier one only when strictly cheaper; and no
+regime runs after a cost-0 result.  Unmapped, a read carries the worst
+reason over the passes that ran, and is `truncated` if any of them was.
+`map_single_unitig` and `map_branching` are one regime over the mapping
+strands; `map_read` is the single-unitig regime and then the branching one;
+`map_exhaustive` is one regime per strand, so its strands compete on cost
+and a perfect first strand ends the search.  The driver unmaps a read
+shorter than k as `too_short` and builds the one `ReadView` that every pass
+over the read shares.  The view encodes the read's (k-1)-mer windows at most
+once (the '-' strand's are the forward ones mirrored) and detects its anchor
+overlaps once, one anchor-key test per window.  A single-unitig pass seeds
+only from windows whose written code on its own strand is an interior key,
+one dict lookup each; '+' tries window 0 before encoding the rest.
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
@@ -65,7 +72,8 @@ import gc
 import multiprocessing
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
@@ -163,7 +171,8 @@ class ReadView:
     """A read's (k-1)-mer windows on both strands, encoded at most once.
 
     Windows are (position, fwd_code, rc_code) triples, as `window_codes`
-    gives them.  The '-' strand's windows are the forward ones mirrored: the
+    gives them.  Only the forward ones are encoded; the '-' strand's, as
+    `hits` and `detected` give them, are the forward ones mirrored: the
     window at forward position p sits at L-(k-1)-p on the reverse
     complement, with its two codes swapped.  Detected anchor overlaps are
     windows too, and are mirrored the same way.
@@ -184,13 +193,11 @@ class ReadView:
             self._rc_seq = reverse_complement_read(self._seq)
         return self._rc_seq
 
-    def windows(self, strand: str) -> list:
-        """All windows of the strand's sequence, in ascending position order."""
+    def windows(self) -> list:
+        """All windows of the forward sequence, in ascending position order."""
         if self._fwd is None:
             self._fwd = window_codes(self._seq, self.size)
-        if strand == "+":
-            return self._fwd
-        return list(_mirror(self._fwd, self._base))
+        return self._fwd
 
     def hits(self, strand: str, keys):
         """The strand's windows whose own written code (their fwd_code on
@@ -200,7 +207,7 @@ class ReadView:
         tries window 0 alone and encodes the rest only when asked for more."""
         if strand == "-":
             base = self._base
-            wins = reversed(self.windows("+"))
+            wins = reversed(self.windows())
             return ((base - pos, rc, fwd) for pos, fwd, rc in wins if rc in keys)
         if self._fwd is None:
             return self._first_then_hits(keys)
@@ -215,7 +222,7 @@ class ReadView:
             tried = 1
             if fwd in keys:
                 yield (0, fwd, rc)
-        yield from (w for w in islice(self.windows("+"), tried, None) if w[1] in keys)
+        yield from (w for w in islice(self.windows(), tried, None) if w[1] in keys)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
         """Windows that are indexed unitig overlaps, in ascending order.  The
@@ -223,7 +230,7 @@ class ReadView:
         alone decides for both strands."""
         if self._dets is None:
             keys = anchor.keys()
-            self._dets = [w for w in self.windows("+") if w[1] in keys]
+            self._dets = [w for w in self.windows() if w[1] in keys]
         if strand == "+":
             return self._dets
         return list(_mirror(self._dets, self._base))
@@ -238,6 +245,7 @@ class _Attempt:
     cost: int = 0
     positions: tuple = ()
     reason: str | None = None
+    truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -248,16 +256,45 @@ def _worse(reason_a: str | None, reason_b: str | None) -> str | None:
     return reason_a if _REASON_PRIORITY[reason_a] >= _REASON_PRIORITY[reason_b] else reason_b
 
 
-def _first_strand(read_id, view, strand_pass, graph, index, params) -> MappingResult:
-    """The result of the first strand whose pass succeeds; otherwise unmapped,
-    with the worst reason over the passes that ran."""
+def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> MappingResult:
+    """The strand/regime driver behind every mapper.  A regime is
+    (strand_pass, index, strands), and its result is its first strand whose
+    pass succeeds.  A later regime's result replaces an earlier one only when
+    strictly cheaper, and no regime runs after a cost-0 result.  Unmapped,
+    the reason is the worst over the passes that ran, and the result is
+    truncated if any of them was."""
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
+    view = ReadView(read.sequence, graph.k - 1)
+    best = best_strand = None
     reason = None
-    for strand in params.strands:
-        attempt = strand_pass(view, strand, graph, index, params)
-        if attempt.ok:
-            return _finish(read_id, strand, attempt)
-        reason = _worse(reason, attempt.reason)
-    return MappingResult(read_id=read_id, regime=UNMAPPED, reason=reason)
+    truncated = False
+    for strand_pass, index, strands in regimes:
+        for strand in strands:
+            attempt = strand_pass(view, strand, graph, index, params)
+            if attempt.ok:
+                if best is None or attempt.cost < best.cost:
+                    best, best_strand = attempt, strand
+                break
+            reason = _worse(reason, attempt.reason)
+            truncated = truncated or attempt.truncated
+        if best is not None and best.cost == 0:
+            break
+    if best is None:
+        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated)
+    path = tuple(best.path)
+    uids = [u for u, _ in path]
+    return MappingResult(
+        read_id=read.id,
+        regime=SINGLE_UNITIG if len(path) == 1 else BRANCHING_PATH,
+        strand=best_strand,
+        path=path,
+        start_offset=best.start_offset,
+        mismatches=best.cost,
+        mismatch_positions=best.positions,
+        repeated=len(set(uids)) != len(uids),
+        truncated=best.truncated,
+    )
 
 
 def _begins(pos_b, code, graph, anchor):
@@ -397,21 +434,6 @@ def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     return _Attempt(path=path, start_offset=start_offset, cost=cost, positions=tuple(positions))
 
 
-def _finish(read_id: str, strand: str, attempt: _Attempt) -> MappingResult:
-    path = tuple(attempt.path)
-    uids = [u for u, _ in path]
-    return MappingResult(
-        read_id=read_id,
-        regime=SINGLE_UNITIG if len(path) == 1 else BRANCHING_PATH,
-        strand=strand,
-        path=path,
-        start_offset=attempt.start_offset,
-        mismatches=attempt.cost,
-        mismatch_positions=attempt.positions,
-        repeated=len(set(uids)) != len(uids),
-    )
-
-
 def map_branching(
     read: Read,
     graph: CompactedGraph,
@@ -419,10 +441,7 @@ def map_branching(
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
     """Greedy mapping of a read across branching unitig paths."""
-    if len(read.sequence) < graph.k:
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
-    view = ReadView(read.sequence, graph.k - 1)
-    return _first_strand(read.id, view, _branch_pass, graph, anchor, params)
+    return _map(read, graph, params, (_branch_pass, anchor, params.strands))
 
 
 def _single_pass(
@@ -478,10 +497,7 @@ def map_single_unitig(
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
     """Place a read entirely inside one unitig via the interior index."""
-    if len(read.sequence) < graph.k:
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
-    view = ReadView(read.sequence, graph.k - 1)
-    return _first_strand(read.id, view, _single_pass, graph, interior, params)
+    return _map(read, graph, params, (_single_pass, interior, params.strands))
 
 
 def map_read(
@@ -491,27 +507,16 @@ def map_read(
     interior: InteriorIndex,
     params: MappingParams = MappingParams(),
 ) -> MappingResult:
-    """Both regimes over one read view, as `map_single_unitig` then
-    `map_branching` would map the read: a perfect single-unitig placement is
-    returned at once (the branching pass does not run); otherwise the cheaper
-    result wins, a tie goes to the single-unitig placement, and when neither
-    maps, the reason is the worse of the two.  A read shorter than k is
+    """Both regimes over one read view: the single-unitig regime, then the
+    branching one, each keeping its first successful strand.  A perfect
+    single-unitig placement is returned at once (the branching pass does not
+    run); otherwise the branching result wins only when strictly cheaper, so
+    a tie goes to the single-unitig placement, and when neither maps, the
+    reason is the worst over the passes that ran.  A read shorter than k is
     unmapped with reason `too_short`."""
-    if len(read.sequence) < graph.k:
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
-    view = ReadView(read.sequence, graph.k - 1)
-    single = _first_strand(read.id, view, _single_pass, graph, interior, params)
-    if single.mapped and single.mismatches == 0:
-        return single  # nothing can beat a perfect placement
-    branching = _first_strand(read.id, view, _branch_pass, graph, anchor, params)
-    if not branching.mapped:
-        if single.mapped:
-            return single
-        reason = _worse(single.reason, branching.reason)
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason)
-    if single.mapped and single.mismatches <= branching.mismatches:
-        return single
-    return branching
+    strands = params.strands
+    return _map(read, graph, params,
+                (_single_pass, interior, strands), (_branch_pass, anchor, strands))
 
 
 def _exhaustive_pass(
@@ -521,12 +526,10 @@ def _exhaustive_pass(
     anchor: AnchorIndex,
     params: MappingParams,
     expansion_budget: int,
-):
-    """Branch-and-bound over all junction choices from the begin anchors.
-
-    Returns (attempt, truncated): the first cheapest _Attempt found, or an
-    unmapped one carrying the reason.
-    """
+) -> _Attempt:
+    """Branch-and-bound over all junction choices from the begin anchors:
+    the first cheapest path found, or the reason none was, either one
+    `truncated` when the expansion budget cut the search short."""
     k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
@@ -535,7 +538,7 @@ def _exhaustive_pass(
 
     dets = view.detected(strand, anchor)
     if not dets:
-        return _Attempt(reason=NO_ANCHOR), False
+        return _Attempt(reason=NO_ANCHOR)
     succ = anchor.successors(graph)
 
     best_cost = t + 1
@@ -589,10 +592,12 @@ def _exhaustive_pass(
                 dfs(pos_b, cands, cost_b, head, plist_b, start_offset)
 
     if best is not None:
-        return best, truncated
+        best.truncated = truncated
+        return best
     if not anchored:
-        return _Attempt(reason=BEGIN_NOT_FOUND), truncated
-    return _Attempt(reason=BUDGET_EXCEEDED if budget_blocked else COVER_FAILED), truncated
+        return _Attempt(reason=BEGIN_NOT_FOUND, truncated=truncated)
+    reason = BUDGET_EXCEEDED if budget_blocked else COVER_FAILED
+    return _Attempt(reason=reason, truncated=truncated)
 
 
 def map_exhaustive(
@@ -603,28 +608,11 @@ def map_exhaustive(
     expansion_budget: int = 200_000,
 ) -> MappingResult:
     """Minimum-cost mapping over all anchored paths; cost never exceeds the
-    greedy mapper's on the same input.  The first strand reaching the
-    minimum wins; unmapped, the reason is the worst over the strands."""
-    if len(read.sequence) < graph.k:
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
-    view = ReadView(read.sequence, graph.k - 1)
-    best = None
-    reason = None
-    truncated_any = False
-    for strand in params.strands:
-        attempt, truncated = _exhaustive_pass(
-            view, strand, graph, anchor, params, expansion_budget
-        )
-        truncated_any = truncated_any or truncated
-        if not attempt.ok:
-            reason = _worse(reason, attempt.reason)
-        elif best is None or attempt.cost < best.mismatches:
-            best = replace(_finish(read.id, strand, attempt), truncated=truncated)
-    if best is not None:
-        return best
-    return MappingResult(
-        read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated_any
-    )
+    greedy mapper's on the same input.  Each strand is a regime of its own:
+    the first strand reaching the minimum wins, and a perfect first strand
+    ends the search.  Unmapped, the reason is the worst over the strands."""
+    search = partial(_exhaustive_pass, expansion_budget=expansion_budget)
+    return _map(read, graph, params, *((search, anchor, (strand,)) for strand in params.strands))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import read_unitigs_fasta
-from cdbgmap.index import load_indexes
+from cdbgmap.index import load_indexes, save_indexes
 
 from conftest import (
     damaged_gzip, interior_table, naive_canonical, naive_kmers, random_genome, with_crc
@@ -637,3 +637,22 @@ def test_map_corrupt_index_exits_2(tmp_path, capsys):
     bad = bytearray(data)
     struct.pack_into("<I", bad, entry + 4, last)
     assert _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "last")[0] == 0
+    # anchor tables saved with a valid CRC: without the ends of half the
+    # unitigs, which the greedy cover would look up, or without any entry of
+    # the last unitig
+    anchor, interior = load_indexes(idx)
+    half, last = interior.unitig_count // 2, interior.unitig_count - 1
+    tables = {
+        "ends": ({code: (starts, tuple(e for e in ends if e[0] >= half))
+                  for code, (starts, ends) in anchor._table.items()},
+                 "once among the starts and once among the ends"),
+        "last unitig": ({code: tuple(tuple(e for e in side if e[0] != last) for side in sides)
+                         for code, sides in anchor._table.items()},
+                        "was not built from"),
+    }
+    for name, (table, message) in tables.items():
+        anchor._table = table
+        dropped = tmp_path / f"{name}.saved"
+        save_indexes(dropped, anchor, interior)
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, dropped.read_bytes(), name)
+        assert code == 2 and message in err, (name, err)

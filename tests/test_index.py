@@ -443,6 +443,22 @@ def test_load_rejects_inconsistent_tables_with_a_valid_crc(tmp_path):
         p.write_bytes(with_crc(bad))
         with pytest.raises(ValueError, match=f"malformed.*{message}"):
             load_indexes(p)
+    # anchor tables saved as they are, so the CRC is valid: one oriented
+    # unitig's end left out, and one start listed twice in place of another
+    table = anchor._table
+    with_ends = next(key for key, (_, ends) in table.items() if ends)
+    with_starts = [key for key, (starts, _) in table.items() if starts]
+    first, second = (table[key][0] for key in with_starts[:2])
+    edits = [
+        {**table, with_ends: (table[with_ends][0], table[with_ends][1][1:])},
+        {**table, with_starts[1]: ((first[0],) + second[1:], table[with_starts[1]][1])},
+    ]
+    for edited in edits:
+        bad = AnchorIndex(anchor.k)
+        bad._table = edited
+        save_indexes(p, bad, interior)
+        with pytest.raises(ValueError, match="malformed.*once among the starts and once among"):
+            load_indexes(p)
 
 
 def test_approximate_bytes_positive():

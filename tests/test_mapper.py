@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -345,6 +346,67 @@ def test_map_read_follows_its_contract_on_repeats():
                     "branching only", "unmapped"}
 
 
+def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
+    # each strand's own search is the forward-only search of its sequence;
+    # an expansion budget of 4 makes some of them truncate
+    from cdbgmap import mapper
+
+    searched = []
+    search = mapper._exhaustive_pass
+
+    def counted(view, strand, *args, **kwargs):
+        searched.append(strand)
+        return search(view, strand, *args, **kwargs)
+
+    monkeypatch.setattr(mapper, "_exhaustive_pass", counted)
+    graph, sources = repeat_graph_with_decoys()
+    anchor, _ = indexes_for(graph)
+    forward = MappingParams(strand_mode="forward_only")
+    rng = random.Random(3)
+    seen = set()
+    for i in range(200):
+        src = rng.choice(sources)
+        start = rng.randrange(0, len(src) - 29)
+        seq = list(src[start : start + 30])
+        for _ in range(rng.randint(0, 3)):
+            p = rng.randrange(30)
+            seq[p] = rng.choice([b for b in "ACGT" if b != seq[p]])
+        seq = "".join(seq)
+        read = Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq))
+        for budget in (200_000, 4):
+            plus = map_exhaustive(read, graph, anchor, forward, budget)
+            minus = map_exhaustive(
+                Read(id=read.id, sequence=naive_rc(read.sequence)), graph, anchor, forward, budget
+            )
+            minus = replace(minus, strand="-") if minus.mapped else minus
+            searched.clear()
+            got = map_exhaustive(read, graph, anchor, PARAMS, budget)
+            if plus.mapped and plus.mismatches == 0:
+                case, expected, strands = "perfect +", plus, ["+"]
+            elif plus.mapped and minus.mapped:
+                if plus.mismatches <= minus.mismatches:
+                    case = "tie" if plus.mismatches == minus.mismatches else "+ cheaper"
+                    expected = plus
+                else:
+                    case, expected = "- cheaper", minus
+                strands = ["+", "-"]
+            elif plus.mapped or minus.mapped:
+                case = "+ only" if plus.mapped else "- only"
+                expected, strands = (plus if plus.mapped else minus), ["+", "-"]
+            else:
+                truncated = plus.truncated or minus.truncated
+                case = f"unmapped, truncated {truncated}"
+                worse = max(plus.reason, minus.reason, key=REASON_ORDER.index)
+                expected = MappingResult(read_id=read.id, regime="unmapped", reason=worse,
+                                         truncated=truncated)
+                strands = ["+", "-"]
+            assert got == expected, (case, budget, read.sequence)
+            assert searched == strands, (case, budget, read.sequence)
+            seen.add(case)
+    assert seen == {"perfect +", "tie", "+ cheaper", "- cheaper", "+ only", "- only",
+                    "unmapped, truncated True", "unmapped, truncated False"}
+
+
 class EveryCode:
     """A container holding every code, so `ReadView.hits` keeps every window."""
 
@@ -374,9 +436,9 @@ def test_read_view_windows_match_window_codes(k):
     anchor, _ = indexes_for(graph)
     every = EveryCode()
     for seq in reads:
+        assert ReadView(seq, size).windows() == window_codes(seq, size)
         for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
             expected = window_codes(text, size)
-            assert ReadView(seq, size).windows(strand) == expected
             assert list(ReadView(seq, size).hits(strand, every)) == expected
             view = ReadView(seq, size)
             assert view.sequence(strand) == text
