@@ -35,13 +35,15 @@ last a CRC-32 of every byte before it.  An interior entry's two 32-bit
 fields, read as one little-endian 64-bit value, are its packed occurrence,
 so the interior entries column is written from the in-memory ints and read
 back as them with no arithmetic per entry.  The fingerprint and count match
-a file to a graph without rebuilding either index.  A load rejects a CRC
-mismatch, columns that do not add up, an interior key with no occurrences,
-any unitig id not below the count, and an anchor table that does not hold
-each oriented unitig of the unitigs it names exactly once among the starts
-and exactly once among the ends (the greedy cover looks up the successor
-list of every unitig it reaches, which needs the unitig's end);
-`matches_graph` rejects an anchor table that leaves a unitig out and an
+a file to a graph without rebuilding the interior index.  A load rejects a
+CRC mismatch, columns that do not add up, an interior key with no
+occurrences, any unitig id not below the count, and an anchor table that
+does not hold each oriented unitig of the unitigs it names exactly once
+among the starts and exactly once among the ends (the greedy cover looks up
+the successor list of every unitig it reaches, which needs the unitig's
+end); `matches_graph` rejects an anchor table other than the one
+`build_anchor_index` gives for the graph (a unitig left out, or filed under
+another word), which it rebuilds at four entries per unitig, and an
 interior offset past its unitig's last (k-1)-mer.  A file of versions 1 to
 4 is rejected, from its version field alone, with a message to rebuild it.
 """
@@ -233,14 +235,15 @@ def _occurrences(values):
 
 def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
     """Whether loaded indexes were built from `graph`: same k, unitig count
-    and fingerprint, an anchor table that names every unitig, and every
-    interior occurrence placing a (k-1)-mer inside its unitig.  The unitig
-    ids are below the count, and each unitig the anchor table names is in
-    it four times, as a load checks."""
+    and fingerprint, the very anchor table that `build_anchor_index` gives
+    for the graph (every oriented unitig filed under its own first and last
+    (k-1)-mers, in the same order), and every interior occurrence placing a
+    (k-1)-mer inside its unitig.  The unitig ids are below the count, as a
+    load checks."""
     if (anchor.k, interior.unitig_count, interior.fingerprint) != (
             graph.k, len(graph), graph_fingerprint(graph)):
         return False
-    if sum(len(starts) + len(ends) for starts, ends in anchor._table.values()) != 4 * len(graph):
+    if anchor._table != build_anchor_index(graph)._table:
         return False
     last = [len(u.sequence) - graph.k + 1 for u in graph.unitigs]  # last window offsets
     return all(p >> 32 <= last[p & _UID] for p in _occurrences(interior._table.values()))
@@ -345,7 +348,7 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
             raise ValueError("an orientation bit above 1")
         # each oriented unitig of a unitig the anchor table names starts with
         # one key and ends with one: four distinct `uid << 2 | end << 1 |
-        # orientation` tags per unitig named (`matches_graph` counts them)
+        # orientation` tags per unitig named
         ends = chain.from_iterable(map(repeat, cycle((0, 2)), sizes))
         tags = map(or_, map(lshift, entries[0::2], repeat(2)), map(or_, ends, entries[1::2]))
         if not len(entries) // 2 == len(set(tags)) == 4 * len(set(entries[0::2])):

@@ -22,23 +22,32 @@ id, then forward orientation, so results are deterministic.  Orientations
 are the strings '+' and '-' throughout, and '+' < '-' sorts forward first.
 
 The exhaustive mapper anchors like the greedy one (begin anchors only) and
-then explores every junction choice with branch-and-bound, which makes its
-cost a lower bound for the greedy cost on every read.  It keeps one optimum:
-the first cheapest path it meets, in begin-anchor then candidate order, on
-the first strand that reaches that cost.  Both mappers take
-their begin anchors from `_begins` and extend every junction through
-`_junction`, so they share one anchoring and extension geometry and differ
-only in search policy.  Anchors come from the read's words, each looked up
-by its written code on the strand: the anchor table gives the unitigs
-ending with a begin overlap, and, for the greedy end anchor (a junction at
-the end overlap whose unitig reaches the read's end), the unitigs starting
-with the end overlap.  A begin overlap at read position 0 is one anchor
-with an empty head, however many unitigs end with it.  Junction candidates
-come from the graph's successor lists (`AnchorIndex.successors`): after a
-unitig, the candidates are the unitigs starting with its last (k-1)-mer,
-built once per graph and never per read.  Only the junction right at a
-begin overlap at read position 0, which has no unitig before it, looks up
-the read's word.
+then searches every walk on from them (a walk may repeat a unitig), which
+makes its cost a lower bound for the greedy cost on every read.  It keeps
+one optimum: the first cheapest path in begin-anchor then candidate order,
+on the first strand that reaches that cost.  Scored by Hamming cost along
+the read, the rest of a walk depends only on the read position of its last
+junction and on the oriented unitig there, or rather on that unitig's last
+word, which fixes its successor list; so the search is memoised per strand
+pass over (read position, successor list) states.  A state is searched
+again only under a larger mismatch cap, at most t + 1 times, and the search
+is polynomial in the read length and the number of anchor words.  That
+holds only because it searches walks, not paths of distinct unitigs, and
+scores Hamming cost, not edit distance.  Its `expansion_budget` bounds the
+candidate evaluations of one strand pass, which are state expansions, not
+paths.  Both mappers take their begin anchors from `_begins` and extend
+every junction through `_junction`, so they share one anchoring and
+extension geometry and differ only in search policy.  Anchors come from
+the read's words, each looked up by its written code on the strand: the
+anchor table gives the unitigs ending with a begin overlap, and, for the
+greedy end anchor (a junction at the end overlap whose unitig reaches the
+read's end), the unitigs starting with the end overlap.  A begin overlap at
+read position 0 is one anchor with an empty head, however many unitigs end
+with it.  Junction candidates come from the graph's successor lists
+(`AnchorIndex.successors`): after a unitig, the candidates are the unitigs
+starting with its last (k-1)-mer, built once per graph and never per read.
+Only the junction right at a begin overlap at read position 0, which has no
+unitig before it, looks up the read's word.
 
 All four mappers are one driver, `_map`, run over a list of regimes, each a
 strand pass with its index and the strands it tries.  Three rules settle the
@@ -527,9 +536,20 @@ def _exhaustive_pass(
     params: MappingParams,
     expansion_budget: int,
 ) -> _Attempt:
-    """Branch-and-bound over all junction choices from the begin anchors:
-    the first cheapest path found, or the reason none was, either one
-    `truncated` when the expansion budget cut the search short."""
+    """The first cheapest walk from the begin anchors, or the reason there
+    is none, either one `truncated` when the expansion budget ran out.
+
+    The cost of the rest of a walk depends only on the read position of its
+    last junction and the successor list there (one list per word), so that
+    pair is a state, memoised for the pass as (the largest cap it was
+    searched under, its first cheapest way on within that cap or None,
+    `worst`).  A way on, once found, is the state's cheapest under any cap;
+    None answers any cap up to the one searched.  `worst` is the most
+    mismatches any walk from the state reached, a failed Hamming check
+    counting as the cap plus one: under any cap c up to the one searched, a
+    check below the state goes over budget exactly when `worst` exceeds c.
+    So a memoised None still tells `budget_exceeded` from `cover_failed`, as
+    a search that re-ran every revisit would."""
     k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
@@ -541,63 +561,86 @@ def _exhaustive_pass(
         return _Attempt(reason=NO_ANCHOR)
     succ = anchor.successors(graph)
 
-    best_cost = t + 1
-    best = None
+    memo = None  # made at the first junction
     expansions = 0
     truncated = False
-    budget_blocked = False
-    anchored = False
 
-    def record(path, start_offset, cost, positions):
-        nonlocal best_cost, best
-        if cost < best_cost:
-            best_cost = cost
-            best = _Attempt(list(path), start_offset, cost, positions)
-
-    def dfs(jpos, cands, cost_so_far, path, positions, start_offset):
-        nonlocal expansions, truncated, budget_blocked
-        if truncated:
-            return
+    def onward(jpos, cands, cap):
+        """(way, worst) from the junction at `jpos` through `cands` within
+        `cap` mismatches.  `way` is None or the chain (cost, unitig,
+        positions, way on from its end); candidates are scanned in list
+        order and, after each find, only a strictly cheaper way is sought."""
+        nonlocal expansions, truncated
+        key = (jpos, id(cands))  # a successor list is one object per word
+        hit = memo.get(key)
+        if hit is not None:
+            searched, way, worst = hit
+            if way is not None:
+                return (way if way[0] <= cap else None), worst
+            if cap <= searched:
+                return None, worst
+        way = None
+        worst = 0
+        limit = cap
         for uid, orient, _, jnext, body in _junction(seq, jpos, cands, k1):
             expansions += 1
             if expansions > expansion_budget:
                 truncated = True
-                return
-            budget = min(t, best_cost) - cost_so_far
-            if budget < 0:
-                return
-            cost_u, plist = _hamming(seq, jpos + k1, body, budget)
+                return way, worst
+            cost, plist = _hamming(seq, jpos + k1, body, limit)
             if plist is None:
-                budget_blocked = True
+                worst = max(worst, cap + 1)
                 continue
-            cost_u += cost_so_far
-            path_u = path + ((uid, orient),)
-            positions_u = positions + plist
-            if jnext + k1 >= length:  # the unitig reaches the read's end
-                record(path_u, start_offset, cost_u, positions_u)
-            else:
-                dfs(jnext, succ[uid, orient], cost_u, path_u, positions_u, start_offset)
+            tail = None
+            if jnext + k1 < length:  # the unitig stops short of the read's end
+                tail, tail_worst = onward(jnext, succ[uid, orient], limit - cost)
+                if tail is None:
+                    worst = max(worst, cost + tail_worst)
+                    continue
+                cost += tail[0]
+            way = (cost, (uid, orient), plist, tail)
+            limit = cost - 1
+            if limit < 0:
+                break
+        if not truncated:
+            memo[key] = (cap, way, worst)
+        return way, worst
 
+    cap = t  # a path must cost at most t, then less than the best found
+    best = None
+    blocked = anchored = False
     for pos_b, code_b, _ in dets[:n]:
         for head, start_offset, text in _begins(pos_b, code_b, graph, anchor):
-            cost_b, plist_b = _hamming(seq, 0, text, min(t, best_cost))
-            if plist_b is None:
-                budget_blocked = True
+            cost, plist = _hamming(seq, 0, text, cap)
+            if plist is None:
+                blocked = True
                 continue
             anchored = True
-            if pos_b + k1 == length:
-                record(head, start_offset, cost_b, plist_b)
-            else:
+            tail = None
+            if pos_b + k1 < length:
+                if memo is None:
+                    memo = {}
                 cands = succ[head[0]] if head else succ.starting(code_b)
-                dfs(pos_b, cands, cost_b, head, plist_b, start_offset)
+                tail, worst = onward(pos_b, cands, cap - cost)
+                if tail is None:
+                    blocked = blocked or worst > cap - cost
+                    continue
+                cost += tail[0]
+            best = (cost, head, start_offset, plist, tail)
+            cap = cost - 1
 
-    if best is not None:
-        best.truncated = truncated
-        return best
-    if not anchored:
-        return _Attempt(reason=BEGIN_NOT_FOUND, truncated=truncated)
-    reason = BUDGET_EXCEEDED if budget_blocked else COVER_FAILED
-    return _Attempt(reason=reason, truncated=truncated)
+    if best is None:
+        if not anchored:
+            return _Attempt(reason=BEGIN_NOT_FOUND, truncated=truncated)
+        reason = BUDGET_EXCEEDED if blocked else COVER_FAILED
+        return _Attempt(reason=reason, truncated=truncated)
+    cost, head, start_offset, plist, way = best
+    path, positions = list(head), list(plist)
+    while way is not None:
+        _, unitig, plist, way = way
+        path.append(unitig)
+        positions.extend(plist)
+    return _Attempt(path, start_offset, cost, tuple(positions), truncated=truncated)
 
 
 def map_exhaustive(
@@ -607,10 +650,13 @@ def map_exhaustive(
     params: MappingParams = MappingParams(),
     expansion_budget: int = 200_000,
 ) -> MappingResult:
-    """Minimum-cost mapping over all anchored paths; cost never exceeds the
+    """Minimum-cost mapping over all anchored walks; cost never exceeds the
     greedy mapper's on the same input.  Each strand is a regime of its own:
     the first strand reaching the minimum wins, and a perfect first strand
-    ends the search.  Unmapped, the reason is the worst over the strands."""
+    ends the search.  Unmapped, the reason is the worst over the strands.
+    `expansion_budget` bounds each strand's candidate evaluations (state
+    expansions of the memoised search); a result cut short by it is
+    `truncated`."""
     search = partial(_exhaustive_pass, expansion_budget=expansion_budget)
     return _map(read, graph, params, *((search, anchor, (strand,)) for strand in params.strands))
 

@@ -3,7 +3,10 @@ import hashlib
 import os
 import random
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -656,3 +659,38 @@ def test_map_corrupt_index_exits_2(tmp_path, capsys):
         save_indexes(dropped, anchor, interior)
         code, err = _map_with_index(tmp_path, capsys, unitigs, reads, dropped.read_bytes(), name)
         assert code == 2 and message in err, (name, err)
+
+
+def test_map_rejects_misfiled_anchor_entries_on_the_repeat_workload(tmp_path, capsys):
+    # the repeat-ref benchmark workload at seed 7: one end entry of each of
+    # 20 anchor keys (every other key in key order) moved to the next key,
+    # saved with a valid CRC; every oriented unitig is still once among the
+    # starts and once among the ends
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    subprocess.run([sys.executable, str(workloads), "repeat-ref", "7", str(tmp_path)],
+                   check=True, capture_output=True)
+    unitigs, idx = tmp_path / "unitigs.fa", tmp_path / "graph.idx"
+    assert run(capsys, "build", "-k", "31", "-c", "1", "-o", str(unitigs),
+               str(tmp_path / "ref.fa"))[0] == 0
+
+    def map_one(*index):
+        return run(capsys, "map", "-k", "31", "-g", str(unitigs), "-o", str(tmp_path / "a.tsv"),
+                   *index, str(tmp_path / "one.fq"))
+
+    assert map_one("--index-out", str(idx))[0] == 0
+    anchor, interior = load_indexes(idx)
+    keys = sorted(anchor._table)
+    table = {key: [list(side) for side in sides] for key, sides in anchor._table.items()}
+    moved = 0
+    for key, after in zip(keys[::2], keys[1::2]):
+        if table[key][1] and moved < 20:
+            table[after][1].append(table[key][1].pop())
+            moved += 1
+    assert moved == 20
+    anchor._table = {key: tuple(map(tuple, sides)) for key, sides in table.items()}
+    misfiled = tmp_path / "misfiled.saved"
+    save_indexes(misfiled, anchor, interior)
+    load_indexes(misfiled)  # every load check passes
+    assert map_one("--index-in", str(idx))[0] == 0
+    code, _, err = map_one("--index-in", str(misfiled))
+    assert code == 2 and "was not built from" in err, err

@@ -24,6 +24,7 @@ from conftest import (
     indexes_for,
     interior_table,
     naive_rc,
+    oriented,
     random_genome,
     reconstruct_mapping,
 )
@@ -615,6 +616,182 @@ def test_exhaustive_searches_once_from_a_begin_overlap_at_read_start():
     result = map_exhaustive(read, graph, anchor, PARAMS, expansion_budget=1)
     assert (result.path, result.start_offset, result.mismatches) == (((2, "+"),), 0, 0)
     assert not result.truncated
+
+
+def brute_force_exhaustive(read, graph, params):
+    """`map_exhaustive`'s result by enumeration, on strings: every anchored
+    walk within the mismatch budget on each strand, and the first cheapest,
+    in begin-anchor then path order.  Unmapped, a strand's reason is
+    `budget_exceeded` when any Hamming check on it went over the budget."""
+    k1 = graph.k - 1
+    t = params.max_mismatches
+    if len(read.sequence) < graph.k:
+        return MappingResult(read_id=read.id, regime="unmapped", reason="too_short")
+    starts, ends = {}, {}  # word -> oriented unitigs, smallest id then '+' first
+    for uid in range(len(graph)):
+        for o in "+-":
+            s = oriented(graph, uid, o)
+            starts.setdefault(s[:k1], []).append((uid, o, s))
+            ends.setdefault(s[-k1:], []).append((uid, o, s))
+
+    def mismatches(seq, base, text):
+        return [i for i, (x, y) in enumerate(zip(seq[base:], text), base) if x != y]
+
+    def search(seq):
+        length = len(seq)
+        dets = [p for p in range(length - k1 + 1)
+                if seq[p : p + k1] in starts or seq[p : p + k1] in ends]
+        if not dets:
+            return "no_anchor", None
+        walks = []  # (cost, anchor rank, path, start offset, positions)
+        over = anchored = False
+
+        def extend(rank, jpos, word, path, cost, positions, start_offset):
+            nonlocal over
+            if jpos + k1 >= length:
+                walks.append((cost, rank, path, start_offset, positions))
+                return
+            for uid, o, s in starts.get(word, ()):
+                miss = mismatches(seq, jpos + k1, s[k1 : length - jpos])
+                if cost + len(miss) > t:
+                    over = True
+                    continue
+                extend(rank, jpos + len(s) - k1, s[-k1:], path + ((uid, o),),
+                       cost + len(miss), positions + miss, start_offset)
+
+        rank = 0
+        for p in dets[: params.max_anchor_attempts]:
+            word = seq[p : p + k1]
+            if p == 0:  # one anchor with an empty head
+                anchors = [((), 0, "")] if word in ends else []
+            else:
+                anchors = [(((uid, o),), len(s) - k1 - p, s[len(s) - k1 - p : len(s) - k1])
+                           for uid, o, s in ends.get(word, ()) if len(s) - k1 - p >= 0]
+            for head, start_offset, text in anchors:
+                miss = mismatches(seq, 0, text)
+                if len(miss) > t:
+                    over = True
+                    continue
+                anchored = True
+                extend(rank, p, word, head, len(miss), miss, start_offset)
+                rank += 1
+        if walks:
+            return None, min(walks, key=lambda w: w[:3])
+        if not anchored:
+            return "begin_not_found", None
+        return ("budget_exceeded" if over else "cover_failed"), None
+
+    best, reasons = None, []
+    for strand in params.strands:
+        reason, walk = search(read.sequence if strand == "+" else naive_rc(read.sequence))
+        if walk is None:
+            reasons.append(reason)
+        elif best is None or walk[0] < best[1][0]:
+            best = (strand, walk)
+        if best is not None and best[1][0] == 0:
+            break
+    if best is None:
+        return MappingResult(read_id=read.id, regime="unmapped",
+                             reason=max(reasons, key=REASON_ORDER.index))
+    strand, (cost, _, path, start_offset, positions) = best
+    return MappingResult(
+        read_id=read.id,
+        regime="single_unitig" if len(path) == 1 else "branching_path",
+        strand=strand,
+        path=path,
+        start_offset=start_offset,
+        mismatches=cost,
+        mismatch_positions=tuple(positions),
+        repeated=len({u for u, _ in path}) != len(path),
+    )
+
+
+def bubbles_and_a_cycle(k=7):
+    """Two haplotypes, 24 bp apart SNPs (bubbles), around a tandem repeat of
+    a 9 bp unit (a cycle)."""
+    unit = random_genome(63, 9)
+    first = random_genome(61, 120) + unit * 5 + random_genome(62, 120)
+    second = list(first)
+    for p in range(10, len(first), 24):
+        second[p] = "ACGT"[("ACGT".index(first[p]) + 1) % 4]
+    second = "".join(second)
+    graph, _ = graph_from_sequences([first, second], k)
+    return graph, [first, second]
+
+
+@pytest.mark.parametrize("case", ["repeats", "random k5", "random k7", "bubbles and a cycle"])
+def test_map_exhaustive_equals_a_brute_force_enumeration(case):
+    if case == "repeats":
+        graph, sources = repeat_graph_with_decoys()
+    elif case == "bubbles and a cycle":
+        graph, sources = bubbles_and_a_cycle()
+    else:
+        k = int(case[-1])
+        sources = [random_genome(70 + k, 400)]
+        graph, _ = graph_from_sequences(sources, k)
+    anchor, _ = indexes_for(graph)
+    rng = random.Random(case)
+    reasons, repeated = set(), 0
+    for i in range(40):
+        src = rng.choice(sources)
+        length = rng.randint(graph.k + 6, 40)
+        start = rng.randrange(0, len(src) - length + 1)
+        seq = src[start : start + length]
+        if i % 8 == 0:  # run off one end of the source into foreign bases
+            seq = src[len(src) - length + 4 :] + "TTGA" if i % 16 else "CAAT" + src[: length - 4]
+        seq = list(seq)
+        for _ in range(rng.randint(0, 3)):
+            p = rng.randrange(length)
+            seq[p] = rng.choice([b for b in "ACGTN" if b != seq[p]])
+        seq = "".join(seq)
+        read = Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq))
+        for t in range(4):
+            for mode in ("both", "forward_only"):
+                params = MappingParams(max_mismatches=t, strand_mode=mode)
+                got = map_exhaustive(read, graph, anchor, params)
+                assert got == brute_force_exhaustive(read, graph, params), (t, mode, read.sequence)
+                reasons.add(got.reason)
+                repeated += got.repeated
+    assert {None, "budget_exceeded"} <= reasons, reasons
+    if case in ("repeats", "bubbles and a cycle"):  # random small-k walks rarely dead-end
+        assert "cover_failed" in reasons, reasons
+    if case != "repeats":
+        assert repeated, case
+
+
+def test_exhaustive_reason_at_a_memoised_junction_revisited_over_budget():
+    # A then X or Y reach the junction TTGT at one read position, X exactly
+    # and Y at two mismatches; Z costs one more and dead-ends before the
+    # read's end.  Through X, Z fits the budget and the walk dead-ends;
+    # through Y the junction comes back at a budget of 0, where Z goes over
+    graph = build_graph(["AAAGCGGCAC", "GCACGAAGTTTGT", "GCACGCATTTTGT", "TTGTGTTCCC"], 5)
+    anchor, _ = indexes_for(graph)
+    read = Read(id="r", sequence="AAAGCGGCACGAAGTTTGTGTACCCCAC")
+    result = map_exhaustive(read, graph, anchor, PARAMS)
+    assert result == brute_force_exhaustive(read, graph, PARAMS)
+    assert result.reason == "budget_exceeded"
+
+
+def test_exhaustive_is_polynomial_across_a_chain_of_bubbles():
+    # sixteen SNP bubbles in a row, 2**16 walks; the read takes the second
+    # branch of each, one mismatch away from the first, so a search over
+    # paths would climb through every within-budget choice of first
+    # branches; the memoised search evaluates each junction state once
+    k1 = 8
+    spacers = [random_genome(200 + i, 14) for i in range(17)]
+    unitigs, walk = [spacers[0]], [(0, "+")]
+    for i, (left, right) in enumerate(zip(spacers, spacers[1:])):
+        for snp in "AC":
+            unitigs.append(left[-k1:] + snp + right[:k1])
+        unitigs.append(right)
+        walk += [(3 * i + 2, "+"), (3 * i + 3, "+")]
+    read = "C".join(spacers)
+    graph = build_graph(unitigs, k1 + 1)
+    anchor, _ = indexes_for(graph)
+    result = map_exhaustive(Read(id="r", sequence=read), graph, anchor, PARAMS,
+                            expansion_budget=200)
+    assert (result.path, result.mismatches, result.truncated) == (tuple(walk), 0, False)
+    assert_result_consistent(graph, anchor, result, read)
 
 
 def test_repeat_flag_on_cyclic_path():
