@@ -268,7 +268,7 @@ def cmd_map(args) -> int:
             anchor = build_anchor_index(graph)
             interior = build_interior_index(graph)
         if index_out:
-            save_indexes(index_out, anchor, interior)
+            save_indexes(index_out, interior)
         reads = chain.from_iterable(map(read_sequences, args.reads))
         regimes = {"single_unitig": 0, "branching_path": 0, "unmapped": 0}
         started = time.perf_counter()

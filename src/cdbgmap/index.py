@@ -7,8 +7,7 @@ it starts with and the word it ends with: (u,'+') under u's first and last
 unitig starts with a word exactly when its flipped orientation ends with the
 word's reverse complement, so the key set is closed under reverse
 complement, and a palindromic word is one key like any other.  Orientations
-are the strings '+' and '-' everywhere in memory; only the index file
-stores them as a bit ('-' is 1).
+are the strings '+' and '-'.
 
 Successor lists (`Successors`, one per anchor index and graph, from
 `AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
@@ -24,28 +23,28 @@ occurrence is one int, `offset << 32 | unitig_id`, and a key with one
 occurrence holds that int alone.  The build encodes each unitig in bounded
 slices (`sequences.slices`), never as one whole-unitig window list.
 
-The index file (format version 5) holds a header of magic, version, k, a
-fingerprint of the graph the indexes were built from (`graph_fingerprint`)
-and its unitig count; then the anchor table and the interior table in one
-layout, a key and an entry count and then little-endian columns, in key
-order, of the keys' high and low 64-bit words, one size per group (an
-anchor key's starts then its ends; an interior key's occurrences) and two
-32-bit fields per entry (unitig id, then orientation bit or offset); and
-last a CRC-32 of every byte before it.  An interior entry's two 32-bit
-fields, read as one little-endian 64-bit value, are its packed occurrence,
-so the interior entries column is written from the in-memory ints and read
-back as them with no arithmetic per entry.  The fingerprint and count match
-a file to a graph without rebuilding the interior index.  A load rejects a
-CRC mismatch, columns that do not add up, an interior key with no
-occurrences, any unitig id not below the count, and an anchor table that
-does not hold each oriented unitig of the unitigs it names exactly once
-among the starts and exactly once among the ends (the greedy cover looks up
-the successor list of every unitig it reaches, which needs the unitig's
-end); `matches_graph` rejects an anchor table other than the one
-`build_anchor_index` gives for the graph (a unitig left out, or filed under
-another word), which it rebuilds at four entries per unitig, and an
-interior offset past its unitig's last (k-1)-mer.  A file of versions 1 to
-4 is rejected, from its version field alone, with a message to rebuild it.
+The index file (format version 6) holds the interior table alone: a header
+of magic, version, k, a fingerprint of the graph it was built from
+(`graph_fingerprint`) and its unitig count; then a key and an entry count
+and little-endian columns of the keys' high and low 64-bit words, one
+occurrence count per key and two 32-bit fields per occurrence (unitig id,
+then offset); and last a CRC-32 of every byte before it.  An occurrence's
+two fields, read as one little-endian 64-bit value, are its packed int, so
+the entries column is written from the in-memory ints and read back as them
+with no arithmetic per entry.  The keys are in the table's own order, the
+build's unitig by unitig and window by window, and a load keeps file order,
+so a loaded index saves to the same bytes.
+
+A unitig's first and last (k-1)-mers are its windows at offset 0 and at
+its largest offset, so a load derives the anchor table from one walk over
+the occurrences, through the code `build_anchor_index` uses.  A load rejects
+a CRC mismatch, columns that do not add up, a key with no occurrences, a k
+outside [2, MAX_K], a unitig count above half the entries (a unitig has two
+windows or more), a unitig id not below the count and a unitig with no
+window at offset 0.  `matches_graph` rejects a fingerprint, k or largest
+offset other than the graph's, and an anchor table other than the built one
+(a first or last window under another word).  A file of versions 1 to 5 is
+rejected from its version field alone, with a message to rebuild it.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ import struct
 import sys
 import zlib
 from array import array
-from collections.abc import Iterator
-from itertools import chain, cycle, islice, repeat
+from collections.abc import Iterable
+from itertools import accumulate, chain, islice, repeat
 from operator import and_, lshift, or_, rshift
 from pathlib import Path
 
@@ -70,10 +69,10 @@ except ImportError:
         from hashlib import sha256
 
 from .graph import CompactedGraph
-from .sequences import kmer_codes, slices, window_codes
+from .sequences import MAX_K, kmer_codes, rc_code, slices, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 5
+_INDEX_VERSION = 6
 
 # magic, version, k, graph fingerprint, unitig count; little-endian, as are
 # the columns (byte-swapped on a big-endian host)
@@ -83,9 +82,6 @@ _REBUILD = "rebuild it with `cdbgmap map --index-out`"
 
 FORWARD = "+"
 REVERSE = "-"
-
-# a packed interior occurrence is `offset << 32 | unitig_id`
-_UID = (1 << 32) - 1
 
 
 class AnchorIndex:
@@ -148,22 +144,28 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     """Each oriented unitig is filed under the written code of its first
     (k-1)-mer in the starts and of its last in the ends; the key set is
     therefore closed under reverse complement."""
-    idx = AnchorIndex(k=graph.k)
     size = graph.k - 1
+    return _anchor_index(graph.k, (
+        kmer_codes(u.sequence[:size]) + kmer_codes(u.sequence[-size:]) for u in graph.unitigs))
+
+
+def _anchor_index(k: int, words: Iterable[tuple[int, int, int, int]]) -> AnchorIndex:
+    """The anchor index of unitigs 0, 1, ... whose first and last (k-1)-mers
+    have the written codes of `words`' (first, its reverse complement, last,
+    its reverse complement): (u,'+') under the first in the starts and the
+    last in the ends, (u,'-') under the last's reverse complement in the
+    starts and the first's in the ends.  Each list is filled in (id,
+    orientation) order, so it comes out sorted."""
+    idx = AnchorIndex(k)
     starts: dict[int, list] = {}
     ends: dict[int, list] = {}
-    for u in graph.unitigs:
-        pf, pf_rc = kmer_codes(u.sequence[:size])
-        sf, sf_rc = kmer_codes(u.sequence[-size:])
-        starts.setdefault(pf, []).append((u.id, FORWARD))
-        ends.setdefault(sf, []).append((u.id, FORWARD))
-        starts.setdefault(sf_rc, []).append((u.id, REVERSE))
-        ends.setdefault(pf_rc, []).append((u.id, REVERSE))
+    for uid, (first, first_rc, last, last_rc) in enumerate(words):
+        starts.setdefault(first, []).append((uid, FORWARD))
+        ends.setdefault(last, []).append((uid, FORWARD))
+        starts.setdefault(last_rc, []).append((uid, REVERSE))
+        ends.setdefault(first_rc, []).append((uid, REVERSE))
     for key in starts.keys() | ends.keys():
-        idx._table[key] = (
-            tuple(sorted(starts.get(key, ()))),
-            tuple(sorted(ends.get(key, ()))),
-        )
+        idx._table[key] = (tuple(starts.get(key, ())), tuple(ends.get(key, ())))
     return idx
 
 
@@ -176,14 +178,14 @@ class InteriorIndex:
     of unitig `uid` is the packed int `offset << 32 | uid`.  A key with one
     occurrence holds that int; a key with more holds a tuple of them in
     ascending (uid, offset) order.  `fingerprint` is the `graph_fingerprint`
-    of the graph the index was built from, and `unitig_count` its number of
-    unitigs.
+    of the graph the index was built from, and `last_offsets` the largest
+    window offset of each of its unitigs, by id.
     """
 
     def __init__(self, k: int, fingerprint: bytes = bytes(32)):
         self.k = k
         self.fingerprint = fingerprint
-        self.unitig_count = 0
+        self.last_offsets: list[int] = []
         self._table: dict[int, int | tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -200,8 +202,8 @@ def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
     """Every (k-1)-mer window of every unitig, under its written code, as
     packed occurrences; each unitig is encoded a bounded slice at a time."""
     idx = InteriorIndex(graph.k, graph_fingerprint(graph))
-    idx.unitig_count = len(graph)
     size = graph.k - 1
+    idx.last_offsets = [len(u.sequence) - size for u in graph.unitigs]
     table = idx._table
     add = table.setdefault
     repeated = []  # keys seen twice, whose occurrences are kept in a list
@@ -224,62 +226,36 @@ def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
     return idx
 
 
-def _occurrences(values):
-    """The packed occurrences of interior table values, in order."""
-    for value in values:
-        if type(value) is int:
-            yield value
-        else:
-            yield from value
-
-
 def matches_graph(graph: CompactedGraph, anchor: AnchorIndex, interior: InteriorIndex) -> bool:
-    """Whether loaded indexes were built from `graph`: same k, unitig count
-    and fingerprint, the very anchor table that `build_anchor_index` gives
-    for the graph (every oriented unitig filed under its own first and last
-    (k-1)-mers, in the same order), and every interior occurrence placing a
-    (k-1)-mer inside its unitig.  The unitig ids are below the count, as a
-    load checks."""
-    if (anchor.k, interior.unitig_count, interior.fingerprint) != (
-            graph.k, len(graph), graph_fingerprint(graph)):
-        return False
-    if anchor._table != build_anchor_index(graph)._table:
-        return False
-    last = [len(u.sequence) - graph.k + 1 for u in graph.unitigs]  # last window offsets
-    return all(p >> 32 <= last[p & _UID] for p in _occurrences(interior._table.values()))
-
-
-def _columns(keys: list, sizes: array, entries: array) -> Iterator[array]:
-    """One table's columns in file order: the key and entry counts, the
-    keys' high and low words (each built when it is asked for), the group
-    sizes and the entries."""
-    yield array("Q", (len(keys), sum(sizes)))
-    yield array("Q", map(rshift, keys, repeat(64)))
-    yield array("Q", map(and_, keys, repeat((1 << 64) - 1)))
-    yield sizes
-    yield entries
-
-
-def save_indexes(path: str | Path, anchor: AnchorIndex, interior: InteriorIndex) -> None:
-    """Both indexes in the file layout of the module docstring, the CRC
-    folded over the columns as they are written."""
-    header = _HEADER.pack(
-        _INDEX_MAGIC, _INDEX_VERSION, anchor.k, interior.fingerprint, interior.unitig_count
+    """Whether loaded indexes were built from `graph`: same k and
+    fingerprint, each unitig's largest interior offset that of its last
+    (k-1)-mer (so the same unitig count, and every offset places a (k-1)-mer
+    inside its unitig), and the very anchor table that `build_anchor_index`
+    gives for the graph (so no first or last window under another word)."""
+    size = graph.k - 1
+    return (
+        (anchor.k, interior.fingerprint) == (graph.k, graph_fingerprint(graph))
+        and interior.last_offsets == [len(u.sequence) - size for u in graph.unitigs]
+        and anchor._table == build_anchor_index(graph)._table
     )
-    anchor_keys = sorted(anchor._table)
-    # anchor groups: starts then ends, with orientation bits
-    groups = [[(u, o == REVERSE) for u, o in group]
-              for key in anchor_keys for group in anchor._table[key]]
-    interior_keys = sorted(interior._table)
-    values = list(map(interior._table.__getitem__, interior_keys))
-    columns = chain(
-        _columns(anchor_keys, array("I", map(len, groups)),
-                 array("I", chain.from_iterable(chain.from_iterable(groups)))),
-        # a packed occurrence is its (unitig id, offset) entry as one
-        # little-endian 64-bit value
-        _columns(interior_keys, array("I", [1 if type(v) is int else len(v) for v in values]),
-                 array("Q", _occurrences(values))),
-    )
+
+
+def save_indexes(path: str | Path, interior: InteriorIndex) -> None:
+    """The interior index in the file layout of the module docstring, in
+    table order, the CRC folded over the columns as they are written."""
+    table = interior._table
+    header = _HEADER.pack(_INDEX_MAGIC, _INDEX_VERSION, interior.k, interior.fingerprint,
+                          len(interior.last_offsets))
+    sizes = [1 if type(v) is int else len(v) for v in table.values()]
+    # each column is built as it is written; a packed occurrence is its
+    # (unitig id, offset) entry as one little-endian 64-bit value
+    columns = map(array, "QQQIQ", (
+        (len(sizes), sum(sizes)),
+        map(rshift, table, repeat(64)),
+        map(and_, table, repeat((1 << 64) - 1)),
+        sizes,
+        chain.from_iterable((v,) if type(v) is int else v for v in table.values()),
+    ))
     with open(path, "wb") as out:
         out.write(header)
         crc = zlib.crc32(header)
@@ -301,9 +277,9 @@ def _column(raw: memoryview, typecode: str):
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
-    """Inverse of save_indexes.  A file of another format version (nothing
-    past its version is read), or a truncated or malformed one, raises
-    ValueError."""
+    """The interior index of a file save_indexes wrote, and the anchor index
+    derived from it.  A file of another format version (nothing past its
+    version is read), or a truncated or malformed one, raises ValueError."""
     with open(path, "rb") as inp:
         data = inp.read()
     if data[:8] != _INDEX_MAGIC:
@@ -328,51 +304,56 @@ def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
         if len(body) < _HEADER.size or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
             raise ValueError("CRC-32 mismatch")
         _, _, k, fingerprint, count = _HEADER.unpack_from(data)
-        tables = []
-        for groups_per_key in (2, 1):  # anchor: starts and ends; interior: occurrences
-            n_keys, n_entries = _column(take(16), "Q")
-            high, low = _column(take(8 * n_keys), "Q"), _column(take(8 * n_keys), "Q")
-            sizes = _column(take(4 * groups_per_key * n_keys), "I")
-            raw = take(8 * n_entries)
-            entries = _column(raw, "I")  # unitig id, then orientation bit or offset
-            if sum(sizes) != n_entries:
-                raise ValueError("group sizes do not sum to the entry count")
-            if max(entries[0::2], default=-1) >= count:
-                raise ValueError(f"a unitig id is not below the unitig count {count}")
-            keys = map(or_, map(lshift, high, repeat(64)), low)
-            tables.append((keys, sizes, entries, raw))
+        n_keys, n_entries = _column(take(16), "Q")
+        high, low = _column(take(8 * n_keys), "Q"), _column(take(8 * n_keys), "Q")
+        sizes = _column(take(4 * n_keys), "I")
+        raw = take(8 * n_entries)
         if off != len(body):
-            raise ValueError(f"{len(body) - off} bytes between the tables and the CRC trailer")
-        (keys, sizes, entries, _), (ikeys, isizes, _, iraw) = tables
-        if max(entries[1::2], default=0) > 1:
-            raise ValueError("an orientation bit above 1")
-        # each oriented unitig of a unitig the anchor table names starts with
-        # one key and ends with one: four distinct `uid << 2 | end << 1 |
-        # orientation` tags per unitig named
-        ends = chain.from_iterable(map(repeat, cycle((0, 2)), sizes))
-        tags = map(or_, map(lshift, entries[0::2], repeat(2)), map(or_, ends, entries[1::2]))
-        if not len(entries) // 2 == len(set(tags)) == 4 * len(set(entries[0::2])):
-            raise ValueError("the anchor table does not hold each oriented unitig "
-                             "once among the starts and once among the ends")
-        if min(isizes, default=1) < 1:
-            raise ValueError("an interior key with no occurrences")
+            raise ValueError(f"{len(body) - off} bytes between the table and the CRC trailer")
+        if sum(sizes) != n_entries:
+            raise ValueError("occurrence counts do not sum to the entry count")
+        if min(sizes, default=1) < 1:
+            raise ValueError("a key with no occurrences")
+        if not 2 <= k <= MAX_K:
+            raise ValueError(f"k={k} is not in [2, {MAX_K}]")
+        if count > n_entries // 2:
+            raise ValueError(f"the unitig count {count} is above half the {n_entries} entries")
+        entries = _column(raw, "I")  # unitig id, then offset
+        uids, offsets = entries[0::2], entries[1::2]
+        if max(uids, default=-1) >= count:
+            raise ValueError(f"a unitig id is not below the unitig count {count}")
+        # per unitig: the key of its window at offset 0, and its largest
+        # offset and that window's key, each key as its index j (the key
+        # whose entries end just before entry `end`)
+        first, last, top = [-1] * count, [0] * count, [-1] * count
+        ends, j, end = accumulate(sizes), -1, 0
+        for entry, uid, offset in zip(range(n_entries), uids, offsets):
+            if entry == end:
+                j, end = j + 1, next(ends)
+            if offset > top[uid]:
+                top[uid] = offset
+                last[uid] = j
+            if not offset:
+                first[uid] = j
+        if -1 in first:
+            raise ValueError(f"unitig {first.index(-1)} has no window at offset 0")
+        keys = [high[j] << 64 | low[j] for j in first + last]
+        if max(keys, default=0) >> 2 * (k - 1):
+            raise ValueError(f"a key of more than k-1={k - 1} bases")
     except ValueError as exc:
         raise ValueError(f"truncated or malformed index file {path} ({exc}): {_REBUILD}") from None
 
-    anchor, interior = AnchorIndex(k), InteriorIndex(k, fingerprint)
-    interior.unitig_count = count
-    groups = map(tuple, map(islice, repeat(zip(entries[0::2], map("+-".__getitem__,
-                                                                  entries[1::2]))), sizes))
-    anchor._table = dict(zip(keys, zip(groups, groups)))  # starts, then ends
-    packed = _column(iraw, "Q")
-    if len(packed) == len(isizes):  # one occurrence per key
+    interior = InteriorIndex(k, fingerprint)
+    interior.last_offsets = top
+    packed = _column(raw, "Q")
+    if len(packed) == len(sizes):  # one occurrence per key
         values = packed
     else:
         occurrences = iter(packed)
-        values = [next(occurrences) if n == 1 else tuple(islice(occurrences, n))
-                  for n in isizes]
-    interior._table = dict(zip(ikeys, values))
-    return anchor, interior
+        values = [next(occurrences) if n == 1 else tuple(islice(occurrences, n)) for n in sizes]
+    interior._table = dict(zip(map(or_, map(lshift, high, repeat(64)), low), values))
+    rcs = [rc_code(key, k - 1) for key in keys]
+    return _anchor_index(k, zip(keys[:count], rcs[:count], keys[count:], rcs[count:])), interior
 
 
 # Table entries whose sizes approximate_bytes measures; the rest are assumed

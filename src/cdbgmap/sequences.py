@@ -78,13 +78,20 @@ def decode_kmer(bits: int, length: int) -> str:
     return "".join(out)
 
 
+# byte -> the complements of its four 2-bit groups in reverse order
+_RC_BYTE = bytes(
+    sum((3 - (byte >> shift & 3)) << (6 - shift) for shift in (0, 2, 4, 6))
+    for byte in range(256)
+)
+
+
 def rc_code(bits: int, length: int) -> int:
-    """Packed reverse complement of a packed k-mer."""
-    out = 0
-    for _ in range(length):
-        out = (out << 2) | (3 - (bits & 3))
-        bits >>= 2
-    return out
+    """Packed reverse complement of a packed k-mer: its bytes from the last
+    one, each with its bases complemented in reverse order, less the
+    complemented padding above the k-mer's 2*length bits."""
+    n = (2 * length + 7) // 8
+    flipped = int.from_bytes(bits.to_bytes(n, "little").translate(_RC_BYTE), "big")
+    return flipped >> (8 * n - 2 * length)
 
 
 @dataclass(frozen=True, slots=True)

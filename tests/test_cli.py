@@ -493,23 +493,17 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 
 def _index_sections(idx_path):
     """(start, end) byte ranges of a saved index by name, in file order: the
-    header fields, each table's five columns and the CRC trailer."""
-    anchor, interior = load_indexes(idx_path)
-    tables = {
-        "anchor": (anchor._table, 2, sum(len(s) + len(e) for s, e in anchor._table.values())),
-        "interior": (interior._table, 1, sum(map(len, interior_table(interior).values()))),
-    }
-    sizes = [("magic", 8), ("version", 4), ("k", 4), ("fingerprint", 32), ("unitig count", 4)]
-    for name, (table, groups_per_key, n_entries) in tables.items():
-        sizes += [
-            (f"{name} counts", 16),
-            (f"{name} key high words", 8 * len(table)),
-            (f"{name} key low words", 8 * len(table)),
-            (f"{name} group sizes", 4 * groups_per_key * len(table)),
-            (f"{name} entries", 8 * n_entries),
-        ]
+    header fields, the table's five columns and the CRC trailer."""
+    _, interior = load_indexes(idx_path)
+    n_keys = len(interior)
+    n_entries = sum(map(len, interior_table(interior).values()))
+    sizes = [
+        ("magic", 8), ("version", 4), ("k", 4), ("fingerprint", 32), ("unitig count", 4),
+        ("counts", 16), ("key high words", 8 * n_keys), ("key low words", 8 * n_keys),
+        ("occurrence counts", 4 * n_keys), ("entries", 8 * n_entries), ("trailer", 4),
+    ]
     sections, end = {}, 0
-    for name, size in sizes + [("trailer", 4)]:
+    for name, size in sizes:
         sections[name] = (end, end + size)
         end += size
     assert end == idx_path.stat().st_size
@@ -549,7 +543,7 @@ def test_map_truncated_index_exits_2(tmp_path, capsys):
     data = idx.read_bytes()
     sections = _index_sections(idx)
     cuts = {"version": 10}
-    for part in ("fingerprint", "anchor key low words", "interior entries", "trailer"):
+    for part in ("fingerprint", "key low words", "entries", "trailer"):
         start, end = sections[part]
         cuts[part] = (start + end) // 2
     for where, cut in cuts.items():
@@ -585,19 +579,20 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     assert data[start:end] == hashlib.sha256(
         "".join(u.sequence + "\n" for u in read_unitigs_fasta(unitigs, 15).unitigs).encode()
     ).digest()
-    rebuild = "this cdbgmap reads version 5: rebuild it with `cdbgmap map --index-out`"
+    rebuild = "this cdbgmap reads version 6: rebuild it with `cdbgmap map --index-out`"
     cases = {}
-    for version in (1, 2, 3, 4):  # the loader reads nothing past another version
+    for version in (1, 2, 3, 4, 5):  # the loader reads nothing past another version
         old = bytearray(data)
         struct.pack_into("<I", old, 8, version)
         cases[f"v{version}"] = (bytes(old), f"format version {version}, " + rebuild)
     wrong = bytearray(data)
     wrong[start] ^= 1
     cases["fingerprint"] = (with_crc(wrong), "was not built from")
-    wrong = bytearray(data)  # one unitig more than the graph has
+    wrong = bytearray(data)  # one unitig more than the graph has, with no windows
     count_at = sections["unitig count"][0]
-    struct.pack_into("<I", wrong, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
-    cases["unitig count"] = (with_crc(wrong), "was not built from")
+    count = struct.unpack_from("<I", data, count_at)[0]
+    struct.pack_into("<I", wrong, count_at, count + 1)
+    cases["unitig count"] = (with_crc(wrong), f"unitig {count} has no window at offset 0")
     for name, (content, message) in cases.items():
         code, err = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
         assert code == 2 and message in err, (name, err)
@@ -618,54 +613,66 @@ def test_map_corrupt_index_exits_2(tmp_path, capsys):
             code, _ = _map_with_index(tmp_path, capsys, unitigs, reads, bytes(bad), f"flip{pos}")
             assert code == 2, (name, pos)
             cases += 1
-    assert cases >= 40
-    # a valid CRC over a unitig id out of range, in either table
-    for table in ("anchor", "interior"):
-        bad = bytearray(data)
-        struct.pack_into("<I", bad, sections[f"{table} entries"][0], 10**6)
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), table)
-        assert code == 2 and "not below the unitig count" in err, table
+    assert cases >= 30
+    # a valid CRC over a unitig id out of range
+    entries = sections["entries"][0]
+    bad = bytearray(data)
+    struct.pack_into("<I", bad, entries, 10**6)
+    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "uid")
+    assert code == 2 and "not below the unitig count" in err
     # a valid CRC over an interior offset that places no (k-1)-mer inside its
-    # unitig: far out of range, or one past the unitig's last (k-1)-mer
-    entry = sections["interior entries"][0]
-    uid = struct.unpack_from("<I", data, entry)[0]
-    last = len(read_unitigs_fasta(unitigs, 15).unitigs[uid].sequence) - 14
-    for name, offset in (("huge offset", 2**32 - 1), ("offset past the end", last + 1)):
+    # unitig: a window neither first nor last in its unitig moved far out of
+    # range, or a unitig's last window moved one past it, which leaves the
+    # derived anchor table as it was
+    _, interior = load_indexes(idx)
+    last = interior.last_offsets
+    assert last == [len(u.sequence) - 14 for u in read_unitigs_fasta(unitigs, 15).unitigs]
+    placed = [struct.unpack_from("<2I", data, at) + (at,)
+              for at in range(entries, sections["entries"][1], 8)]
+    middle = next((uid, at) for uid, offset, at in placed if 0 < offset < last[uid])
+    final = next((uid, at) for uid, offset, at in placed if offset == last[uid])
+    for name, (uid, at), offset in (("huge offset", middle, 2**32 - 1),
+                                    ("offset past the end", final, last[final[0]] + 1)):
         bad = bytearray(data)
-        struct.pack_into("<I", bad, entry + 4, offset)
+        struct.pack_into("<I", bad, at + 4, offset)
         code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), name)
         assert code == 2 and "was not built from" in err, name
     # an offset moved within range passes the check (only the CRC catches
     # it): the bound is the last (k-1)-mer's offset, not one less
     bad = bytearray(data)
-    struct.pack_into("<I", bad, entry + 4, last)
+    struct.pack_into("<I", bad, middle[1] + 4, last[middle[0]])
     assert _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "last")[0] == 0
-    # anchor tables saved with a valid CRC: without the ends of half the
-    # unitigs, which the greedy cover would look up, or without any entry of
-    # the last unitig
-    anchor, interior = load_indexes(idx)
-    half, last = interior.unitig_count // 2, interior.unitig_count - 1
-    tables = {
-        "ends": ({code: (starts, tuple(e for e in ends if e[0] >= half))
-                  for code, (starts, ends) in anchor._table.items()},
-                 "once among the starts and once among the ends"),
-        "last unitig": ({code: tuple(tuple(e for e in side if e[0] != last) for side in sides)
-                         for code, sides in anchor._table.items()},
-                        "was not built from"),
-    }
-    for name, (table, message) in tables.items():
-        anchor._table = table
-        dropped = tmp_path / f"{name}.saved"
-        save_indexes(dropped, anchor, interior)
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, dropped.read_bytes(), name)
-        assert code == 2 and message in err, (name, err)
+    # a valid CRC over a unitig's window at offset 0 moved in range, a unitig
+    # count above half the entries, a k out of range, or a first window's key
+    # (the table's first, unitig 0's) longer than k-1 bases
+    zero = next(at for _, offset, at in placed if offset == 0)
+    fields = [("no window at offset 0", zero + 4, 1),
+              ("above half the", sections["unitig count"][0], len(placed) // 2 + 1),
+              ("a key of more than k-1=14 bases", sections["key high words"][0], 1)]
+    fields += [("is not in [2, 63]", sections["k"][0], k) for k in (0, 1, 64, 2**32 - 1)]
+    for message, at, value in fields:
+        bad = bytearray(data)
+        struct.pack_into("<I", bad, at, value)
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "field")
+        assert code == 2 and "truncated or malformed" in err and message in err, (message, err)
+    # a table saved with a valid CRC but without any window of the last unitig
+    last_uid = len(last) - 1
+    table = {}
+    for key, occurrences in interior_table(interior).items():
+        kept = tuple(off << 32 | uid for uid, off in occurrences if uid != last_uid)
+        if kept:
+            table[key] = kept[0] if len(kept) == 1 else kept
+    interior._table = table
+    dropped = tmp_path / "dropped.saved"
+    save_indexes(dropped, interior)
+    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, dropped.read_bytes(), "dropped")
+    assert code == 2 and f"unitig {last_uid} has no window at offset 0" in err, err
 
 
 def test_map_rejects_misfiled_anchor_entries_on_the_repeat_workload(tmp_path, capsys):
-    # the repeat-ref benchmark workload at seed 7: one end entry of each of
-    # 20 anchor keys (every other key in key order) moved to the next key,
-    # saved with a valid CRC; every oriented unitig is still once among the
-    # starts and once among the ends
+    # the repeat-ref benchmark workload at seed 7: the last window of each of
+    # 20 unitigs moved to another key, saved with a valid CRC; every load
+    # check passes, and the anchor table derived from it is not the graph's
     workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     subprocess.run([sys.executable, str(workloads), "repeat-ref", "7", str(tmp_path)],
                    check=True, capture_output=True)
@@ -678,18 +685,20 @@ def test_map_rejects_misfiled_anchor_entries_on_the_repeat_workload(tmp_path, ca
                    *index, str(tmp_path / "one.fq"))
 
     assert map_one("--index-out", str(idx))[0] == 0
-    anchor, interior = load_indexes(idx)
-    keys = sorted(anchor._table)
-    table = {key: [list(side) for side in sides] for key, sides in anchor._table.items()}
+    _, interior = load_indexes(idx)
+    table = {key: list(occurrences) for key, occurrences in interior_table(interior).items()}
+    keys = list(table)
     moved = 0
-    for key, after in zip(keys[::2], keys[1::2]):
-        if table[key][1] and moved < 20:
-            table[after][1].append(table[key][1].pop())
-            moved += 1
+    for uid, last in enumerate(interior.last_offsets[:20]):
+        key = next(key for key, occurrences in table.items() if (uid, last) in occurrences)
+        table[key].remove((uid, last))
+        table[keys[keys.index(key) - 1]].append((uid, last))
+        moved += 1
     assert moved == 20
-    anchor._table = {key: tuple(map(tuple, sides)) for key, sides in table.items()}
+    interior._table = {key: tuple(off << 32 | uid for uid, off in occurrences)
+                       for key, occurrences in table.items() if occurrences}
     misfiled = tmp_path / "misfiled.saved"
-    save_indexes(misfiled, anchor, interior)
+    save_indexes(misfiled, interior)
     load_indexes(misfiled)  # every load check passes
     assert map_one("--index-in", str(idx))[0] == 0
     code, _, err = map_one("--index-in", str(misfiled))

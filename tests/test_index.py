@@ -13,6 +13,7 @@ from cdbgmap.index import (
     build_interior_index,
     graph_fingerprint,
     load_indexes,
+    matches_graph,
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
@@ -375,17 +376,40 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     graph, _ = graph_from_sequences([genome], 7)
     anchor = build_anchor_index(graph)
     interior = build_interior_index(graph)
-    p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
-    save_indexes(p1, anchor, interior)
+    p1, p2, p3 = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
+    save_indexes(p1, interior)
     anchor2, interior2 = load_indexes(p1)
     assert anchor2._table == anchor._table
     assert interior2._table == interior._table
+    assert interior2.last_offsets == interior.last_offsets
     assert (anchor2.k, interior2.k) == (7, 7)
     assert interior2.fingerprint == interior.fingerprint == graph_fingerprint(graph)
-    # equal graphs give byte-identical files
+    # equal graphs give byte-identical files, and a load saves to the same bytes
     graph_b, _ = graph_from_sequences([genome], 7)
-    save_indexes(p2, build_anchor_index(graph_b), build_interior_index(graph_b))
-    assert p1.read_bytes() == p2.read_bytes()
+    save_indexes(p2, build_interior_index(graph_b))
+    save_indexes(p3, interior2)
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+    # the anchor table a load derives from the interior table is the built
+    # one: random graphs, palindromic overlaps, the k-31 repeat graph, unitigs
+    # exactly k long and a one-unitig cycle
+    graphs = [graph_from_sequences([random_genome(seed + 5000, 350)], k)[0]
+              for seed, k in ((0, 5), (1, 7), (2, 9))]
+    for k in (5, 9):
+        genome = random_genome(900 + k, 500) + "GGATATCC" + "TTACGCGTAA" + repeat_genome(k)
+        graphs.append(graph_from_sequences([genome], k)[0])
+    graphs.append(graph_from_sequences([repeat_genome(31)], 31)[0])
+    graphs.append(graph_from_sequences(["ACTG", "ACTT"], 3)[0])
+    graphs.append(build_graph(["AACGAA"], 3))
+    assert [len(u.sequence) for u in graphs[-2].unitigs] == [3, 3, 3]
+    assert any(rc_code(key, 4) == key for key in build_anchor_index(graphs[3]).keys())
+    for graph in graphs:
+        save_indexes(p1, build_interior_index(graph))
+        anchor2, interior2 = load_indexes(p1)
+        assert anchor2._table == build_anchor_index(graph)._table
+        assert list(anchor2._table) == list(build_anchor_index(graph)._table)
+        assert matches_graph(graph, anchor2, interior2)
+        save_indexes(p2, interior2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -394,70 +418,51 @@ def test_load_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not an index"):
         load_indexes(p)
     graph = build_graph(["ACTG", "TGAT"], 3)
-    anchor = build_anchor_index(graph)
-    save_indexes(p, anchor, build_interior_index(graph))
+    interior = build_interior_index(graph)
+    save_indexes(p, interior)
     data = bytearray(p.read_bytes())
-    # header (52 bytes), the anchor table's counts, its key high and low
-    # words and its two sizes per key, then the first entry's unitig id and
-    # orientation bit
-    bit = 52 + 16 + 16 * len(anchor) + 8 * len(anchor) + 4
-    assert data[bit] in (0, 1)
-    data[bit] = 2
+    # header (52 bytes), the counts, the key high and low words and one
+    # occurrence count per key, then the first entry's unitig id and offset:
+    # the window at offset 0 of unitig 0
+    offset = 52 + 16 + 16 * len(interior) + 4 * len(interior) + 4
+    assert data[offset - 4 : offset + 4] == bytes(8)
+    data[offset] = 1
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="malformed.*CRC-32 mismatch"):
         load_indexes(p)
     p.write_bytes(with_crc(data))
-    with pytest.raises(ValueError, match="malformed.*orientation bit above 1.*rebuild"):
+    with pytest.raises(ValueError, match="malformed.*unitig 0 has no window at offset 0.*rebuild"):
         load_indexes(p)
 
 
 def test_load_rejects_inconsistent_tables_with_a_valid_crc(tmp_path):
     graph, _ = graph_from_sequences([repeat_genome(5)], 9)
-    anchor, interior = build_anchor_index(graph), build_interior_index(graph)
+    interior = build_interior_index(graph)
     p = tmp_path / "g.idx"
-    save_indexes(p, anchor, interior)
+    save_indexes(p, interior)
     data = p.read_bytes()
-    n_anchor = sum(len(s) + len(e) for s, e in anchor._table.values())
-    anchor_sizes = 52 + 16 + 16 * len(anchor)
-    anchor_entries = anchor_sizes + 8 * len(anchor)
-    interior_entries = len(data) - 4 - 8 * sum(map(len, interior_table(interior).values()))
-    interior_sizes = interior_entries - 4 * len(interior)
+    n_entries = sum(map(len, interior_table(interior).values()))
+    entries = len(data) - 4 - 8 * n_entries
+    sizes = entries - 4 * len(interior)
 
     def at(offset, value):
         bad = bytearray(data)
         struct.pack_into("<I", bad, offset, value)
         return bad
 
-    first_two = struct.unpack_from("<2I", data, interior_sizes)
-    no_occurrence = at(interior_sizes, 0)  # its occurrence moved to the next key
-    struct.pack_into("<I", no_occurrence, interior_sizes + 4, sum(first_two))
+    first_two = struct.unpack_from("<2I", data, sizes)
+    no_occurrence = at(sizes, 0)  # its occurrence moved to the next key
+    struct.pack_into("<I", no_occurrence, sizes + 4, sum(first_two))
     cases = [
-        ("group sizes do not sum", at(anchor_sizes, data[anchor_sizes] + 1)),
-        ("an interior key with no occurrences", no_occurrence),
-        ("unitig id is not below the unitig count", at(anchor_entries, len(graph))),
-        ("unitig id is not below the unitig count", at(interior_entries + 8 * 7, 10**6)),
-        ("a column is cut short", data[: anchor_entries + 8 * n_anchor - 4] + data[-4:]),
-        ("1 bytes between the tables and the CRC trailer", data[:-4] + b"\x00" + data[-4:]),
+        ("occurrence counts do not sum", at(sizes, first_two[0] + 1)),
+        ("a key with no occurrences", no_occurrence),
+        ("unitig id is not below the unitig count", at(entries + 8 * 7, 10**6)),
+        ("a column is cut short", data[: entries + 8 * n_entries - 4] + data[-4:]),
+        ("1 bytes between the table and the CRC trailer", data[:-4] + b"\x00" + data[-4:]),
     ]
     for message, bad in cases:
         p.write_bytes(with_crc(bad))
         with pytest.raises(ValueError, match=f"malformed.*{message}"):
-            load_indexes(p)
-    # anchor tables saved as they are, so the CRC is valid: one oriented
-    # unitig's end left out, and one start listed twice in place of another
-    table = anchor._table
-    with_ends = next(key for key, (_, ends) in table.items() if ends)
-    with_starts = [key for key, (starts, _) in table.items() if starts]
-    first, second = (table[key][0] for key in with_starts[:2])
-    edits = [
-        {**table, with_ends: (table[with_ends][0], table[with_ends][1][1:])},
-        {**table, with_starts[1]: ((first[0],) + second[1:], table[with_starts[1]][1])},
-    ]
-    for edited in edits:
-        bad = AnchorIndex(anchor.k)
-        bad._table = edited
-        save_indexes(p, bad, interior)
-        with pytest.raises(ValueError, match="malformed.*once among the starts and once among"):
             load_indexes(p)
 
 

@@ -92,6 +92,23 @@ def test_canonical_properties():
         assert decode_kmer(min(kmer_codes(naive_rc(s))), k) == canon
 
 
+def rc_code_per_base(bits, length):
+    """Reference: the packed reverse complement built one base at a time."""
+    out = 0
+    for _ in range(length):
+        out = (out << 2) | (3 - (bits & 3))
+        bits >>= 2
+    return out
+
+
+def test_rc_code_matches_the_per_base_loop():
+    rng = random.Random(63)
+    for length in range(1, MAX_K + 1):
+        top = 4**length - 1
+        for bits in (0, 1, top, top - 1, *(rng.randint(0, top) for _ in range(20))):
+            assert rc_code(bits, length) == rc_code_per_base(bits, length), (bits, length)
+
+
 def test_rc_code_matches_string_rc():
     rng = random.Random(9)
     for _ in range(200):
