@@ -628,6 +628,10 @@ def _exhaustive_pass(
                 cost += tail[0]
             best = (cost, head, start_offset, plist, tail)
             cap = cost - 1
+            if cap < 0:  # nothing is cheaper than a walk of cost 0
+                break
+        if cap < 0:
+            break
 
     if best is None:
         if not anchored:

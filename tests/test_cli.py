@@ -1,23 +1,17 @@
 import gzip
-import hashlib
 import os
 import random
 import struct
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
-from cdbgmap.graph import read_unitigs_fasta
-from cdbgmap.index import load_indexes, save_indexes
+from cdbgmap.graph import CompactedGraph, Unitig, read_unitigs_fasta
+from cdbgmap.index import build_interior_index, save_indexes
 
-from conftest import (
-    damaged_gzip, interior_table, naive_canonical, naive_kmers, random_genome, with_crc
-)
+from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome, with_crc
 
 
 def run(capsys, *argv):
@@ -493,20 +487,14 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
 
 def _index_sections(idx_path):
     """(start, end) byte ranges of a saved index by name, in file order: the
-    header fields, the table's five columns and the CRC trailer."""
-    _, interior = load_indexes(idx_path)
-    n_keys = len(interior)
-    n_entries = sum(map(len, interior_table(interior).values()))
-    sizes = [
-        ("magic", 8), ("version", 4), ("k", 4), ("fingerprint", 32), ("unitig count", 4),
-        ("counts", 16), ("key high words", 8 * n_keys), ("key low words", 8 * n_keys),
-        ("occurrence counts", 4 * n_keys), ("entries", 8 * n_entries), ("trailer", 4),
-    ]
+    header fields, the unitig sequences and the CRC trailer."""
+    size = idx_path.stat().st_size
+    sizes = [("magic", 8), ("version", 4), ("k", 4), ("unitig count", 4),
+             ("unitigs", size - 24), ("trailer", 4)]
     sections, end = {}, 0
-    for name, size in sizes:
-        sections[name] = (end, end + size)
-        end += size
-    assert end == idx_path.stat().st_size
+    for name, n in sizes:
+        sections[name] = (end, end + n)
+        end += n
     return sections
 
 
@@ -543,7 +531,7 @@ def test_map_truncated_index_exits_2(tmp_path, capsys):
     data = idx.read_bytes()
     sections = _index_sections(idx)
     cuts = {"version": 10}
-    for part in ("fingerprint", "key low words", "entries", "trailer"):
+    for part in ("k", "unitigs", "trailer"):
         start, end = sections[part]
         cuts[part] = (start + end) // 2
     for where, cut in cuts.items():
@@ -574,25 +562,23 @@ def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
 def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     unitigs, reads, idx = _saved_index(tmp_path, capsys)
     data = idx.read_bytes()
-    sections = _index_sections(idx)
-    start, end = sections["fingerprint"]
-    assert data[start:end] == hashlib.sha256(
-        "".join(u.sequence + "\n" for u in read_unitigs_fasta(unitigs, 15).unitigs).encode()
-    ).digest()
-    rebuild = "this cdbgmap reads version 6: rebuild it with `cdbgmap map --index-out`"
+    graph = read_unitigs_fasta(unitigs, 15)
+    rebuild = "this cdbgmap reads version 7: rebuild it with `cdbgmap map --index-out`"
     cases = {}
-    for version in (1, 2, 3, 4, 5):  # the loader reads nothing past another version
+    for version in range(1, 7):  # the loader reads nothing past another version
         old = bytearray(data)
         struct.pack_into("<I", old, 8, version)
         cases[f"v{version}"] = (bytes(old), f"format version {version}, " + rebuild)
-    wrong = bytearray(data)
-    wrong[start] ^= 1
-    cases["fingerprint"] = (with_crc(wrong), "was not built from")
-    wrong = bytearray(data)  # one unitig more than the graph has, with no windows
-    count_at = sections["unitig count"][0]
-    count = struct.unpack_from("<I", data, count_at)[0]
-    struct.pack_into("<I", wrong, count_at, count + 1)
-    cases["unitig count"] = (with_crc(wrong), f"unitig {count} has no window at offset 0")
+    wrong = bytearray(data)  # a header k other than -k, which the unitigs allow
+    struct.pack_into("<I", wrong, 12, 13)
+    cases["k"] = (with_crc(wrong), "index was built for k=13, requested k=15")
+    wrong = bytearray(data)  # a unitig count other than the unitigs the file holds
+    struct.pack_into("<I", wrong, 16, len(graph) + 1)
+    cases["unitig count"] = (with_crc(wrong), f"the unitig count {len(graph) + 1} is not")
+    more = tmp_path / "more.saved"  # a file of every unitig of -g and one more
+    extra = Unitig(len(graph), "ACGT" * 5)
+    save_indexes(more, build_interior_index(CompactedGraph(15, graph.unitigs + [extra])))
+    cases["one unitig more"] = (more.read_bytes(), "was not built from")
     for name, (content, message) in cases.items():
         code, err = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
         assert code == 2 and message in err, (name, err)
@@ -600,106 +586,35 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
 
 def test_map_corrupt_index_exits_2(tmp_path, capsys):
     repeat = random_genome(2005, 40)
-    genome = random_genome(2003, 300) + repeat + random_genome(2004, 300) + repeat
+    genome = (random_genome(2003, 300) + repeat + random_genome(2004, 300) + repeat
+              + random_genome(2006, 300))
     unitigs, reads, idx = _saved_index(tmp_path, capsys, genome)
     data = idx.read_bytes()
     sections = _index_sections(idx)
     rng = random.Random(1105)
     cases = 0
     for name, (start, end) in sections.items():
-        for pos in rng.sample(range(start, end), 3):  # each section has 4 bytes or more
+        for pos in rng.sample(range(start, end), min(end - start, 8)):
             bad = bytearray(data)
             bad[pos] ^= rng.randrange(1, 256)
             code, _ = _map_with_index(tmp_path, capsys, unitigs, reads, bytes(bad), f"flip{pos}")
             assert code == 2, (name, pos)
             cases += 1
     assert cases >= 30
-    # a valid CRC over a unitig id out of range
-    entries = sections["entries"][0]
-    bad = bytearray(data)
-    struct.pack_into("<I", bad, entries, 10**6)
-    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "uid")
-    assert code == 2 and "not below the unitig count" in err
-    # a valid CRC over an interior offset that places no (k-1)-mer inside its
-    # unitig: a window neither first nor last in its unitig moved far out of
-    # range, or a unitig's last window moved one past it, which leaves the
-    # derived anchor table as it was
-    _, interior = load_indexes(idx)
-    last = interior.last_offsets
-    assert last == [len(u.sequence) - 14 for u in read_unitigs_fasta(unitigs, 15).unitigs]
-    placed = [struct.unpack_from("<2I", data, at) + (at,)
-              for at in range(entries, sections["entries"][1], 8)]
-    middle = next((uid, at) for uid, offset, at in placed if 0 < offset < last[uid])
-    final = next((uid, at) for uid, offset, at in placed if offset == last[uid])
-    for name, (uid, at), offset in (("huge offset", middle, 2**32 - 1),
-                                    ("offset past the end", final, last[final[0]] + 1)):
-        bad = bytearray(data)
-        struct.pack_into("<I", bad, at + 4, offset)
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), name)
-        assert code == 2 and "was not built from" in err, name
-    # an offset moved within range passes the check (only the CRC catches
-    # it): the bound is the last (k-1)-mer's offset, not one less
-    bad = bytearray(data)
-    struct.pack_into("<I", bad, middle[1] + 4, last[middle[0]])
-    assert _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "last")[0] == 0
-    # a valid CRC over a unitig's window at offset 0 moved in range, a unitig
-    # count above half the entries, a k out of range, or a first window's key
-    # (the table's first, unitig 0's) longer than k-1 bases
-    zero = next(at for _, offset, at in placed if offset == 0)
-    fields = [("no window at offset 0", zero + 4, 1),
-              ("above half the", sections["unitig count"][0], len(placed) // 2 + 1),
-              ("a key of more than k-1=14 bases", sections["key high words"][0], 1)]
-    fields += [("is not in [2, 63]", sections["k"][0], k) for k in (0, 1, 64, 2**32 - 1)]
+    # a valid CRC over one base of a middle unitig changed to another base,
+    # or to a symbol outside ACGT, or over a header k out of range
+    graph = read_unitigs_fasta(unitigs, 15)
+    assert len(graph) >= 3
+    middle = len(graph) // 2
+    at = sections["unitigs"][0] + sum(len(u.sequence) + 1 for u in graph.unitigs[:middle])
+    at += len(graph.unitigs[middle].sequence) // 2
+    base = data[at:at + 1]
+    fields = [("was not built from", at, b"A" if base != b"A" else b"C"),
+              ("malformed", at, b"N")]
+    fields += [("is not in [2, 63]", sections["k"][0], struct.pack("<I", k))
+               for k in (0, 1, 64, 2**32 - 1)]
     for message, at, value in fields:
         bad = bytearray(data)
-        struct.pack_into("<I", bad, at, value)
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), "field")
-        assert code == 2 and "truncated or malformed" in err and message in err, (message, err)
-    # a table saved with a valid CRC but without any window of the last unitig
-    last_uid = len(last) - 1
-    table = {}
-    for key, occurrences in interior_table(interior).items():
-        kept = tuple(off << 32 | uid for uid, off in occurrences if uid != last_uid)
-        if kept:
-            table[key] = kept[0] if len(kept) == 1 else kept
-    interior._table = table
-    dropped = tmp_path / "dropped.saved"
-    save_indexes(dropped, interior)
-    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, dropped.read_bytes(), "dropped")
-    assert code == 2 and f"unitig {last_uid} has no window at offset 0" in err, err
-
-
-def test_map_rejects_misfiled_anchor_entries_on_the_repeat_workload(tmp_path, capsys):
-    # the repeat-ref benchmark workload at seed 7: the last window of each of
-    # 20 unitigs moved to another key, saved with a valid CRC; every load
-    # check passes, and the anchor table derived from it is not the graph's
-    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    subprocess.run([sys.executable, str(workloads), "repeat-ref", "7", str(tmp_path)],
-                   check=True, capture_output=True)
-    unitigs, idx = tmp_path / "unitigs.fa", tmp_path / "graph.idx"
-    assert run(capsys, "build", "-k", "31", "-c", "1", "-o", str(unitigs),
-               str(tmp_path / "ref.fa"))[0] == 0
-
-    def map_one(*index):
-        return run(capsys, "map", "-k", "31", "-g", str(unitigs), "-o", str(tmp_path / "a.tsv"),
-                   *index, str(tmp_path / "one.fq"))
-
-    assert map_one("--index-out", str(idx))[0] == 0
-    _, interior = load_indexes(idx)
-    table = {key: list(occurrences) for key, occurrences in interior_table(interior).items()}
-    keys = list(table)
-    moved = 0
-    for uid, last in enumerate(interior.last_offsets[:20]):
-        key = next(key for key, occurrences in table.items() if (uid, last) in occurrences)
-        table[key].remove((uid, last))
-        table[keys[keys.index(key) - 1]].append((uid, last))
-        moved += 1
-    assert moved == 20
-    interior._table = {key: tuple(off << 32 | uid for uid, off in occurrences)
-                       for key, occurrences in table.items() if occurrences}
-    misfiled = tmp_path / "misfiled.saved"
-    save_indexes(misfiled, interior)
-    load_indexes(misfiled)  # every load check passes
-    assert map_one("--index-in", str(idx))[0] == 0
-    code, _, err = map_one("--index-in", str(misfiled))
-    assert code == 2 and "was not built from" in err, err
+        bad[at:at + len(value)] = value
+        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), message)
+        assert code == 2 and message in err, (message, err)

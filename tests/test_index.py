@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 import sys
 
@@ -11,13 +12,11 @@ from cdbgmap.index import (
     approximate_bytes,
     build_anchor_index,
     build_interior_index,
-    graph_fingerprint,
     load_indexes,
-    matches_graph,
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import _SLICE, decode_kmer, encode_kmer, rc_code, window_codes
+from cdbgmap.sequences import _SLICE, MAX_K, decode_kmer, encode_kmer, rc_code, window_codes
 
 from conftest import (
     build_graph,
@@ -378,20 +377,23 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     interior = build_interior_index(graph)
     p1, p2, p3 = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
     save_indexes(p1, interior)
+    # magic, version 7, k, unitig count, the unitigs in id order, CRC-32
+    data = p1.read_bytes()
+    assert data[:20] == b"CDBGIDX1" + struct.pack("<III", 7, 7, len(graph))
+    assert data[20:-4] == "".join(u.sequence + "\n" for u in graph.unitigs).encode()
+    assert data == with_crc(data)
     anchor2, interior2 = load_indexes(p1)
-    assert anchor2._table == anchor._table
+    assert interior2.graph == graph
     assert interior2._table == interior._table
-    assert interior2.last_offsets == interior.last_offsets
     assert (anchor2.k, interior2.k) == (7, 7)
-    assert interior2.fingerprint == interior.fingerprint == graph_fingerprint(graph)
     # equal graphs give byte-identical files, and a load saves to the same bytes
     graph_b, _ = graph_from_sequences([genome], 7)
     save_indexes(p2, build_interior_index(graph_b))
     save_indexes(p3, interior2)
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
-    # the anchor table a load derives from the interior table is the built
-    # one: random graphs, palindromic overlaps, the k-31 repeat graph, unitigs
-    # exactly k long and a one-unitig cycle
+    # a load gives the built tables, contents and order: random graphs,
+    # palindromic overlaps, the k-31 repeat graph, unitigs exactly k long
+    # and a one-unitig cycle
     graphs = [graph_from_sequences([random_genome(seed + 5000, 350)], k)[0]
               for seed, k in ((0, 5), (1, 7), (2, 9))]
     for k in (5, 9):
@@ -405,9 +407,9 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     for graph in graphs:
         save_indexes(p1, build_interior_index(graph))
         anchor2, interior2 = load_indexes(p1)
-        assert anchor2._table == build_anchor_index(graph)._table
-        assert list(anchor2._table) == list(build_anchor_index(graph)._table)
-        assert matches_graph(graph, anchor2, interior2)
+        assert list(anchor2._table.items()) == list(build_anchor_index(graph)._table.items())
+        assert list(interior2._table.items()) == list(build_interior_index(graph)._table.items())
+        assert interior2.graph == graph
         save_indexes(p2, interior2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -418,51 +420,46 @@ def test_load_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="not an index"):
         load_indexes(p)
     graph = build_graph(["ACTG", "TGAT"], 3)
-    interior = build_interior_index(graph)
-    save_indexes(p, interior)
+    save_indexes(p, build_interior_index(graph))
     data = bytearray(p.read_bytes())
-    # header (52 bytes), the counts, the key high and low words and one
-    # occurrence count per key, then the first entry's unitig id and offset:
-    # the window at offset 0 of unitig 0
-    offset = 52 + 16 + 16 * len(interior) + 4 * len(interior) + 4
-    assert data[offset - 4 : offset + 4] == bytes(8)
-    data[offset] = 1
+    # header (20 bytes), then unitig 0's first base
+    assert data[20:25] == b"ACTG\n"
+    data[20] = ord("N")
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="malformed.*CRC-32 mismatch"):
         load_indexes(p)
     p.write_bytes(with_crc(data))
-    with pytest.raises(ValueError, match="malformed.*unitig 0 has no window at offset 0.*rebuild"):
+    with pytest.raises(ValueError, match="malformed.*unitig 0 contains non-ACGT.*rebuild"):
         load_indexes(p)
 
 
-def test_load_rejects_inconsistent_tables_with_a_valid_crc(tmp_path):
+def test_load_rejects_a_malformed_snapshot_with_a_valid_crc(tmp_path):
     graph, _ = graph_from_sequences([repeat_genome(5)], 9)
-    interior = build_interior_index(graph)
     p = tmp_path / "g.idx"
-    save_indexes(p, interior)
+    save_indexes(p, build_interior_index(graph))
     data = p.read_bytes()
-    n_entries = sum(map(len, interior_table(interior).values()))
-    entries = len(data) - 4 - 8 * n_entries
-    sizes = entries - 4 * len(interior)
+    body = data[20:-4]
+    count = len(graph)
 
-    def at(offset, value):
-        bad = bytearray(data)
-        struct.pack_into("<I", bad, offset, value)
-        return bad
+    def header(k=9, unitigs=count):
+        return data[:8] + struct.pack("<III", 7, k, unitigs)
 
-    first_two = struct.unpack_from("<2I", data, sizes)
-    no_occurrence = at(sizes, 0)  # its occurrence moved to the next key
-    struct.pack_into("<I", no_occurrence, sizes + 4, sum(first_two))
+    first = len(graph.unitigs[0].sequence)
+    shortest = min(graph.unitigs, key=lambda u: len(u.sequence))
     cases = [
-        ("occurrence counts do not sum", at(sizes, first_two[0] + 1)),
-        ("a key with no occurrences", no_occurrence),
-        ("unitig id is not below the unitig count", at(entries + 8 * 7, 10**6)),
-        ("a column is cut short", data[: entries + 8 * n_entries - 4] + data[-4:]),
-        ("1 bytes between the table and the CRC trailer", data[:-4] + b"\x00" + data[-4:]),
+        (f"the unitig count {count + 1} is not", header(unitigs=count + 1) + body),
+        (f"the unitig count {count - 1} is not", header(unitigs=count - 1) + body),
+        ("the unitig count", header() + body[:-1]),  # no newline after the last
+        (f"unitig {count} shorter than k", header(unitigs=count + 1) + body + b"\n"),
+        ("unitig 0 shorter than k", header() + body[:8] + body[first:]),
+        (f"unitig {shortest.id} shorter than k", header(k=len(shortest.sequence) + 1) + body),
+        ("unitig 0 contains non-ACGT", header() + b"acgt" + body[4:]),
+        ("'ascii' codec", header() + b"\xc3\xa9" + body[2:]),
     ]
+    cases += [(f"is not in [2, {MAX_K}]", header(k=k) + body) for k in (0, 1, 64, 2**32 - 1)]
     for message, bad in cases:
-        p.write_bytes(with_crc(bad))
-        with pytest.raises(ValueError, match=f"malformed.*{message}"):
+        p.write_bytes(with_crc(bad + b"CRC!"))
+        with pytest.raises(ValueError, match=f"malformed.*{re.escape(message)}"):
             load_indexes(p)
 
 

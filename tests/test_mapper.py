@@ -618,6 +618,16 @@ def test_exhaustive_searches_once_from_a_begin_overlap_at_read_start():
     assert not result.truncated
 
 
+def test_exhaustive_keeps_the_first_cost_0_walk_on_a_palindromic_unitig():
+    # ACGT is its own reverse complement, so (0,'+') and (0,'-') both end
+    # with the read's last word and both place the read at cost 0; the
+    # first begin anchor, '+', is the first cheapest
+    graph = build_graph(["ACGT"], 4)
+    anchor, _ = indexes_for(graph)
+    result = map_exhaustive(Read(id="r", sequence="ACGT"), graph, anchor, PARAMS)
+    assert (result.path, result.start_offset, result.mismatches) == (((0, "+"),), 0, 0)
+
+
 def brute_force_exhaustive(read, graph, params):
     """`map_exhaustive`'s result by enumeration, on strings: every anchored
     walk within the mismatch budget on each strand, and the first cheapest,
