@@ -9,10 +9,15 @@ word's reverse complement, so the key set is closed under reverse
 complement, and a palindromic word is one key like any other.  Orientations
 are the strings '+' and '-'.
 
+The index also keeps its keys as strings (`AnchorIndex.words`), so a read's
+text can be tested for an anchor word before any of its windows is encoded.
+
 Successor lists (`Successors`, one per anchor index and graph, from
 `AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
 with its last (k-1)-mer: the starts of the key whose ends hold it, filled in
-one pass over the anchor table.
+one pass over the anchor table.  Each entry carries the candidate's text
+after the overlap and that text's length, so a junction compares it with
+the read in place.
 
 The interior index lists every (k-1)-mer occurrence inside every unitig and
 backs the single-unitig mapping regime.  Its keys are the written codes of
@@ -47,7 +52,7 @@ from itertools import islice
 from pathlib import Path
 
 from .graph import CompactedGraph, Unitig
-from .sequences import MAX_K, kmer_codes, slices, window_codes
+from .sequences import MAX_K, kmer_codes, reverse_complement, slices, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 7
@@ -68,6 +73,8 @@ class AnchorIndex:
         self.k = k
         # code -> (starts, ends); each a sorted tuple of (unitig_id, '+'/'-')
         self._table: dict[int, tuple[tuple, tuple]] = {}
+        # the keys as strings, for a read's text before its windows are encoded
+        self.words: frozenset[str] = frozenset()
         self._successors: Successors | None = None
 
     def __len__(self) -> int:
@@ -102,18 +109,25 @@ class Successors(dict):
     def __init__(self, graph: CompactedGraph, anchor: AnchorIndex):
         super().__init__()
         seq = graph.oriented_sequence
+        k1 = graph.k - 1
         self.graph = graph
         self._starting: dict[int, tuple] = {}
         for code, (starts, ends) in anchor._table.items():
-            starting = tuple((uid, o, seq(uid, o)) for uid, o in starts)
+            starting = tuple(_entry(uid, o, seq(uid, o), k1) for uid, o in starts)
             self._starting[code] = starting
             for end in ends:
                 self[end] = starting
 
     def starting(self, code: int) -> tuple:
         """Unitigs whose oriented sequence starts with the written word as
-        (unitig_id, '+'/'-', oriented sequence), smallest id then '+' first."""
+        (unitig_id, '+'/'-', oriented sequence, text after the word, length
+        of that text), smallest id then '+' first."""
         return self._starting.get(code, ())
+
+
+def _entry(uid: int, orient: str, text: str, k1: int) -> tuple:
+    body = text[k1:]
+    return uid, orient, text, body, len(body)
 
 
 def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
@@ -121,20 +135,26 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     (k-1)-mer in the starts and of its last in the ends: (u,'+') under u's
     first and last, (u,'-') under the reverse complements of its last and
     first, so the key set is closed under reverse complement.  Each list is
-    filled in (id, orientation) order, so it comes out sorted."""
+    filled in (id, orientation) order, so it comes out sorted.  `words` holds
+    the same keys written out: each unitig's first and last (k-1)-mer and
+    their reverse complements."""
     size = graph.k - 1
     idx = AnchorIndex(graph.k)
     starts: dict[int, list] = {}
     ends: dict[int, list] = {}
+    words = set()
     for u in graph.unitigs:
-        first, first_rc = kmer_codes(u.sequence[:size])
-        last, last_rc = kmer_codes(u.sequence[-size:])
+        head, tail = u.sequence[:size], u.sequence[-size:]
+        first, first_rc = kmer_codes(head)
+        last, last_rc = kmer_codes(tail)
         starts.setdefault(first, []).append((u.id, FORWARD))
         ends.setdefault(last, []).append((u.id, FORWARD))
         starts.setdefault(last_rc, []).append((u.id, REVERSE))
         ends.setdefault(first_rc, []).append((u.id, REVERSE))
+        words.update((head, tail, reverse_complement(head), reverse_complement(tail)))
     for key in starts.keys() | ends.keys():
         idx._table[key] = (tuple(starts.get(key, ())), tuple(ends.get(key, ())))
+    idx.words = frozenset(words)
     return idx
 
 

@@ -35,9 +35,9 @@ is polynomial in the read length and the number of anchor words.  That
 holds only because it searches walks, not paths of distinct unitigs, and
 scores Hamming cost, not edit distance.  Its `expansion_budget` bounds the
 candidate evaluations of one strand pass, which are state expansions, not
-paths.  Both mappers take their begin anchors from `_begins` and extend
-every junction through `_junction`, so they share one anchoring and
-extension geometry and differ only in search policy.  Anchors come from
+paths.  Both mappers take their begin anchors from `_begins` and cost
+every junction candidate through `_junction`, so they share one anchoring
+and extension geometry and differ only in search policy.  Anchors come from
 the read's words, each looked up by its written code on the strand: the
 anchor table gives the unitigs ending with a begin overlap, and, for the
 greedy end anchor (a junction at the end overlap whose unitig reaches the
@@ -47,7 +47,9 @@ with it.  Junction candidates come from the graph's successor lists
 (`AnchorIndex.successors`): after a unitig, the candidates are the unitigs
 starting with its last (k-1)-mer, built once per graph and never per read.
 Only the junction right at a begin overlap at read position 0, which has no
-unitig before it, looks up the read's word.
+unitig before it, looks up the read's word.  Each candidate carries its
+text after the overlap, which `_junction` compares with the read in place
+(`str.startswith`) before it counts mismatches on a slice.
 
 All four mappers are one driver, `_map`, run over a list of regimes, each a
 strand pass with its index and the strands it tries.  Three rules settle the
@@ -61,10 +63,22 @@ strands; `map_read` is the single-unitig regime and then the branching one;
 and a perfect first strand ends the search.  The driver unmaps a read
 shorter than k as `too_short` and builds the one `ReadView` that every pass
 over the read shares.  The view encodes the read's (k-1)-mer windows at most
-once (the '-' strand's are the forward ones mirrored) and detects its anchor
-overlaps once, one anchor-key test per window.  A single-unitig pass seeds
-only from windows whose written code on its own strand is an interior key,
-one dict lookup each; '+' tries window 0 before encoding the rest.
+once (the '-' strand's are the forward ones mirrored), and only for a pass
+that cannot decide from the read's text:
+
+- a single-unitig pass seeds only from windows whose written code on its
+  own strand is an interior key, one dict lookup each.  Each strand tries
+  its window 0 first and encodes only when that is not a key, or not a
+  placement.  Before that, the pass checks the t+1 disjoint windows at 0,
+  k-1, ..., t(k-1) of its strand: if the read holds them all (L >= (t+1)(k-1))
+  and none is an interior key, the pass fails unencoded, since t mismatches
+  leave at least one of them exact (pigeonhole; a window holding N is a
+  miss).  Such a `skipped` pass is scanned for its reason only if the read
+  ends unmapped;
+- the branching and exhaustive passes detect the anchor overlaps once per
+  read.  A read none of whose (k-1)-substrings is an anchor word
+  (`AnchorIndex.words`) has none, unencoded; otherwise the windows are
+  encoded and each is one anchor-key test.
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
@@ -177,7 +191,8 @@ def _mirror(wins, base: int):
 
 
 class ReadView:
-    """A read's (k-1)-mer windows on both strands, encoded at most once.
+    """A read's (k-1)-mer windows on both strands, encoded at most once, and
+    only when a pass cannot decide from the read's text.
 
     Windows are (position, fwd_code, rc_code) triples, as `window_codes`
     gives them.  Only the forward ones are encoded; the '-' strand's, as
@@ -185,6 +200,14 @@ class ReadView:
     window at forward position p sits at L-(k-1)-p on the reverse
     complement, with its two codes swapped.  Detected anchor overlaps are
     windows too, and are mirrored the same way.
+
+    Three reads of the text come before any encoding.  `hits` tries the
+    strand's window 0 alone (for '-', the last forward window mirrored).
+    `unplaceable` codes the t+1 disjoint windows at 0, k-1, ..., t(k-1) of a
+    strand: when none is a key, no placement within t mismatches exists,
+    since t mismatches leave one of them exact (pigeonhole; a window holding
+    N is a miss).  `detected` tests the (k-1)-substrings against the anchor
+    words as strings, and encodes only when one of them is an anchor word.
     """
 
     def __init__(self, sequence: str, size: int):
@@ -208,38 +231,68 @@ class ReadView:
             self._fwd = window_codes(self._seq, self.size)
         return self._fwd
 
+    def window(self, strand: str, pos: int):
+        """The strand's window at `pos` as a triple, coded from the text, or
+        None when it holds a non-ACGT symbol."""
+        at = pos if strand == "+" else self._base - pos
+        try:
+            fwd, rc = kmer_codes(self._seq[at : at + self.size])
+        except ValueError:
+            return None
+        return (pos, fwd, rc) if strand == "+" else (pos, rc, fwd)
+
+    def unplaceable(self, strand: str, keys, t: int) -> bool:
+        """Whether the strand provably has no placement within `t`
+        mismatches on a text whose windows' written codes are `keys`: the
+        read holds t+1 disjoint windows and none of them is a key."""
+        size = self.size
+        if self._base < t * size:
+            return False
+        for i in range(t + 1):
+            w = self.window(strand, i * size)
+            if w is not None and w[1] in keys:
+                return False
+        return True
+
     def hits(self, strand: str, keys):
         """The strand's windows whose own written code (their fwd_code on
         that strand) is in `keys`, lazily in ascending order.  The '-'
         strand scans the forward windows backwards on their rc codes and
-        mirrors only the hits; before the forward windows are encoded, '+'
-        tries window 0 alone and encodes the rest only when asked for more."""
-        if strand == "-":
-            base = self._base
-            wins = reversed(self.windows())
-            return ((base - pos, rc, fwd) for pos, fwd, rc in wins if rc in keys)
+        mirrors only the hits; before the forward windows are encoded, each
+        strand tries its window 0 alone and encodes the rest only when asked
+        for more."""
         if self._fwd is None:
-            return self._first_then_hits(keys)
-        return (w for w in self._fwd if w[1] in keys)
+            return self._first_then_hits(strand, keys)
+        return self._hits(strand, keys, 0)
 
-    def _first_then_hits(self, keys):
-        try:
-            fwd, rc = kmer_codes(self._seq[: self.size])
-        except ValueError:  # a non-ACGT symbol: window 0 is not a window
-            tried = 0
-        else:
-            tried = 1
-            if fwd in keys:
-                yield (0, fwd, rc)
-        yield from (w for w in islice(self.windows(), tried, None) if w[1] in keys)
+    def _hits(self, strand, keys, skip):
+        wins = self.windows()
+        if strand == "+":
+            return (w for w in islice(wins, skip, None) if w[1] in keys)
+        base = self._base
+        wins = islice(reversed(wins), skip, None)
+        return ((base - pos, rc, fwd) for pos, fwd, rc in wins if rc in keys)
+
+    def _first_then_hits(self, strand, keys):
+        first = self.window(strand, 0)
+        if first is not None and first[1] in keys:
+            yield first
+        yield from self._hits(strand, keys, first is not None)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
         """Windows that are indexed unitig overlaps, in ascending order.  The
         anchor keys are closed under reverse complement, so the forward code
-        alone decides for both strands."""
+        alone decides for both strands.  Before the windows are encoded, a
+        read none of whose (k-1)-substrings is an anchor word has none."""
         if self._dets is None:
-            keys = anchor.keys()
-            self._dets = [w for w in self.windows() if w[1] in keys]
+            seq, size = self._seq, self.size
+            if self._fwd is None and anchor.words.isdisjoint(
+                [seq[i : i + size] for i in range(self._base + 1)]
+            ):
+                self._dets = []
+            else:
+                keys = anchor.keys()
+                self._dets = [w for w in self.windows() if w[1] in keys]
         if strand == "+":
             return self._dets
         return list(_mirror(self._dets, self._base))
@@ -255,6 +308,9 @@ class _Attempt:
     positions: tuple = ()
     reason: str | None = None
     truncated: bool = False
+    # failed by the pigeonhole rule, unscanned: `reason` stands in for the
+    # one that only the scan gives
+    skipped: bool = False
 
     @property
     def ok(self) -> bool:
@@ -271,13 +327,16 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     pass succeeds.  A later regime's result replaces an earlier one only when
     strictly cheaper, and no regime runs after a cost-0 result.  Unmapped,
     the reason is the worst over the passes that ran, and the result is
-    truncated if any of them was."""
+    truncated if any of them was.  A pass `skipped` by the pigeonhole rule
+    has failed, but its reason needs the full scan: that runs, with
+    `exact=True`, only when the read ends unmapped."""
     if len(read.sequence) < graph.k:
         return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
     best = best_strand = None
     reason = None
     truncated = False
+    skipped = []
     for strand_pass, index, strands in regimes:
         for strand in strands:
             attempt = strand_pass(view, strand, graph, index, params)
@@ -285,11 +344,17 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
                 if best is None or attempt.cost < best.cost:
                     best, best_strand = attempt, strand
                 break
+            if attempt.skipped:
+                skipped.append((strand_pass, index, strand))
+                continue
             reason = _worse(reason, attempt.reason)
             truncated = truncated or attempt.truncated
         if best is not None and best.cost == 0:
             break
     if best is None:
+        for strand_pass, index, strand in skipped:
+            attempt = strand_pass(view, strand, graph, index, params, exact=True)
+            reason = _worse(reason, attempt.reason)
         return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated)
     path = tuple(best.path)
     uids = [u for u, _ in path]
@@ -327,15 +392,14 @@ def _begins(pos_b, code, graph, anchor):
         yield ((uid, orient),), left_start, s[left_start : left_start + pos_b]
 
 
-def _junction(seq, jpos, cands, k1):
-    """Extensions at read position `jpos` by the candidates `cands`, the
-    (uid, orient, s) unitigs starting with the word there, as a successor
-    list holds them.  Each is yielded as (uid, orient, s, jnext, body): the
-    read position `jnext` its last word would take, and the text `body` it
-    lays on the read from `jpos + k1`, clipped at the read's end."""
-    length = len(seq)
-    for uid, orient, s in cands:
-        yield uid, orient, s, jpos + len(s) - k1, s[k1 : length - jpos]
+def _junction(seq, at, body, limit):
+    """The cost of a junction candidate: the mismatches, as `_hamming` gives
+    them, of the text `body` it lays on the read from position `at` (its
+    text after the overlap, as a successor entry holds it), clipped at the
+    read's end.  An exact fit is found in place, with no slice."""
+    if seq.startswith(body, at):
+        return 0, ()
+    return _hamming(seq, at, body[: len(seq) - at], limit)
 
 
 def _branch_pass(
@@ -348,12 +412,11 @@ def _branch_pass(
     k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
-    seq = view.sequence(strand)
-    length = len(seq)
-
     dets = view.detected(strand, anchor)
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
+    seq = view.sequence(strand)
+    length = len(seq)
     det_positions = [d[0] for d in dets]
     succ = anchor.successors(graph)
 
@@ -373,11 +436,10 @@ def _branch_pass(
             if pos_e < pos_b:
                 break
             end = None
-            ends = succ.starting(code_e)
-            for uid, orient, _, jnext, body in _junction(seq, pos_e, ends, k1):
-                if jnext + k1 < length:
+            for uid, orient, _, body, span in succ.starting(code_e):
+                if pos_e + span + k1 < length:
                     continue  # the read would extend past the unitig end
-                cost, plist = _hamming(seq, pos_e + k1, body, t - cost_b)
+                cost, plist = _junction(seq, pos_e + k1, body, t - cost_b)
                 if plist is not None:
                     end = (pos_e, (uid, orient), cost, plist)
                     break
@@ -404,31 +466,40 @@ def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
         # the unitigs after the last path unitig; an empty head (begin
         # overlap at read position 0) has none, so the read's word is used
         cands = succ[path[-1]] if path else succ.starting(code_b)
-        fits = [c for c in _junction(seq, jpos, cands, k1) if c[3] <= pos_e]
-        if not fits:
-            return _Attempt(reason=COVER_FAILED)
+        at = jpos + k1
+        reach = pos_e - jpos  # a candidate fits if its last word lands by pos_e
         chosen = None
-        # junction shortcut: try the candidate landing on the next detected
+        # junction shortcut: try the first fit landing on the next detected
         # overlap first, unless we sit on the first detected overlap or the
         # landing would be the last one
         i = bisect_right(det_positions, jpos)
         if jpos != det_positions[0] and i < len(det_positions) - 1:
             next_det = det_positions[i]
-            for uid, orient, s, jnext, body in fits:
-                if jnext == next_det and s[-k1:] == seq[next_det : next_det + k1]:
-                    cost_u, plist = _hamming(seq, jpos + k1, body, t - cost)
+            landing, next_word = next_det - jpos, seq[next_det : next_det + k1]
+            for uid, orient, s, body, span in cands:
+                if span == landing and s.endswith(next_word):
+                    cost_u, plist = _junction(seq, at, body, t - cost)
                     if plist is not None:
-                        chosen = (cost_u, uid, orient, s, jnext, plist)
+                        chosen = (cost_u, uid, orient, s, next_det, plist)
                     break
         if chosen is None:
-            scored = []
-            for uid, orient, s, jnext, body in fits:
-                cost_u, plist = _hamming(seq, jpos + k1, body, t - cost)
+            # the cheapest fit, the first in id order on ties
+            fitted = False
+            limit = t - cost
+            for uid, orient, s, body, span in cands:
+                if span > reach:
+                    continue
+                fitted = True
+                cost_u, plist = _junction(seq, at, body, limit)
                 if plist is not None:
-                    scored.append((cost_u, uid, orient, s, jnext, plist))
-            if not scored:
+                    chosen = (cost_u, uid, orient, s, jpos + span, plist)
+                    if not cost_u:
+                        break
+                    limit = cost_u - 1  # only a strictly cheaper fit replaces it
+            if not fitted:
+                return _Attempt(reason=COVER_FAILED)
+            if chosen is None:
                 return _Attempt(reason=BUDGET_EXCEEDED)
-            chosen = min(scored, key=lambda c: c[0])  # ties: first in id order
         cost_u, uid, orient, s, jpos, plist = chosen
         path.append((uid, orient))
         positions.extend(plist)
@@ -459,13 +530,19 @@ def _single_pass(
     graph: CompactedGraph,
     interior: InteriorIndex,
     params: MappingParams,
+    exact: bool = False,
 ) -> _Attempt:
+    """The first of the strand's first `max_anchor_attempts` interior seeds
+    that places the read, at its cheapest occurrence.  Unless `exact`, a
+    strand that `ReadView.unplaceable` rules out is `skipped` unscanned."""
     t = params.max_mismatches
     n = params.max_anchor_attempts
+    table = interior._table
+    if not exact and view.unplaceable(strand, table, t):
+        return _Attempt(reason=NO_ANCHOR, skipped=True)
     seq = view.sequence(strand)
     length = len(seq)
     unitigs = graph.unitigs
-    table = interior._table
 
     failure = NO_ANCHOR
     # each hit's occurrences place the read on the forward unitig text;
@@ -553,12 +630,11 @@ def _exhaustive_pass(
     k1 = graph.k - 1
     t = params.max_mismatches
     n = params.max_anchor_attempts
-    seq = view.sequence(strand)
-    length = len(seq)
-
     dets = view.detected(strand, anchor)
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
+    seq = view.sequence(strand)
+    length = len(seq)
     succ = anchor.successors(graph)
 
     memo = None  # made at the first junction
@@ -582,18 +658,19 @@ def _exhaustive_pass(
         way = None
         worst = 0
         limit = cap
-        for uid, orient, _, jnext, body in _junction(seq, jpos, cands, k1):
+        at = jpos + k1
+        for uid, orient, _, body, span in cands:
             expansions += 1
             if expansions > expansion_budget:
                 truncated = True
                 return way, worst
-            cost, plist = _hamming(seq, jpos + k1, body, limit)
+            cost, plist = _junction(seq, at, body, limit)
             if plist is None:
                 worst = max(worst, cap + 1)
                 continue
             tail = None
-            if jnext + k1 < length:  # the unitig stops short of the read's end
-                tail, tail_worst = onward(jnext, succ[uid, orient], limit - cost)
+            if at + span < length:  # the unitig stops short of the read's end
+                tail, tail_worst = onward(jpos + span, succ[uid, orient], limit - cost)
                 if tail is None:
                     worst = max(worst, cost + tail_worst)
                     continue

@@ -160,8 +160,9 @@ def repeat_genome(seed, unit_length=90, copies=6):
 
 def assert_successor_lists(graph, idx):
     """Every oriented unitig's successor list is the anchor query on its
-    last (k-1)-mer, sorted and paired with the oriented sequences, and holds
-    exactly the oriented unitigs whose text starts with that word."""
+    last (k-1)-mer, sorted and paired with the oriented sequences, their
+    text after that word and its length, and holds exactly the oriented
+    unitigs whose text starts with that word."""
     k1 = graph.k - 1
     succ = idx.successors(graph)
     texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
@@ -170,7 +171,11 @@ def assert_successor_lists(graph, idx):
         suffix = text[-k1:]
         expected = list(idx.starts_with_codes(encode_kmer(suffix)))
         got = succ[uid, orient]
-        assert got == tuple((u, o, graph.oriented_sequence(u, o)) for u, o in expected)
+        assert got == tuple(
+            (u, o, t, t[k1:], len(t) - k1)
+            for u, o in expected
+            for t in [graph.oriented_sequence(u, o)]
+        )
         assert sorted({(u, o) for u, o, t in texts if t[:k1] == suffix}) == expected
         assert succ.starting(encode_kmer(suffix)) == got
         branching += len(got) > 1
@@ -202,8 +207,8 @@ def test_successor_lists_follow_the_graph_they_were_asked_for():
     one = build_graph(["AACCG", "CCGTT"], 4)
     two = build_graph(["AACCG", "CCGAA"], 4)
     idx = build_anchor_index(one)
-    assert idx.successors(one)[0, "+"] == ((1, "+", "CCGTT"),)
-    assert idx.successors(two)[0, "+"] == ((1, "+", "CCGAA"),)
+    assert idx.successors(one)[0, "+"] == ((1, "+", "CCGTT", "TT", 2),)
+    assert idx.successors(two)[0, "+"] == ((1, "+", "CCGAA", "AA", 2),)
     assert idx.successors(two) is idx.successors(two)
 
 
@@ -229,12 +234,13 @@ def test_sharing_bound_on_random_graphs():
 
 def assert_anchor_invariant(graph, idx):
     """String-level: the keys are exactly the first and last words of the
-    oriented unitig texts, and each key's starts and ends are the oriented
-    unitigs whose text starts and ends with its word, in sorted order."""
+    oriented unitig texts, as `words` holds them written out, and each key's
+    starts and ends are the oriented unitigs whose text starts and ends with
+    its word, in sorted order."""
     k1 = graph.k - 1
     texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
     words = {t[:k1] for _, _, t in texts} | {t[-k1:] for _, _, t in texts}
-    assert {decode_kmer(key, k1) for key in idx.keys()} == words
+    assert {decode_kmer(key, k1) for key in idx.keys()} == words == idx.words
     for key in idx.keys():
         word = decode_kmer(key, k1)
         starts = sorted((u, o) for u, o, t in texts if t[:k1] == word)

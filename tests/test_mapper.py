@@ -500,7 +500,172 @@ def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
     minus = Read(id="m", sequence=naive_rc("".join(seq)))
     result = map_read(minus, graph, anchor, interior, PARAMS)
     assert result.mismatches == 1 and result.strand == "-"
-    assert calls == [minus.sequence]  # both regimes and strands share one encoding
+    # '+' is ruled out by its windows at 0, 30 and 60, and '-' is placed from
+    # its window 0, the last forward window mirrored
+    assert calls == []
+    seq = list(genome[50:150])
+    seq[5] = "A" if seq[5] != "A" else "C"
+    plus = Read(id="p1", sequence="".join(seq))
+    result = map_read(plus, graph, anchor, interior, PARAMS)
+    assert result.mismatches == 1 and result.strand == "+"
+    assert calls == [plus.sequence]  # both regimes and strands share one encoding
+    calls.clear()
+    # no anchor word (the unitig's first and last 30 bases, or their reverse
+    # complements) in the read's text: neither mapper encodes a window
+    for mapped in (map_branching(minus, graph, anchor, PARAMS),
+                   map_exhaustive(minus, graph, anchor, PARAMS)):
+        assert mapped.reason == "no_anchor"
+    assert calls == []
+
+
+class EncodedView(ReadView):
+    """A view that encodes every window up front and never rules a strand
+    out, so every pass scans its windows: the oracle for the lazy view."""
+
+    def __init__(self, sequence, size):
+        super().__init__(sequence, size)
+        self.windows()
+
+    def unplaceable(self, strand, keys, t):
+        return False
+
+
+def all_four(read, graph, anchor, interior, params):
+    return (
+        map_read(read, graph, anchor, interior, params),
+        map_single_unitig(read, graph, interior, params),
+        map_branching(read, graph, anchor, params),
+        map_exhaustive(read, graph, anchor, params),
+    )
+
+
+def differential_reads(sources, k, count, seed):
+    """Reads from `sources` of lengths k-1 to about 4(k-1), with up to four
+    substitutions, one in three with an N inside one of the windows at
+    0, k-1, 2(k-1) or 3(k-1), half of them reverse-complemented."""
+    rng = random.Random(seed)
+    k1 = k - 1
+    reads = []
+    for i in range(count):
+        src = rng.choice(sources)
+        length = rng.randint(k1, min(len(src), 4 * k1 + 5))
+        start = rng.randrange(len(src) - length + 1)
+        seq = list(src[start : start + length])
+        for _ in range(rng.randint(0, 4)):
+            p = rng.randrange(length)
+            seq[p] = rng.choice([b for b in "ACGT" if b != seq[p]])
+        if i % 3 == 0:
+            p = rng.randrange(4) * k1 + rng.randrange(k1)
+            if p < length:
+                seq[p] = "N"
+        seq = "".join(seq)
+        reads.append(Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq)))
+    return reads
+
+
+def palindromic_repeat_genome(k, seed):
+    """Random backbone with copies of one unit (some with a substitution,
+    every other one reverse-complemented) and two palindromes, so that at an
+    even k-1 some unitig overlaps are their own reverse complement."""
+    rng = random.Random(seed)
+    unit = random_genome(seed + 1, 4 * k)
+    parts = [random_genome(seed + 2, 3 * k), "GGATATCC", "TTACGCGTAA"]
+    for i in range(5):
+        copy = list(unit)
+        if i % 2:
+            p = rng.randrange(len(copy))
+            copy[p] = rng.choice([b for b in "ACGT" if b != copy[p]])
+        copy = "".join(copy)
+        parts.append(copy if i % 2 else naive_rc(copy))
+        parts.append(random_genome(seed + 10 + i, rng.randint(k, 3 * k)))
+    return "".join(parts)
+
+
+def test_lazy_view_results_equal_an_encoded_view(monkeypatch):
+    # every MappingResult field of the four mappers, against a view that
+    # encodes up front and scans every pass, at -t 0-3, -n 1-3, both strand
+    # modes; reads shorter than (t+1)(k-1) and N inside the proof windows
+    from cdbgmap import mapper
+
+    exact_scans = []
+    single = mapper._single_pass
+
+    def recorded(*args, **kwargs):
+        attempt = single(*args, **kwargs)
+        exact_scans.append(kwargs.get("exact", False))
+        return attempt
+
+    monkeypatch.setattr(mapper, "_single_pass", recorded)
+    graph, sources = repeat_graph_with_decoys()
+    cases = [(graph, differential_reads(sources, 11, 60, 1))]
+    for k, seed in ((5, 31), (9, 32), (8, 33)):
+        genome = palindromic_repeat_genome(k, seed)
+        graph, _ = graph_from_sequences([genome], k)
+        cases.append((graph, differential_reads([genome], k, 40, seed)))
+    palindromic = 0
+    skipped_then_unmapped = 0
+    for graph, reads in cases:
+        k1 = graph.k - 1
+        palindromic += sum(
+            u.sequence[-k1:] == naive_rc(u.sequence[-k1:]) for u in graph.unitigs
+        )
+        anchor, interior = indexes_for(graph)
+        for t in range(4):
+            for n in (1, 2, 3):
+                for mode in ("both", "forward_only"):
+                    params = MappingParams(max_mismatches=t, max_anchor_attempts=n,
+                                           strand_mode=mode)
+                    for read in reads:
+                        exact_scans.clear()
+                        lazy = all_four(read, graph, anchor, interior, params)
+                        skipped_then_unmapped += any(exact_scans)
+                        with monkeypatch.context() as patched:
+                            patched.setattr(mapper, "ReadView", EncodedView)
+                            encoded = all_four(read, graph, anchor, interior, params)
+                        assert lazy == encoded, (read.sequence, t, n, mode)
+    assert palindromic
+    assert skipped_then_unmapped
+
+
+def test_a_skipped_single_pass_keeps_its_reason_when_the_read_is_unmapped():
+    # '+' has a substitution in its only proof window (t = 0), so its single
+    # pass is skipped unscanned; the read ends unmapped, and the reason comes
+    # from that pass scanned in full: a seed placed over budget, or a seed
+    # whose placement runs past the unitig's end
+    unitig = random_genome(41, 200)
+    graph = build_graph([unitig], 11)
+    anchor, interior = indexes_for(graph)
+    params = MappingParams(max_mismatches=0)
+
+    def substituted(seq, p):
+        return seq[:p] + ("A" if seq[p] != "A" else "C") + seq[p + 1 :]
+
+    over_budget = substituted(unitig[50:100], 3)
+    past_the_end = substituted(unitig[170:], 3) + random_genome(42, 20)
+    for seq, reason in ((over_budget, "budget_exceeded"), (past_the_end, "cover_failed")):
+        view = ReadView(seq, 10)
+        assert view.unplaceable("+", interior._table, 0)
+        read = Read(id="r", sequence=seq)
+        assert map_single_unitig(read, graph, interior, params).reason == reason
+        assert map_read(read, graph, anchor, interior, params).reason == reason
+
+
+def test_greedy_cover_keeps_the_first_of_equally_cheap_candidates():
+    # found by search, then frozen: two unitigs start with the read's first
+    # word GCTA, each one mismatch from the read after it; the cover takes
+    # the first in id order, and only that one reaches the end overlap
+    graph, _ = graph_from_sequences([palindromic_repeat_genome(5, 31)], 5)
+    anchor, _ = indexes_for(graph)
+    read = "GCTAAGGGAT"
+    first = oriented(graph, 0, "-")
+    second = oriented(graph, 48, "+")
+    assert first[:4] == second[:4] == read[:4]
+    for text in (first, second):
+        assert sum(x != y for x, y in zip(text[4:], read[4:])) == 1
+    params = MappingParams(max_mismatches=1, strand_mode="forward_only")
+    result = map_branching(Read(id="tie", sequence=read), graph, anchor, params)
+    assert result.path == ((0, "-"), (7, "+"), (22, "+"))
+    assert result.mismatch_positions == (5,)
 
 
 def test_map_read_unmapped_reports_reason():
