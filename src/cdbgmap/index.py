@@ -1,16 +1,14 @@
 """Anchor and interior (k-1)-mer indexes over a compacted graph.
 
-Both indexes are keyed by the written code of a (k-1)-mer, with no
-canonical form.  The anchor index files each oriented unitig under the word
-it starts with and the word it ends with: (u,'+') under u's first and last
-(k-1)-mer, (u,'-') under the reverse complements of its last and first.  A
-unitig starts with a word exactly when its flipped orientation ends with the
-word's reverse complement, so the key set is closed under reverse
-complement, and a palindromic word is one key like any other.  Orientations
-are the strings '+' and '-'.
-
-The index also keeps its keys as strings (`AnchorIndex.words`), so a read's
-text can be tested for an anchor word before any of its windows is encoded.
+Both indexes key a (k-1)-mer as written, with no canonical form: the anchor
+index by the word itself, so a read's text is looked up with no encoding,
+and the interior index by its packed code.  The anchor index files each
+oriented unitig under the word it starts with and the word it ends with:
+(u,'+') under u's first and last (k-1)-mer, (u,'-') under the reverse
+complements of its last and first.  A unitig starts with a word exactly
+when its flipped orientation ends with the word's reverse complement, so
+the key set is closed under reverse complement, and a palindromic word is
+one key like any other.  Orientations are the strings '+' and '-'.
 
 Successor lists (`Successors`, one per anchor index and graph, from
 `AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
@@ -20,7 +18,7 @@ after the overlap and that text's length, so a junction compares it with
 the read in place.
 
 The interior index lists every (k-1)-mer occurrence inside every unitig and
-backs the single-unitig mapping regime.  Its keys are the written codes of
+backs the single-unitig mapping regime.  Its keys are the packed codes of
 the forward unitig text, with no orientation bit: a read strand is placed on
 the forward text by looking up its own windows' written codes, and on the
 reverse text by the reverse complement's pass doing the same.  Each
@@ -52,7 +50,7 @@ from itertools import islice
 from pathlib import Path
 
 from .graph import CompactedGraph, Unitig
-from .sequences import MAX_K, kmer_codes, reverse_complement, slices, window_codes
+from .sequences import MAX_K, reverse_complement, slices, window_codes
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 7
@@ -66,15 +64,13 @@ REVERSE = "-"
 
 
 class AnchorIndex:
-    """Written (k-1)-mer code -> the oriented unitigs starting and ending
-    with that word."""
+    """Written (k-1)-mer -> the oriented unitigs starting and ending with
+    that word."""
 
     def __init__(self, k: int):
         self.k = k
-        # code -> (starts, ends); each a sorted tuple of (unitig_id, '+'/'-')
-        self._table: dict[int, tuple[tuple, tuple]] = {}
-        # the keys as strings, for a read's text before its windows are encoded
-        self.words: frozenset[str] = frozenset()
+        # word -> (starts, ends); each a sorted tuple of (unitig_id, '+'/'-')
+        self._table: dict[str, tuple[tuple, tuple]] = {}
         self._successors: Successors | None = None
 
     def __len__(self) -> int:
@@ -83,14 +79,17 @@ class AnchorIndex:
     def keys(self):
         return self._table.keys()
 
-    def starts_with_codes(self, code: int) -> tuple:
-        """Oriented unitigs whose sequence starts with the written word, as
-        (unitig_id, '+'/'-'), smallest id then '+' first."""
-        return self._table.get(code, ((), ()))[0]
+    def starts_with_codes(self, word: str) -> tuple:
+        """Oriented unitigs whose sequence starts with the written `word`,
+        as (unitig_id, '+'/'-'), smallest id then '+' first.  It takes the
+        word, not its code; the name stays because bench/traced.py wraps it."""
+        return self._table.get(word, ((), ()))[0]
 
-    def ends_with_codes(self, code: int) -> tuple:
-        """Oriented unitigs whose sequence ends with the written word."""
-        return self._table.get(code, ((), ()))[1]
+    def ends_with_codes(self, word: str) -> tuple:
+        """Oriented unitigs whose sequence ends with the written `word`.  It
+        takes the word, not its code; the name stays because
+        bench/traced.py wraps it."""
+        return self._table.get(word, ((), ()))[1]
 
     def successors(self, graph: CompactedGraph) -> "Successors":
         """The successor lists of `graph`'s oriented unitigs under this
@@ -111,18 +110,18 @@ class Successors(dict):
         seq = graph.oriented_sequence
         k1 = graph.k - 1
         self.graph = graph
-        self._starting: dict[int, tuple] = {}
-        for code, (starts, ends) in anchor._table.items():
+        self._starting: dict[str, tuple] = {}
+        for word, (starts, ends) in anchor._table.items():
             starting = tuple(_entry(uid, o, seq(uid, o), k1) for uid, o in starts)
-            self._starting[code] = starting
+            self._starting[word] = starting
             for end in ends:
                 self[end] = starting
 
-    def starting(self, code: int) -> tuple:
+    def starting(self, word: str) -> tuple:
         """Unitigs whose oriented sequence starts with the written word as
         (unitig_id, '+'/'-', oriented sequence, text after the word, length
         of that text), smallest id then '+' first."""
-        return self._starting.get(code, ())
+        return self._starting.get(word, ())
 
 
 def _entry(uid: int, orient: str, text: str, k1: int) -> tuple:
@@ -131,30 +130,23 @@ def _entry(uid: int, orient: str, text: str, k1: int) -> tuple:
 
 
 def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
-    """Each oriented unitig is filed under the written code of its first
-    (k-1)-mer in the starts and of its last in the ends: (u,'+') under u's
-    first and last, (u,'-') under the reverse complements of its last and
-    first, so the key set is closed under reverse complement.  Each list is
-    filled in (id, orientation) order, so it comes out sorted.  `words` holds
-    the same keys written out: each unitig's first and last (k-1)-mer and
-    their reverse complements."""
+    """Each oriented unitig is filed under its first (k-1)-mer in the starts
+    and its last in the ends: (u,'+') under u's first and last, (u,'-')
+    under the reverse complements of its last and first, so the key set is
+    closed under reverse complement.  Each list is filled in (id,
+    orientation) order, so it comes out sorted."""
     size = graph.k - 1
     idx = AnchorIndex(graph.k)
-    starts: dict[int, list] = {}
-    ends: dict[int, list] = {}
-    words = set()
+    starts: dict[str, list] = {}
+    ends: dict[str, list] = {}
     for u in graph.unitigs:
-        head, tail = u.sequence[:size], u.sequence[-size:]
-        first, first_rc = kmer_codes(head)
-        last, last_rc = kmer_codes(tail)
+        first, last = u.sequence[:size], u.sequence[-size:]
         starts.setdefault(first, []).append((u.id, FORWARD))
         ends.setdefault(last, []).append((u.id, FORWARD))
-        starts.setdefault(last_rc, []).append((u.id, REVERSE))
-        ends.setdefault(first_rc, []).append((u.id, REVERSE))
-        words.update((head, tail, reverse_complement(head), reverse_complement(tail)))
-    for key in starts.keys() | ends.keys():
+        starts.setdefault(reverse_complement(last), []).append((u.id, REVERSE))
+        ends.setdefault(reverse_complement(first), []).append((u.id, REVERSE))
+    for key in {**starts, **ends}:  # a dict, not a set: string order is per process
         idx._table[key] = (tuple(starts.get(key, ())), tuple(ends.get(key, ())))
-    idx.words = frozenset(words)
     return idx
 
 

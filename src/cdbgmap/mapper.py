@@ -38,18 +38,19 @@ candidate evaluations of one strand pass, which are state expansions, not
 paths.  Both mappers take their begin anchors from `_begins` and cost
 every junction candidate through `_junction`, so they share one anchoring
 and extension geometry and differ only in search policy.  Anchors come from
-the read's words, each looked up by its written code on the strand: the
-anchor table gives the unitigs ending with a begin overlap, and, for the
-greedy end anchor (a junction at the end overlap whose unitig reaches the
-read's end), the unitigs starting with the end overlap.  A begin overlap at
-read position 0 is one anchor with an empty head, however many unitigs end
-with it.  Junction candidates come from the graph's successor lists
-(`AnchorIndex.successors`): after a unitig, the candidates are the unitigs
-starting with its last (k-1)-mer, built once per graph and never per read.
-Only the junction right at a begin overlap at read position 0, which has no
-unitig before it, looks up the read's word.  Each candidate carries its
-text after the overlap, which `_junction` compares with the read in place
-(`str.startswith`) before it counts mismatches on a slice.
+the read's words, each looked up as written on the strand: the anchor table,
+keyed by the words themselves, gives the unitigs ending with a begin
+overlap, and, for the greedy end anchor (a junction at the end overlap whose
+unitig reaches the read's end), the unitigs starting with the end overlap.
+A begin overlap at read position 0 is one anchor with an empty head, however
+many unitigs end with it.  Junction candidates come from the graph's
+successor lists (`AnchorIndex.successors`): after a unitig, the candidates
+are the unitigs starting with its last (k-1)-mer, built once per graph and
+never per read.  Only the junction right at a begin overlap at read
+position 0, which has no unitig before it, looks up the read's word.  Each
+candidate carries its text after the overlap, which `_junction` compares
+with the read in place (`str.startswith`) before it counts mismatches on a
+slice.
 
 All four mappers are one driver, `_map`, run over a list of regimes, each a
 strand pass with its index and the strands it tries.  Three rules settle the
@@ -62,30 +63,31 @@ strands; `map_read` is the single-unitig regime and then the branching one;
 `map_exhaustive` is one regime per strand, so its strands compete on cost
 and a perfect first strand ends the search.  The driver unmaps a read
 shorter than k as `too_short` and builds the one `ReadView` that every pass
-over the read shares.  The view encodes the read's (k-1)-mer windows at most
-once (the '-' strand's are the forward ones mirrored), and only for a pass
-that cannot decide from the read's text:
+over the read shares:
 
-- a single-unitig pass seeds only from windows whose written code on its
-  own strand is an interior key, one dict lookup each.  Each strand tries
-  its window 0 first and encodes only when that is not a key, or not a
-  placement.  Before that, the pass checks the t+1 disjoint windows at 0,
-  k-1, ..., t(k-1) of its strand: if the read holds them all (L >= (t+1)(k-1))
-  and none is an interior key, the pass fails unencoded, since t mismatches
-  leave at least one of them exact (pigeonhole; a window holding N is a
-  miss).  Such a `skipped` pass is scanned for its reason only if the read
-  ends unmapped;
-- the branching and exhaustive passes detect the anchor overlaps once per
-  read.  A read none of whose (k-1)-substrings is an anchor word
-  (`AnchorIndex.words`) has none, unencoded; otherwise the windows are
-  encoded and each is one anchor-key test.
+- the single-unitig side codes windows, since the interior index is keyed by
+  packed codes.  A pass seeds only from windows whose code on its own strand
+  is an interior key, one dict lookup each.  The view encodes the read's
+  windows at most once (the '-' strand's are the forward ones mirrored), and
+  codes no window twice.  Each strand tries its window 0 first and encodes
+  the rest only when that is not a key, or not a placement.  Before that,
+  the pass checks the t+1 disjoint windows at 0, k-1, ..., t(k-1) of its
+  strand: if the read holds them all (L >= (t+1)(k-1)) and none is an
+  interior key, the pass fails unencoded, since t mismatches leave at least
+  one of them exact (pigeonhole; a window holding N is a miss).  Such a
+  `skipped` pass is scanned for its reason only if the read ends unmapped;
+- the branching side reads text and encodes nothing.  The branching and
+  exhaustive passes detect the anchor overlaps once per strand and read:
+  each (k-1)-substring of the read is one anchor-key test as it is written.
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
 worker, or with more sends them to forked workers, at most 2 x threads
 chunks in flight, and yields each chunk's results in input order.  A worker
 applies an optional `render` to its results before they cross the pipe
-(`cdbgmap map` passes its TSV-row formatter).  `map_reads` is that stream
+(`cdbgmap map` passes its TSV-row formatter).  While the stream runs, every
+object that existed before it is frozen out of the collector, so a full
+collection walks only what mapping makes.  `map_reads` is that stream
 collected into a list.
 """
 
@@ -185,29 +187,25 @@ def _hamming(seq: str, base: int, text: str, limit: int):
     return cost, tuple(out)
 
 
-def _mirror(wins, base: int):
-    """Forward windows as the reverse complement sees them, in ascending order."""
-    return ((base - pos, rc, fwd) for pos, fwd, rc in reversed(wins))
-
-
 class ReadView:
-    """A read's (k-1)-mer windows on both strands, encoded at most once, and
-    only when a pass cannot decide from the read's text.
+    """A read's (k-1)-mer windows on both strands: written words for the
+    anchor overlaps, and packed codes, encoded at most once and only when a
+    pass cannot decide from the read's text, for the interior seeds.
 
-    Windows are (position, fwd_code, rc_code) triples, as `window_codes`
-    gives them.  Only the forward ones are encoded; the '-' strand's, as
-    `hits` and `detected` give them, are the forward ones mirrored: the
-    window at forward position p sits at L-(k-1)-p on the reverse
-    complement, with its two codes swapped.  Detected anchor overlaps are
-    windows too, and are mirrored the same way.
+    Coded windows are (position, fwd_code, rc_code) triples, as
+    `window_codes` gives them.  Only the forward ones are encoded; the '-'
+    strand's, as `hits` gives them, are the forward ones mirrored: the window
+    at forward position p sits at L-(k-1)-p on the reverse complement, with
+    its two codes swapped.
 
     Three reads of the text come before any encoding.  `hits` tries the
     strand's window 0 alone (for '-', the last forward window mirrored).
     `unplaceable` codes the t+1 disjoint windows at 0, k-1, ..., t(k-1) of a
     strand: when none is a key, no placement within t mismatches exists,
     since t mismatches leave one of them exact (pigeonhole; a window holding
-    N is a miss).  `detected` tests the (k-1)-substrings against the anchor
-    words as strings, and encodes only when one of them is an anchor word.
+    N is a miss).  `window` keeps what it codes, so those windows are coded
+    once per read.  `detected` tests the (k-1)-substrings against the anchor
+    words and never encodes.
     """
 
     def __init__(self, sequence: str, size: int):
@@ -216,6 +214,7 @@ class ReadView:
         self._rc_seq: str | None = None
         self._base = len(sequence) - size
         self._fwd: list | None = None  # forward windows, once encoded
+        self._coded: dict = {}  # forward position -> `kmer_codes`, or None
         self._dets: list | None = None  # forward detected overlaps
 
     def sequence(self, strand: str) -> str:
@@ -235,10 +234,16 @@ class ReadView:
         """The strand's window at `pos` as a triple, coded from the text, or
         None when it holds a non-ACGT symbol."""
         at = pos if strand == "+" else self._base - pos
-        try:
-            fwd, rc = kmer_codes(self._seq[at : at + self.size])
-        except ValueError:
+        codes = self._coded.get(at, False)
+        if codes is False:
+            try:
+                codes = kmer_codes(self._seq[at : at + self.size])
+            except ValueError:
+                codes = None
+            self._coded[at] = codes
+        if codes is None:
             return None
+        fwd, rc = codes
         return (pos, fwd, rc) if strand == "+" else (pos, rc, fwd)
 
     def unplaceable(self, strand: str, keys, t: int) -> bool:
@@ -280,22 +285,18 @@ class ReadView:
         yield from self._hits(strand, keys, first is not None)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
-        """Windows that are indexed unitig overlaps, in ascending order.  The
-        anchor keys are closed under reverse complement, so the forward code
-        alone decides for both strands.  Before the windows are encoded, a
-        read none of whose (k-1)-substrings is an anchor word has none."""
+        """The strand's windows that are indexed unitig overlaps, as
+        (position, word) pairs in ascending order.  The anchor keys are
+        closed under reverse complement, so the '-' strand's are the forward
+        ones, read off the reverse complement at L-(k-1)-p."""
+        size, base = self.size, self._base
         if self._dets is None:
-            seq, size = self._seq, self.size
-            if self._fwd is None and anchor.words.isdisjoint(
-                [seq[i : i + size] for i in range(self._base + 1)]
-            ):
-                self._dets = []
-            else:
-                keys = anchor.keys()
-                self._dets = [w for w in self.windows() if w[1] in keys]
-        if strand == "+":
+            seq, keys = self._seq, anchor.keys()
+            self._dets = [(i, w) for i in range(base + 1) if (w := seq[i : i + size]) in keys]
+        if strand == "+" or not self._dets:
             return self._dets
-        return list(_mirror(self._dets, self._base))
+        rc = self.sequence(strand)
+        return [(base - p, rc[base - p : base - p + size]) for p, _ in reversed(self._dets)]
 
 
 @dataclass
@@ -371,14 +372,14 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     )
 
 
-def _begins(pos_b, code, graph, anchor):
-    """Begin anchors at the detected overlap at `pos_b` (its written `code`):
+def _begins(pos_b, word, graph, anchor):
+    """Begin anchors at the detected overlap `word` at `pos_b`:
     the unitigs ending with it that reach back to read position 0, smallest
     id then '+' first.  Each is yielded as (head, start_offset, text): the
     path it starts, the read's offset in the path, and the unitig text under
     the read's [0, pos_b).  At `pos_b` 0 no unitig covers anything left of
     the overlap, so all of them give one anchor, (), 0, '', yielded once."""
-    ends = anchor.ends_with_codes(code)
+    ends = anchor.ends_with_codes(word)
     if not pos_b:
         if ends:
             yield (), 0, ""
@@ -417,26 +418,26 @@ def _branch_pass(
         return _Attempt(reason=NO_ANCHOR)
     seq = view.sequence(strand)
     length = len(seq)
-    det_positions = [d[0] for d in dets]
+    det_positions = [pos for pos, _ in dets]
     succ = anchor.successors(graph)
 
     failure = BEGIN_NOT_FOUND
-    for pos_b, code_b, _ in dets[:n]:
+    for pos_b, word_b in dets[:n]:
         begin = None
-        for head, start_offset, text in _begins(pos_b, code_b, graph, anchor):
+        for head, start_offset, text in _begins(pos_b, word_b, graph, anchor):
             cost_b, plist_b = _hamming(seq, 0, text, t)
             if plist_b is not None:
-                begin = (pos_b, code_b, head, start_offset, cost_b, plist_b)
+                begin = (pos_b, word_b, head, start_offset, cost_b, plist_b)
                 break  # first success fixes the begin for this overlap
         if begin is None:
             continue
         failure = _worse(failure, END_NOT_FOUND)
 
-        for pos_e, code_e, _ in reversed(dets[-n:]):
+        for pos_e, word_e in reversed(dets[-n:]):
             if pos_e < pos_b:
                 break
             end = None
-            for uid, orient, _, body, span in succ.starting(code_e):
+            for uid, orient, _, body, span in succ.starting(word_e):
                 if pos_e + span + k1 < length:
                     continue  # the read would extend past the unitig end
                 cost, plist = _junction(seq, pos_e + k1, body, t - cost_b)
@@ -455,17 +456,16 @@ def _branch_pass(
 def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     """Cover the read from the begin anchor's overlap to the end anchor's,
     one junction at a time, without backtracking."""
-    pos_b, code_b, head, start_offset, cost_b, plist_b = begin
+    pos_b, word, head, start_offset, cost_b, plist_b = begin
     pos_e, end_unitig, cost_e, plist_e = end
     path = list(head)
     positions = list(plist_b)
     cost = cost_b + cost_e
     jpos = pos_b
-    word = seq[pos_b : pos_b + k1]
     while jpos != pos_e:
         # the unitigs after the last path unitig; an empty head (begin
         # overlap at read position 0) has none, so the read's word is used
-        cands = succ[path[-1]] if path else succ.starting(code_b)
+        cands = succ[path[-1]] if path else succ.starting(word)
         at = jpos + k1
         reach = pos_e - jpos  # a candidate fits if its last word lands by pos_e
         chosen = None
@@ -686,8 +686,8 @@ def _exhaustive_pass(
     cap = t  # a path must cost at most t, then less than the best found
     best = None
     blocked = anchored = False
-    for pos_b, code_b, _ in dets[:n]:
-        for head, start_offset, text in _begins(pos_b, code_b, graph, anchor):
+    for pos_b, word_b in dets[:n]:
+        for head, start_offset, text in _begins(pos_b, word_b, graph, anchor):
             cost, plist = _hamming(seq, 0, text, cap)
             if plist is None:
                 blocked = True
@@ -697,7 +697,7 @@ def _exhaustive_pass(
             if pos_b + k1 < length:
                 if memo is None:
                     memo = {}
-                cands = succ[head[0]] if head else succ.starting(code_b)
+                cands = succ[head[0]] if head else succ.starting(word_b)
                 tail, worst = onward(pos_b, cands, cap - cost)
                 if tail is None:
                     blocked = blocked or worst > cap - cost
@@ -784,7 +784,9 @@ def map_stream(
     or when the input holds a single chunk, each chunk is mapped in this
     process.  Otherwise a forked pool maps them: at most 2 x `threads`
     chunks are drawn ahead of the one being yielded, and each worker
-    applies `render` before its results cross the pipe."""
+    applies `render` before its results cross the pipe.  The objects that
+    exist when mapping starts, the caller's among them, stay frozen
+    (`gc.freeze`) until the stream ends or is closed."""
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     state = (graph, anchor, interior, params, render)
@@ -792,15 +794,17 @@ def map_stream(
     chunks = iter(lambda: list(islice(source, chunk_size)), [])
     head = list(islice(chunks, 2 if threads > 1 else 1))
     ctx = _fork_context() if len(head) > 1 else None
-    if ctx is None:
-        for chunk in chain(head, chunks):
-            yield _map_chunk(chunk, *state)
-        return
-    anchor.successors(graph)  # filled once here and inherited by every worker
-    # frozen objects are left out of every collection, here and in the
-    # workers, so no side writes to the pages they share while the pool runs
+    anchor.successors(graph)  # filled once here and inherited by any worker
+    # frozen objects are left out of every collection, here and in any
+    # workers: a full collection walks only what mapping makes, not the
+    # graph, the indexes and all the caller holds, and no side writes to the
+    # pages a pool shares
     gc.freeze()
     try:
+        if ctx is None:
+            for chunk in chain(head, chunks):
+                yield _map_chunk(chunk, *state)
+            return
         with ctx.Pool(threads, _init_worker, state) as pool:
             pending = deque()
             for chunk in chain(head, chunks):

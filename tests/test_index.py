@@ -46,10 +46,9 @@ def scan_incidences(graph, mer):
 
 
 def lookup(idx, mer):
-    """The anchor table's (starts, ends) under a written word, looked up by
-    its code as the mapper does."""
-    code = encode_kmer(mer)
-    return idx.starts_with_codes(code), idx.ends_with_codes(code)
+    """The anchor table's (starts, ends) under a written word, looked up as
+    the mapper does."""
+    return idx.starts_with_codes(mer), idx.ends_with_codes(mer)
 
 
 def incidences(idx, mer):
@@ -115,10 +114,8 @@ def test_anchor_orientations_are_strings():
     idx = build_anchor_index(graph)
     seen = set()
     for key in idx.keys():
-        mer = decode_kmer(key, 4)
-        for written in (mer, naive_rc(mer)):
-            code = encode_kmer(written)
-            entries = idx.starts_with_codes(code) + idx.ends_with_codes(code)
+        for written in (key, naive_rc(key)):
+            entries = idx.starts_with_codes(written) + idx.ends_with_codes(written)
             seen.update(orient for _, orient in entries)
     assert seen == {"+", "-"}
 
@@ -169,7 +166,7 @@ def assert_successor_lists(graph, idx):
     branching = 0
     for uid, orient, text in texts:
         suffix = text[-k1:]
-        expected = list(idx.starts_with_codes(encode_kmer(suffix)))
+        expected = list(idx.starts_with_codes(suffix))
         got = succ[uid, orient]
         assert got == tuple(
             (u, o, t, t[k1:], len(t) - k1)
@@ -177,7 +174,7 @@ def assert_successor_lists(graph, idx):
             for t in [graph.oriented_sequence(u, o)]
         )
         assert sorted({(u, o) for u, o, t in texts if t[:k1] == suffix}) == expected
-        assert succ.starting(encode_kmer(suffix)) == got
+        assert succ.starting(suffix) == got
         branching += len(got) > 1
     assert len(succ) == 2 * len(graph)
     return branching
@@ -234,22 +231,21 @@ def test_sharing_bound_on_random_graphs():
 
 def assert_anchor_invariant(graph, idx):
     """String-level: the keys are exactly the first and last words of the
-    oriented unitig texts, as `words` holds them written out, and each key's
-    starts and ends are the oriented unitigs whose text starts and ends with
-    its word, in sorted order."""
+    oriented unitig texts, written out, and each key's starts and ends are
+    the oriented unitigs whose text starts and ends with it, in sorted
+    order."""
     k1 = graph.k - 1
     texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
     words = {t[:k1] for _, _, t in texts} | {t[-k1:] for _, _, t in texts}
-    assert {decode_kmer(key, k1) for key in idx.keys()} == words == idx.words
-    for key in idx.keys():
-        word = decode_kmer(key, k1)
+    assert set(idx.keys()) == words
+    for word in idx.keys():
         starts = sorted((u, o) for u, o, t in texts if t[:k1] == word)
         ends = sorted((u, o) for u, o, t in texts if t[-k1:] == word)
-        assert (list(idx.starts_with_codes(key)), list(idx.ends_with_codes(key))) == (
+        assert (list(idx.starts_with_codes(word)), list(idx.ends_with_codes(word))) == (
             starts,
             ends,
         )
-        assert rc_code(key, k1) in idx.keys()  # closed under reverse complement
+        assert naive_rc(word) in idx.keys()  # closed under reverse complement
 
 
 @pytest.mark.parametrize("k", [5, 9, 31])
@@ -259,17 +255,18 @@ def test_anchor_keys_are_written_words(k):
     idx = build_anchor_index(graph)
     k1 = k - 1
     if k < 10:  # unitig ends that are their own reverse complement
-        assert any(rc_code(key, k1) == key for key in idx.keys())
+        assert any(naive_rc(key) == key for key in idx.keys())
     assert_anchor_invariant(graph, idx)
-    # one anchor-key test per window detects what testing both codes did
+    # one anchor-key test per window detects what testing both strands did
     keys = idx.keys()
     rng = random.Random(k)
     for _ in range(40):
         start = rng.randrange(len(genome) - k)
         seq = genome[start : start + rng.randint(k, 3 * k)]
         for strand, text in (("+", seq), ("-", naive_rc(seq))):
-            two_codes = [w for w in window_codes(text, k1) if w[1] in keys or w[2] in keys]
-            assert ReadView(seq, k1).detected(strand, idx) == two_codes
+            both = [(i, w) for i, w in enumerate(naive_kmers(text, k1))
+                    if w in keys or naive_rc(w) in keys]
+            assert ReadView(seq, k1).detected(strand, idx) == both
 
 
 def test_interior_example():
@@ -409,7 +406,7 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     graphs.append(graph_from_sequences(["ACTG", "ACTT"], 3)[0])
     graphs.append(build_graph(["AACGAA"], 3))
     assert [len(u.sequence) for u in graphs[-2].unitigs] == [3, 3, 3]
-    assert any(rc_code(key, 4) == key for key in build_anchor_index(graphs[3]).keys())
+    assert any(naive_rc(key) == key for key in build_anchor_index(graphs[3]).keys())
     for graph in graphs:
         save_indexes(p1, build_interior_index(graph))
         anchor2, interior2 = load_indexes(p1)

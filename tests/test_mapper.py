@@ -15,7 +15,7 @@ from cdbgmap.mapper import (
     map_single_unitig,
     map_stream,
 )
-from cdbgmap.sequences import Read, decode_kmer, reverse_complement_read, window_codes
+from cdbgmap.sequences import Read, reverse_complement_read, window_codes
 
 from conftest import (
     assert_result_consistent,
@@ -62,12 +62,10 @@ def test_detect_read_overlaps_positions_and_incidences():
     graph = build_graph(["ACTG", "TGAT"], 3)
     anchor, _ = indexes_for(graph)
     dets = ReadView("ACTGAT", 2).detected("+", anchor)
-    assert [(pos, decode_kmer(code, 2)) for pos, code, _ in dets] == [
-        (0, "AC"), (2, "TG"), (4, "AT")
-    ]
-    code = dets[1][1]
-    assert (0, "+") in anchor.ends_with_codes(code)
-    assert (1, "+") in anchor.starts_with_codes(code)
+    assert dets == [(0, "AC"), (2, "TG"), (4, "AT")]
+    word = dets[1][1]
+    assert (0, "+") in anchor.ends_with_codes(word)
+    assert (1, "+") in anchor.starts_with_codes(word)
 
 
 def test_detect_read_overlaps_no_hits():
@@ -445,7 +443,8 @@ def test_read_view_windows_match_window_codes(k):
             assert view.sequence(strand) == text
             keys = anchor.keys()
             assert view.detected(strand, anchor) == [
-                w for w in expected if w[1] in keys or w[2] in keys
+                (pos, w) for pos, _, _ in expected
+                for w in [text[pos : pos + size]] if w in keys or naive_rc(w) in keys
             ]
             assert list(view.hits(strand, every)) == expected  # once encoded
 
@@ -483,12 +482,18 @@ def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
     from cdbgmap import mapper
 
     calls = []
+    coded = []
 
     def counted(seq, size):
         calls.append(seq)
         return window_codes(seq, size)
 
+    def counted_word(word, encode=mapper.kmer_codes):
+        coded.append(word)
+        return encode(word)
+
     monkeypatch.setattr(mapper, "window_codes", counted)
+    monkeypatch.setattr(mapper, "kmer_codes", counted_word)
     genome = random_genome(12, 400)
     graph = build_graph([genome], 31)
     anchor, interior = indexes_for(graph)
@@ -510,12 +515,56 @@ def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
     assert result.mismatches == 1 and result.strand == "+"
     assert calls == [plus.sequence]  # both regimes and strands share one encoding
     calls.clear()
+    coded.clear()
     # no anchor word (the unitig's first and last 30 bases, or their reverse
     # complements) in the read's text: neither mapper encodes a window
     for mapped in (map_branching(minus, graph, anchor, PARAMS),
                    map_exhaustive(minus, graph, anchor, PARAMS)):
         assert mapped.reason == "no_anchor"
-    assert calls == []
+    # nor does either on reads that hold anchor words and map across
+    # unitigs, on either strand: the anchor table is keyed by the words
+    graph = trap_graph()
+    anchor, _ = indexes_for(graph)
+    for seq in (TRAP_READ, naive_rc(TRAP_READ)):
+        read = Read(id="trap", sequence=seq)
+        assert ReadView(seq, 4).detected("+", anchor)
+        for mapped in (map_branching(read, graph, anchor, PARAMS),
+                       map_exhaustive(read, graph, anchor, PARAMS)):
+            assert mapped.regime == "branching_path", seq
+    assert calls == [] and coded == []
+
+
+def test_map_read_codes_no_word_twice(monkeypatch):
+    # each strand's window 0 is coded by the pigeonhole check and tried again
+    # as the first seed; the view keeps the codes, so one `map_read` passes
+    # each word to `kmer_codes` once, whichever regime and strand map it
+    from cdbgmap import mapper
+
+    coded = []
+
+    def counted_word(word, encode=mapper.kmer_codes):
+        coded.append(word)
+        return encode(word)
+
+    monkeypatch.setattr(mapper, "kmer_codes", counted_word)
+    graph, sources = repeat_graph_with_decoys()
+    genome = random_genome(12, 400)
+    cases = [
+        (graph, differential_reads(sources, 11, 80, 5)),
+        (build_graph([genome], 31), [Read(id="exact", sequence=genome[50:150])]),
+    ]
+    calls = 0
+    for graph, reads in cases:
+        anchor, interior = indexes_for(graph)
+        for t in range(4):
+            for mode in ("both", "forward_only"):
+                params = MappingParams(max_mismatches=t, strand_mode=mode)
+                for read in reads:
+                    coded.clear()
+                    map_read(read, graph, anchor, interior, params)
+                    assert len(coded) == len(set(coded)), (read.sequence, t, mode, coded)
+                    calls += len(coded)
+    assert calls
 
 
 class EncodedView(ReadView):
@@ -700,7 +749,7 @@ def test_greedy_trap_construction_preconditions():
     graph = trap_graph()
     anchor, _ = indexes_for(graph)
     dets = ReadView(TRAP_READ, 4).detected("+", anchor)
-    assert [pos for pos, _, _ in dets] == [0, 3, 8, 13, 16, 21, 24]
+    assert [pos for pos, _ in dets] == [0, 3, 8, 13, 16, 21, 24]
 
 
 def test_greedy_shortcut_beaten_by_exhaustive():
@@ -1105,6 +1154,41 @@ def test_map_stream_workers_render_their_results():
     assert len(parts) == -(-len(reads) // 16)
     expected = [f"{r.read_id}:{r.regime}" for r in map_reads(reads, graph, anchor, interior)]
     assert [row for part in parts for row in part] == expected
+
+
+def test_map_stream_freezes_the_heap_it_found_while_it_runs():
+    # a full collection while mapping walks only what mapping makes, not the
+    # graph, the indexes and the caller's objects; they are thawed when the
+    # stream ends, is closed early, or fails
+    import gc
+
+    genome = random_genome(780, 2000)
+    graph, _ = graph_from_sequences([genome], 15)
+    anchor, interior = indexes_for(graph)
+    reads = [Read(id=f"r{i}", sequence=genome[i : i + 40]) for i in range(0, 400, 10)]
+    assert gc.get_freeze_count() == 0
+    frozen = []
+
+    def render(result):
+        frozen.append(gc.get_freeze_count())
+        return result
+
+    assert list(map_stream(reads, graph, anchor, interior, PARAMS, chunk_size=8,
+                           render=render))
+    assert len(frozen) == len(reads) and min(frozen) > 0
+    assert gc.get_freeze_count() == 0
+    stream = map_stream(reads, graph, anchor, interior, PARAMS, chunk_size=8)
+    next(stream)
+    assert gc.get_freeze_count() > 0
+    stream.close()
+    assert gc.get_freeze_count() == 0
+
+    def failing(result):
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError):
+        list(map_stream(reads, graph, anchor, interior, PARAMS, render=failing))
+    assert gc.get_freeze_count() == 0
 
 
 def test_map_stream_rejects_a_chunk_size_below_1():
