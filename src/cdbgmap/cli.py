@@ -263,6 +263,7 @@ def cmd_map(args) -> int:
                 )
             if interior.graph != graph:
                 raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
+            graph = interior.graph  # equal to the -g graph: keep one of the two
         else:
             anchor = build_anchor_index(graph)
             interior = build_interior_index(graph)

@@ -1,14 +1,14 @@
 """Anchor and interior (k-1)-mer indexes over a compacted graph.
 
-Both indexes key a (k-1)-mer as written, with no canonical form: the anchor
-index by the word itself, so a read's text is looked up with no encoding,
-and the interior index by its packed code.  The anchor index files each
-oriented unitig under the word it starts with and the word it ends with:
-(u,'+') under u's first and last (k-1)-mer, (u,'-') under the reverse
-complements of its last and first.  A unitig starts with a word exactly
-when its flipped orientation ends with the word's reverse complement, so
-the key set is closed under reverse complement, and a palindromic word is
-one key like any other.  Orientations are the strings '+' and '-'.
+Both indexes key a (k-1)-mer by the word itself, as written, with no
+canonical form, so a read's text is looked up with no encoding.  The anchor
+index files each oriented unitig under the word it starts with and the word
+it ends with: (u,'+') under u's first and last (k-1)-mer, (u,'-') under the
+reverse complements of its last and first.  A unitig starts with a word
+exactly when its flipped orientation ends with the word's reverse
+complement, so the key set is closed under reverse complement, and a
+palindromic word is one key like any other.  Orientations are the strings
+'+' and '-'.
 
 Successor lists (`Successors`, one per anchor index and graph, from
 `AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
@@ -18,13 +18,12 @@ after the overlap and that text's length, so a junction compares it with
 the read in place.
 
 The interior index lists every (k-1)-mer occurrence inside every unitig and
-backs the single-unitig mapping regime.  Its keys are the packed codes of
-the forward unitig text, with no orientation bit: a read strand is placed on
-the forward text by looking up its own windows' written codes, and on the
-reverse text by the reverse complement's pass doing the same.  Each
-occurrence is one int, `offset << 32 | unitig_id`, and a key with one
-occurrence holds that int alone.  The build encodes each unitig in bounded
-slices (`sequences.slices`), never as one whole-unitig window list, and the
+backs the single-unitig mapping regime.  Its keys are the words of the
+forward unitig text, with no orientation bit: a read strand is placed on the
+forward text by looking up its own words, and on the reverse text by the
+reverse complement's pass doing the same.  Each occurrence is one int,
+`offset << 32 | unitig_id`, and a key with one occurrence holds that int
+alone.  The build slices each unitig's words and encodes nothing, and the
 index keeps the graph it was built from.
 
 The index file (format version 7) is a snapshot of that graph: a header of
@@ -50,7 +49,8 @@ from itertools import islice
 from pathlib import Path
 
 from .graph import CompactedGraph, Unitig
-from .sequences import MAX_K, reverse_complement, slices, window_codes
+from .sequences import MAX_K, reverse_complement
+from .sequences import window_codes  # noqa: F401  (bench/traced.py wraps index.window_codes)
 
 _INDEX_MAGIC = b"CDBGIDX1"
 _INDEX_VERSION = 7
@@ -151,12 +151,12 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
 
 
 class InteriorIndex:
-    """Written (k-1)-mer code -> occurrences inside unitigs.
+    """Written (k-1)-mer -> occurrences inside unitigs.
 
-    A key is the code of a window of a unitig's forward text; there is no
-    orientation bit, so an occurrence of the reverse text is the one under
-    the reverse complement's code.  An occurrence of the window at `offset`
-    of unitig `uid` is the packed int `offset << 32 | uid`.  A key with one
+    A key is a word of a unitig's forward text; there is no orientation bit,
+    so an occurrence of the reverse text is the one under the reverse
+    complement's word.  An occurrence of the word at `offset` of unitig
+    `uid` is the packed int `offset << 32 | uid`.  A key with one
     occurrence holds that int; a key with more holds a tuple of them in
     ascending (uid, offset) order.  `graph` is the graph the index was built
     from.
@@ -165,34 +165,33 @@ class InteriorIndex:
     def __init__(self, graph: CompactedGraph):
         self.k = graph.k
         self.graph = graph
-        self._table: dict[int, int | tuple[int, ...]] = {}
+        self._table: dict[str, int | tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._table)
 
 
 def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
-    """Every (k-1)-mer window of every unitig, under its written code, as
-    packed occurrences; each unitig is encoded a bounded slice at a time."""
+    """Every (k-1)-mer word of every unitig, as written, with its packed
+    occurrences."""
     idx = InteriorIndex(graph)
     size = graph.k - 1
     table = idx._table
     add = table.setdefault
     repeated = []  # keys seen twice, whose occurrences are kept in a list
     for u in graph.unitigs:
-        uid = u.id
-        for start, part in slices(u.sequence, size):
-            # unitigs are exact ACGT, so window i of a part sits at start + i
-            for pos, fwd, _ in window_codes(part, size):
-                packed = (start + pos) << 32 | uid
-                held = add(fwd, packed)
-                if held is packed:  # a new key
-                    continue
-                if type(held) is list:
-                    held.append(packed)
-                else:
-                    table[fwd] = [held, packed]
-                    repeated.append(fwd)
+        uid, seq = u.id, u.sequence
+        for off in range(len(seq) - size + 1):
+            word = seq[off : off + size]
+            packed = off << 32 | uid
+            held = add(word, packed)
+            if held is packed:  # a new key
+                continue
+            if type(held) is list:
+                held.append(packed)
+            else:
+                table[word] = [held, packed]
+                repeated.append(word)
     for key in repeated:
         table[key] = tuple(table[key])
     return idx

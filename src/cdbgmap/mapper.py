@@ -63,22 +63,19 @@ strands; `map_read` is the single-unitig regime and then the branching one;
 `map_exhaustive` is one regime per strand, so its strands compete on cost
 and a perfect first strand ends the search.  The driver unmaps a read
 shorter than k as `too_short` and builds the one `ReadView` that every pass
-over the read shares:
+over the read shares.  Both indexes are keyed by the written words, so no
+pass encodes anything; each reads the strand's text as it stands:
 
-- the single-unitig side codes windows, since the interior index is keyed by
-  packed codes.  A pass seeds only from windows whose code on its own strand
-  is an interior key, one dict lookup each.  The view encodes the read's
-  windows at most once (the '-' strand's are the forward ones mirrored), and
-  codes no window twice.  Each strand tries its window 0 first and encodes
-  the rest only when that is not a key, or not a placement.  Before that,
-  the pass checks the t+1 disjoint windows at 0, k-1, ..., t(k-1) of its
-  strand: if the read holds them all (L >= (t+1)(k-1)) and none is an
-  interior key, the pass fails unencoded, since t mismatches leave at least
-  one of them exact (pigeonhole; a window holding N is a miss).  Such a
-  `skipped` pass is scanned for its reason only if the read ends unmapped;
-- the branching side reads text and encodes nothing.  The branching and
-  exhaustive passes detect the anchor overlaps once per strand and read:
-  each (k-1)-substring of the read is one anchor-key test as it is written.
+- a single-unitig pass seeds from the words of its own strand that are
+  interior keys, one dict lookup each, scanned lazily from the read's start,
+  so a read placed by its first hit reads no further.  Before that, the pass
+  checks the t+1 disjoint words at 0, k-1, ..., t(k-1) of its strand: if the
+  read holds them all (L >= (t+1)(k-1)) and none is an interior key, the
+  pass fails unscanned, since t mismatches leave at least one of them exact
+  (pigeonhole; a word holding N is a miss).  Such a `skipped` pass is
+  scanned for its reason only if the read ends unmapped;
+- the branching and exhaustive passes detect the anchor overlaps once per
+  read: each (k-1)-substring of the read is one anchor-key test.
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
@@ -94,7 +91,6 @@ collected into a list.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -104,7 +100,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .graph import CompactedGraph
 from .index import AnchorIndex, InteriorIndex
-from .sequences import Read, kmer_codes, reverse_complement_read, window_codes
+from .sequences import Read, reverse_complement_read
+from .sequences import window_codes  # noqa: F401  (bench/traced.py wraps mapper.window_codes)
 
 SINGLE_UNITIG = "single_unitig"
 BRANCHING_PATH = "branching_path"
@@ -188,24 +185,15 @@ def _hamming(seq: str, base: int, text: str, limit: int):
 
 
 class ReadView:
-    """A read's (k-1)-mer windows on both strands: written words for the
-    anchor overlaps, and packed codes, encoded at most once and only when a
-    pass cannot decide from the read's text, for the interior seeds.
+    """A read's (k-1)-mer words on both strands, as written: the strand's
+    own text for the interior seeds, and the anchor overlaps, found once on
+    the forward text.
 
-    Coded windows are (position, fwd_code, rc_code) triples, as
-    `window_codes` gives them.  Only the forward ones are encoded; the '-'
-    strand's, as `hits` gives them, are the forward ones mirrored: the window
-    at forward position p sits at L-(k-1)-p on the reverse complement, with
-    its two codes swapped.
-
-    Three reads of the text come before any encoding.  `hits` tries the
-    strand's window 0 alone (for '-', the last forward window mirrored).
-    `unplaceable` codes the t+1 disjoint windows at 0, k-1, ..., t(k-1) of a
-    strand: when none is a key, no placement within t mismatches exists,
-    since t mismatches leave one of them exact (pigeonhole; a window holding
-    N is a miss).  `window` keeps what it codes, so those windows are coded
-    once per read.  `detected` tests the (k-1)-substrings against the anchor
-    words and never encodes.
+    `unplaceable` reads the t+1 disjoint words at 0, k-1, ..., t(k-1) of a
+    strand before any scan: when none is a key, no placement within t
+    mismatches exists, since t mismatches leave one of them exact
+    (pigeonhole; a word holding N is a miss).  `hits` scans lazily, so a
+    pass placed by its first hit reads no further.
     """
 
     def __init__(self, sequence: str, size: int):
@@ -213,8 +201,6 @@ class ReadView:
         self._seq = sequence
         self._rc_seq: str | None = None
         self._base = len(sequence) - size
-        self._fwd: list | None = None  # forward windows, once encoded
-        self._coded: dict = {}  # forward position -> `kmer_codes`, or None
         self._dets: list | None = None  # forward detected overlaps
 
     def sequence(self, strand: str) -> str:
@@ -224,65 +210,21 @@ class ReadView:
             self._rc_seq = reverse_complement_read(self._seq)
         return self._rc_seq
 
-    def windows(self) -> list:
-        """All windows of the forward sequence, in ascending position order."""
-        if self._fwd is None:
-            self._fwd = window_codes(self._seq, self.size)
-        return self._fwd
-
-    def window(self, strand: str, pos: int):
-        """The strand's window at `pos` as a triple, coded from the text, or
-        None when it holds a non-ACGT symbol."""
-        at = pos if strand == "+" else self._base - pos
-        codes = self._coded.get(at, False)
-        if codes is False:
-            try:
-                codes = kmer_codes(self._seq[at : at + self.size])
-            except ValueError:
-                codes = None
-            self._coded[at] = codes
-        if codes is None:
-            return None
-        fwd, rc = codes
-        return (pos, fwd, rc) if strand == "+" else (pos, rc, fwd)
-
     def unplaceable(self, strand: str, keys, t: int) -> bool:
         """Whether the strand provably has no placement within `t`
-        mismatches on a text whose windows' written codes are `keys`: the
-        read holds t+1 disjoint windows and none of them is a key."""
+        mismatches on a text whose words are `keys`: the read holds t+1
+        disjoint words and none of them is a key."""
         size = self.size
         if self._base < t * size:
             return False
-        for i in range(t + 1):
-            w = self.window(strand, i * size)
-            if w is not None and w[1] in keys:
-                return False
-        return True
+        seq = self.sequence(strand)
+        return not any(seq[i : i + size] in keys for i in range(0, (t + 1) * size, size))
 
     def hits(self, strand: str, keys):
-        """The strand's windows whose own written code (their fwd_code on
-        that strand) is in `keys`, lazily in ascending order.  The '-'
-        strand scans the forward windows backwards on their rc codes and
-        mirrors only the hits; before the forward windows are encoded, each
-        strand tries its window 0 alone and encodes the rest only when asked
-        for more."""
-        if self._fwd is None:
-            return self._first_then_hits(strand, keys)
-        return self._hits(strand, keys, 0)
-
-    def _hits(self, strand, keys, skip):
-        wins = self.windows()
-        if strand == "+":
-            return (w for w in islice(wins, skip, None) if w[1] in keys)
-        base = self._base
-        wins = islice(reversed(wins), skip, None)
-        return ((base - pos, rc, fwd) for pos, fwd, rc in wins if rc in keys)
-
-    def _first_then_hits(self, strand, keys):
-        first = self.window(strand, 0)
-        if first is not None and first[1] in keys:
-            yield first
-        yield from self._hits(strand, keys, first is not None)
+        """The strand's words that are in `keys`, as (position, word) pairs,
+        lazily in ascending order.  A word holding N is never a key."""
+        seq, size = self.sequence(strand), self.size
+        return ((i, w) for i in range(self._base + 1) if (w := seq[i : i + size]) in keys)
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
         """The strand's windows that are indexed unitig overlaps, as
@@ -547,10 +489,10 @@ def _single_pass(
     failure = NO_ANCHOR
     # each hit's occurrences place the read on the forward unitig text;
     # reverse placements surface through the reverse-complement pass
-    for pos, f, _ in islice(view.hits(strand, table), n):
+    for pos, word in islice(view.hits(strand, table), n):
         best = None
         structural = False
-        occurrences = table[f]  # packed `offset << 32 | uid`, see InteriorIndex
+        occurrences = table[word]  # packed `offset << 32 | uid`, see InteriorIndex
         if type(occurrences) is int:
             occurrences = (occurrences,)
         for packed in occurrences:
@@ -820,6 +762,8 @@ def map_stream(
 
 
 def _fork_context():
+    import multiprocessing  # only a forked pool needs it
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - no fork on this platform

@@ -1,9 +1,11 @@
 """DNA alphabet, bit-packed k-mers, and read records shared by the whole toolkit.
 
-Packed codes are the only k-mer form: two bits per base, most significant
-bits first, with A=0, C=1, G=2, T=3.  `kmer_codes` (one exact word) and
-`window_codes` (every N-free window of a sequence) are the encoders from
-strings; each gives a word's forward code and its reverse complement's.
+Packed codes are the k-mer form of graph set-up (counting and compaction):
+two bits per base, most significant bits first, with A=0, C=1, G=2, T=3.
+The indexes and the mapper key (k-1)-mers as written and encode nothing.
+`kmer_codes` (one exact word) and `window_codes` (every N-free window of a
+sequence) are the encoders from strings; each gives a word's forward code
+and its reverse complement's.
 Because the code order matches the lexicographic base order, integer
 comparison of two packed k-mers of equal length is exactly lexicographic
 comparison of their sequences, so the canonical form of a k-mer is simply
@@ -120,11 +122,11 @@ def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
     """All N-free windows of `seq` as (position, fwd_code, rc_code) triples.
 
     Windows containing any non-ACGT symbol are skipped; positions of the
-    remaining windows are preserved.  This is the shared hot path for
-    counting, indexing and mapping.  Each maximal ACGT run is cut into
-    blocks of `_BLOCK` windows (overlapping by size-1 bases); a block and
-    its reverse complement are read as two ints by `int(..., 4)`, and each
-    window's codes are shifts of those.
+    remaining windows are preserved.  This is the hot path of k-mer
+    counting.  Each maximal ACGT run is cut into blocks of `_BLOCK` windows
+    (overlapping by size-1 bases); a block and its reverse complement are
+    read as two ints by `int(..., 4)`, and each window's codes are shifts of
+    those.
     """
     mask = (1 << (2 * size)) - 1
     out = []
@@ -143,8 +145,8 @@ def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
     return out
 
 
-# Windows per slice in `slices`: counting and indexing encode a long
-# sequence one bounded slice at a time, never as one whole-sequence list.
+# Windows per slice in `slices`: counting encodes a long sequence one
+# bounded slice at a time, never as one whole-sequence list.
 _SLICE = 4096
 
 

@@ -77,10 +77,10 @@ def indexes_for(graph):
 
 
 def interior_table(interior):
-    """The interior index's table with every value decoded to its tuple of
-    (unitig id, offset) occurrences.  A packed occurrence is
-    offset * 2**32 + unitig id, and a key with one occurrence holds it as a
-    bare int."""
+    """The interior index's table, keyed by its written words, with every
+    value decoded to its tuple of (unitig id, offset) occurrences.  A packed
+    occurrence is offset * 2**32 + unitig id, and a key with one occurrence
+    holds it as a bare int."""
     decoded = {}
     for key, value in interior._table.items():
         packed = (value,) if isinstance(value, int) else value

@@ -16,7 +16,7 @@ from cdbgmap.index import (
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import _SLICE, MAX_K, decode_kmer, encode_kmer, rc_code, window_codes
+from cdbgmap.sequences import _SLICE, MAX_K
 
 from conftest import (
     build_graph,
@@ -273,20 +273,20 @@ def test_interior_example():
     graph = build_graph(["ACTGA"], 3)
     idx = build_interior_index(graph)
     table = interior_table(idx)
-    assert table[encode_kmer("CT")] == ((0, 1),)
+    assert table["CT"] == ((0, 1),)
     # the reverse-strand written form of the same site is no key: the
-    # reverse complement's pass finds it under its own written code
-    assert encode_kmer("AG") not in table
-    assert table[encode_kmer(naive_rc("AG"))] == ((0, 1),)
+    # reverse complement's pass finds it under its own written word
+    assert "AG" not in table
+    assert table[naive_rc("AG")] == ((0, 1),)
     # a key with one occurrence holds it as one packed int
-    assert idx._table[encode_kmer("CT")] == 1 * 2**32 + 0
+    assert idx._table["CT"] == 1 * 2**32 + 0
 
 
 def test_interior_repeat_ascending_offsets():
     graph = build_graph(["ACTACT"], 3)
     idx = build_interior_index(graph)
-    assert interior_table(idx)[encode_kmer("AC")] == ((0, 0), (0, 3))
-    assert idx._table[encode_kmer("AC")] == (0 * 2**32 + 0, 3 * 2**32 + 0)
+    assert interior_table(idx)["AC"] == ((0, 0), (0, 3))
+    assert idx._table["AC"] == (0 * 2**32 + 0, 3 * 2**32 + 0)
 
 
 def test_interior_matches_scan_oracle():
@@ -299,19 +299,18 @@ def test_interior_matches_scan_oracle():
         mers = {genome[i : i + k - 1] for i in range(0, 200, 17)}
         mers |= {"".join(rng.choice("ACGT") for _ in range(k - 1)) for _ in range(8)}
         for mer in mers:
-            got = table.get(encode_kmer(mer), ())
+            got = table.get(mer, ())
             assert list(got) == sorted(scan_interior(graph, mer)), (mer, seed)
 
 
 def test_interior_palindromic_mer_hits_both_strands():
     graph = build_graph(["GGATATCC"], 5)
     table = interior_table(build_interior_index(graph))
-    code = encode_kmer("ATAT")
     # a word that is its own reverse complement is one key, which both
     # strands' passes look up
-    assert rc_code(code, 4) == code
-    assert table[code] == ((0, 2),)
-    assert set(table[code]) == scan_interior(graph, "ATAT")
+    assert naive_rc("ATAT") == "ATAT"
+    assert table["ATAT"] == ((0, 2),)
+    assert set(table["ATAT"]) == scan_interior(graph, "ATAT")
 
 
 def assert_interior_invariant(graph, idx):
@@ -320,8 +319,7 @@ def assert_interior_invariant(graph, idx):
     indexed, once."""
     k1 = graph.k - 1
     listed = []
-    for key, occs in interior_table(idx).items():
-        word = decode_kmer(key, k1)
+    for word, occs in interior_table(idx).items():
         for uid, off in occs:
             assert graph.unitigs[uid].sequence[off : off + k1] == word
             listed.append((uid, off))
@@ -356,21 +354,23 @@ def test_interior_index_across_slice_cuts(k, extra):
 
 
 def test_counting_and_indexing_encode_bounded_slices(monkeypatch):
-    from cdbgmap import census, index
+    # the interior build slices words and encodes nothing (see
+    # test_mapper.test_mapping_and_indexing_encode_nothing); counting
+    # encodes a bounded slice at a time
+    from cdbgmap import census
 
     calls = []
-    for module in (census, index):
-        def recorded(seq, size, encode=module.window_codes, layer=module.__name__):
-            calls.append((layer, len(seq), size))
-            return encode(seq, size)
 
-        monkeypatch.setattr(module, "window_codes", recorded)
+    def recorded(seq, size, encode=census.window_codes):
+        calls.append((len(seq), size))
+        return encode(seq, size)
+
+    monkeypatch.setattr(census, "window_codes", recorded)
     genome = random_genome(4096, 3 * _SLICE + 100)
     census_counts = count_kmers([genome], 31).counts
-    interior = build_interior_index(build_graph([genome], 31))
-    assert len(census_counts) > 3 * _SLICE and len(interior) > 3 * _SLICE
-    assert [layer for layer, _, _ in calls] == ["cdbgmap.census"] * 4 + ["cdbgmap.index"] * 4
-    assert all(n <= _SLICE + size - 1 for _, n, size in calls), calls
+    assert len(census_counts) > 3 * _SLICE
+    assert len(calls) == 4
+    assert all(n <= _SLICE + size - 1 for n, size in calls), calls
 
 
 def test_serialization_round_trip_and_reproducibility(tmp_path):

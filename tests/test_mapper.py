@@ -15,7 +15,7 @@ from cdbgmap.mapper import (
     map_single_unitig,
     map_stream,
 )
-from cdbgmap.sequences import Read, reverse_complement_read, window_codes
+from cdbgmap.sequences import Read, non_acgt, reverse_complement_read, window_codes
 
 from conftest import (
     assert_result_consistent,
@@ -406,11 +406,12 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
                     "unmapped, truncated True", "unmapped, truncated False"}
 
 
-class EveryCode:
-    """A container holding every code, so `ReadView.hits` keeps every window."""
+class EveryWord:
+    """A container holding every exact word, so `ReadView.hits` keeps every
+    window without an N."""
 
-    def __contains__(self, code):
-        return True
+    def __contains__(self, word):
+        return not non_acgt(word)
 
 
 @pytest.mark.parametrize("k", [5, 31])
@@ -433,20 +434,18 @@ def test_read_view_windows_match_window_codes(k):
         reads.append("".join(rng.choice("ACGTN") for _ in range(rng.randint(size, 3 * k))))
     graph = build_graph([palindrome + "A", random_genome(11, 2 * k)], k)
     anchor, _ = indexes_for(graph)
-    every = EveryCode()
+    every = EveryWord()
+    keys = anchor.keys()
     for seq in reads:
-        assert ReadView(seq, size).windows() == window_codes(seq, size)
         for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
-            expected = window_codes(text, size)
-            assert list(ReadView(seq, size).hits(strand, every)) == expected
+            expected = [(pos, text[pos : pos + size]) for pos, _, _ in window_codes(text, size)]
             view = ReadView(seq, size)
+            assert list(view.hits(strand, every)) == expected
             assert view.sequence(strand) == text
-            keys = anchor.keys()
             assert view.detected(strand, anchor) == [
-                (pos, w) for pos, _, _ in expected
-                for w in [text[pos : pos + size]] if w in keys or naive_rc(w) in keys
+                (pos, w) for pos, w in expected if w in keys or naive_rc(w) in keys
             ]
-            assert list(view.hits(strand, every)) == expected  # once encoded
+            assert list(view.hits(strand, every)) == expected  # a second scan
 
 
 @pytest.mark.parametrize("k", [5, 31])
@@ -472,108 +471,60 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
             view = ReadView(seq, size)
             text = view.sequence(strand)
             got = list(view.hits(strand, table))
-            assert got == [w for w in window_codes(text, size) if w[1] in table]
-            for pos, fwd, _ in got:
-                for uid, off in occurrences[fwd]:
-                    assert unitigs[uid][off : off + size] == text[pos : pos + size]
+            assert got == [(pos, w) for pos, _, _ in window_codes(text, size)
+                           if (w := text[pos : pos + size]) in table]
+            for pos, word in got:
+                for uid, off in occurrences[word]:
+                    assert unitigs[uid][off : off + size] == word == text[pos : pos + size]
 
 
-def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
-    from cdbgmap import mapper
+def test_mapping_and_indexing_encode_nothing(monkeypatch):
+    # both indexes are keyed by the written words, so building them and
+    # mapping on them read text: no encoder that `mapper` or `index` imports,
+    # nor any in `sequences`, is called, in either regime, on either strand,
+    # at any budget, for reads placed at their first seed, ruled out by the
+    # pigeonhole rule, scanned in full, or mapped across unitigs
+    from cdbgmap import index, mapper, sequences
 
     calls = []
-    coded = []
+    for module in (index, mapper, sequences):
+        for name in ("encode_kmer", "kmer_codes", "window_codes", "rc_code"):
+            if hasattr(module, name):
+                def counted(*args, encode=getattr(module, name), name=name):
+                    calls.append((name, args))
+                    return encode(*args)
 
-    def counted(seq, size):
-        calls.append(seq)
-        return window_codes(seq, size)
-
-    def counted_word(word, encode=mapper.kmer_codes):
-        coded.append(word)
-        return encode(word)
-
-    monkeypatch.setattr(mapper, "window_codes", counted)
-    monkeypatch.setattr(mapper, "kmer_codes", counted_word)
+                monkeypatch.setattr(module, name, counted)
+    repeats, sources = repeat_graph_with_decoys()
     genome = random_genome(12, 400)
-    graph = build_graph([genome], 31)
-    anchor, interior = indexes_for(graph)
-    plus = map_read(Read(id="p", sequence=genome[50:150]), graph, anchor, interior, PARAMS)
-    assert plus.mismatches == 0 and plus.strand == "+"
-    assert calls == []  # placed from the first window alone
     seq = list(genome[50:150])
     seq[70] = "A" if seq[70] != "A" else "C"
-    minus = Read(id="m", sequence=naive_rc("".join(seq)))
-    result = map_read(minus, graph, anchor, interior, PARAMS)
-    assert result.mismatches == 1 and result.strand == "-"
-    # '+' is ruled out by its windows at 0, 30 and 60, and '-' is placed from
-    # its window 0, the last forward window mirrored
-    assert calls == []
-    seq = list(genome[50:150])
-    seq[5] = "A" if seq[5] != "A" else "C"
-    plus = Read(id="p1", sequence="".join(seq))
-    result = map_read(plus, graph, anchor, interior, PARAMS)
-    assert result.mismatches == 1 and result.strand == "+"
-    assert calls == [plus.sequence]  # both regimes and strands share one encoding
-    calls.clear()
-    coded.clear()
-    # no anchor word (the unitig's first and last 30 bases, or their reverse
-    # complements) in the read's text: neither mapper encodes a window
-    for mapped in (map_branching(minus, graph, anchor, PARAMS),
-                   map_exhaustive(minus, graph, anchor, PARAMS)):
-        assert mapped.reason == "no_anchor"
-    # nor does either on reads that hold anchor words and map across
-    # unitigs, on either strand: the anchor table is keyed by the words
-    graph = trap_graph()
-    anchor, _ = indexes_for(graph)
-    for seq in (TRAP_READ, naive_rc(TRAP_READ)):
-        read = Read(id="trap", sequence=seq)
-        assert ReadView(seq, 4).detected("+", anchor)
-        for mapped in (map_branching(read, graph, anchor, PARAMS),
-                       map_exhaustive(read, graph, anchor, PARAMS)):
-            assert mapped.regime == "branching_path", seq
-    assert calls == [] and coded == []
-
-
-def test_map_read_codes_no_word_twice(monkeypatch):
-    # each strand's window 0 is coded by the pigeonhole check and tried again
-    # as the first seed; the view keeps the codes, so one `map_read` passes
-    # each word to `kmer_codes` once, whichever regime and strand map it
-    from cdbgmap import mapper
-
-    coded = []
-
-    def counted_word(word, encode=mapper.kmer_codes):
-        coded.append(word)
-        return encode(word)
-
-    monkeypatch.setattr(mapper, "kmer_codes", counted_word)
-    graph, sources = repeat_graph_with_decoys()
-    genome = random_genome(12, 400)
     cases = [
-        (graph, differential_reads(sources, 11, 80, 5)),
-        (build_graph([genome], 31), [Read(id="exact", sequence=genome[50:150])]),
+        (repeats, differential_reads(sources, 11, 80, 5)),
+        (build_graph([genome], 31), [Read(id="exact", sequence=genome[50:150]),
+                                     Read(id="minus", sequence=naive_rc("".join(seq)))]),
+        (trap_graph(), [Read(id="trap", sequence=TRAP_READ),
+                        Read(id="trap-", sequence=naive_rc(TRAP_READ))]),
     ]
-    calls = 0
+    regimes = set()
     for graph, reads in cases:
-        anchor, interior = indexes_for(graph)
+        anchor, interior = index.build_anchor_index(graph), index.build_interior_index(graph)
         for t in range(4):
             for mode in ("both", "forward_only"):
                 params = MappingParams(max_mismatches=t, strand_mode=mode)
                 for read in reads:
-                    coded.clear()
-                    map_read(read, graph, anchor, interior, params)
-                    assert len(coded) == len(set(coded)), (read.sequence, t, mode, coded)
-                    calls += len(coded)
-    assert calls
+                    regimes.update(r.regime for r in (
+                        map_read(read, graph, anchor, interior, params),
+                        map_branching(read, graph, anchor, params),
+                        map_exhaustive(read, graph, anchor, params),
+                    ))
+    assert regimes == {"single_unitig", "branching_path", "unmapped"}
+    assert calls == []
 
 
-class EncodedView(ReadView):
-    """A view that encodes every window up front and never rules a strand
-    out, so every pass scans its windows: the oracle for the lazy view."""
-
-    def __init__(self, sequence, size):
-        super().__init__(sequence, size)
-        self.windows()
+class ScanningView(ReadView):
+    """A view that never rules a strand out, so every pass scans its words:
+    the oracle for the pigeonhole rule."""
 
     def unplaceable(self, strand, keys, t):
         return False
@@ -632,8 +583,8 @@ def palindromic_repeat_genome(k, seed):
 
 def test_lazy_view_results_equal_an_encoded_view(monkeypatch):
     # every MappingResult field of the four mappers, against a view that
-    # encodes up front and scans every pass, at -t 0-3, -n 1-3, both strand
-    # modes; reads shorter than (t+1)(k-1) and N inside the proof windows
+    # scans every pass, at -t 0-3, -n 1-3, both strand modes; reads shorter
+    # than (t+1)(k-1) and N inside the proof windows
     from cdbgmap import mapper
 
     exact_scans = []
@@ -669,9 +620,9 @@ def test_lazy_view_results_equal_an_encoded_view(monkeypatch):
                         lazy = all_four(read, graph, anchor, interior, params)
                         skipped_then_unmapped += any(exact_scans)
                         with monkeypatch.context() as patched:
-                            patched.setattr(mapper, "ReadView", EncodedView)
-                            encoded = all_four(read, graph, anchor, interior, params)
-                        assert lazy == encoded, (read.sequence, t, n, mode)
+                            patched.setattr(mapper, "ReadView", ScanningView)
+                            scanned = all_four(read, graph, anchor, interior, params)
+                        assert lazy == scanned, (read.sequence, t, n, mode)
     assert palindromic
     assert skipped_then_unmapped
 
