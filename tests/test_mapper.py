@@ -478,6 +478,129 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
                     assert unitigs[uid][off : off + size] == word == text[pos : pos + size]
 
 
+class LookupLog(dict):
+    """An interior table that logs each word `in` asks it about."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.asked = []
+
+    def __contains__(self, word):
+        self.asked.append(word)
+        return super().__contains__(word)
+
+
+def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
+    # the view reads a strand's words off its text only as far as a pass
+    # needs them, builds the '-' text at most once and only when a pass reads
+    # it, and codes no word
+    from cdbgmap import mapper
+
+    calls = []
+    rcs = []
+
+    def counted(seq, size):
+        calls.append(seq)
+        return window_codes(seq, size)
+
+    def counted_rc(seq):
+        rcs.append(seq)
+        return reverse_complement_read(seq)
+
+    monkeypatch.setattr(mapper, "window_codes", counted)
+    monkeypatch.setattr(mapper, "reverse_complement_read", counted_rc)
+    genome = random_genome(12, 400)
+    graph = build_graph([genome], 31)
+    anchor, interior = indexes_for(graph)
+    table = interior._table = LookupLog(interior._table)
+
+    def words(text, *positions):
+        return [text[p : p + 30] for p in positions]
+
+    text = genome[50:150]
+    plus = map_read(Read(id="p", sequence=text), graph, anchor, interior, PARAMS)
+    assert plus.mismatches == 0 and plus.strand == "+"
+    # placed from the first word, which the pigeonhole check asked about too
+    assert table.asked == words(text, 0, 0) and rcs == []
+    table.asked.clear()
+    seq = list(genome[50:150])
+    seq[70] = "A" if seq[70] != "A" else "C"
+    minus = Read(id="m", sequence=naive_rc("".join(seq)))
+    result = map_read(minus, graph, anchor, interior, PARAMS)
+    assert result.mismatches == 1 and result.strand == "-"
+    # '+' is ruled out by its words at 0, 30 and 60, unscanned, and '-' is
+    # placed from its word 0
+    assert table.asked == words(minus.sequence, 0, 30, 60) + words("".join(seq), 0, 0)
+    assert rcs == [minus.sequence]
+    table.asked.clear()
+    rcs.clear()
+    seq = list(genome[50:150])
+    seq[5] = "A" if seq[5] != "A" else "C"
+    plus = Read(id="p1", sequence="".join(seq))
+    result = map_read(plus, graph, anchor, interior, PARAMS)
+    assert result.mismatches == 1 and result.strand == "+"
+    # word 30 is exact, so '+' is scanned, and only up to word 6, the first
+    # past the substitution; the branching regime finds no anchor on the
+    # forward text, so the '-' text is never built
+    assert table.asked == words(plus.sequence, 0, 30, *range(7)) and rcs == []
+    # no anchor word (the unitig's first and last 30 bases, or their reverse
+    # complements) in the read's text: neither mapper builds the '-' text
+    for mapped in (map_branching(minus, graph, anchor, PARAMS),
+                   map_exhaustive(minus, graph, anchor, PARAMS)):
+        assert mapped.reason == "no_anchor"
+    assert rcs == []
+    # on reads that hold anchor words and map across unitigs, either strand
+    graph = trap_graph()
+    anchor, _ = indexes_for(graph)
+    for seq in (TRAP_READ, naive_rc(TRAP_READ)):
+        read = Read(id="trap", sequence=seq)
+        assert ReadView(seq, 4).detected("+", anchor)
+        for mapped in (map_branching(read, graph, anchor, PARAMS),
+                       map_exhaustive(read, graph, anchor, PARAMS)):
+            assert mapped.regime == "branching_path", seq
+    assert calls == []
+
+
+def test_map_read_codes_no_word_twice(monkeypatch):
+    # both regimes and strands of one `map_read` share one view: it codes no
+    # word, and builds the '-' text at most once, whichever regime and
+    # strand map the read
+    from cdbgmap import mapper
+
+    coded = []
+    rcs = []
+
+    def counted_word(seq, size):
+        coded.append(seq)
+        return window_codes(seq, size)
+
+    def counted_rc(seq):
+        rcs.append(seq)
+        return reverse_complement_read(seq)
+
+    monkeypatch.setattr(mapper, "window_codes", counted_word)
+    monkeypatch.setattr(mapper, "reverse_complement_read", counted_rc)
+    graph, sources = repeat_graph_with_decoys()
+    genome = random_genome(12, 400)
+    cases = [
+        (graph, differential_reads(sources, 11, 80, 5)),
+        (build_graph([genome], 31), [Read(id="exact", sequence=genome[50:150])]),
+    ]
+    built = 0
+    for graph, reads in cases:
+        anchor, interior = indexes_for(graph)
+        for t in range(4):
+            for mode in ("both", "forward_only"):
+                params = MappingParams(max_mismatches=t, strand_mode=mode)
+                for read in reads:
+                    rcs.clear()
+                    map_read(read, graph, anchor, interior, params)
+                    assert coded == [], (read.sequence, t, mode, coded)
+                    assert rcs in ([], [read.sequence]), (read.sequence, t, mode, rcs)
+                    built += len(rcs)
+    assert built
+
+
 def test_mapping_and_indexing_encode_nothing(monkeypatch):
     # both indexes are keyed by the written words, so building them and
     # mapping on them read text: no encoder that `mapper` or `index` imports,
