@@ -63,7 +63,6 @@ class CompactedGraph:
                 raise ValueError(f"unitig {u.id} contains non-ACGT symbols")
         self.k = k
         self.unitigs = list(unitigs)
-        self._rc_cache: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.unitigs)
@@ -75,18 +74,11 @@ class CompactedGraph:
             and self.unitigs == other.unitigs
         )
 
-    def rc_sequence(self, unitig_id: int) -> str:
-        cached = self._rc_cache.get(unitig_id)
-        if cached is None:
-            cached = reverse_complement(self.unitigs[unitig_id].sequence)
-            self._rc_cache[unitig_id] = cached
-        return cached
-
     def oriented_sequence(self, unitig_id: int, orientation: str) -> str:
         if orientation == "+":
             return self.unitigs[unitig_id].sequence
         if orientation == "-":
-            return self.rc_sequence(unitig_id)
+            return reverse_complement(self.unitigs[unitig_id].sequence)
         raise ValueError(f"orientation must be '+' or '-', got {orientation!r}")
 
     def mean_length(self) -> float:
@@ -278,8 +270,8 @@ def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorInde
     overlap = graph.k - 1
     links = set()
     for key in anchor_index.keys():
-        for a, oa in anchor_index.ends_with_codes(key):
-            for b, ob in anchor_index.starts_with_codes(key):
+        for a, oa, *_ in anchor_index.ends_with_codes(key):
+            for b, ob, *_ in anchor_index.starts_with_codes(key):
                 fwd = (a, oa, b, ob)
                 mirror = (b, flip(ob), a, flip(oa))
                 links.add(min(fwd, mirror))

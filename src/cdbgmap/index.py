@@ -10,12 +10,13 @@ complement, so the key set is closed under reverse complement, and a
 palindromic word is one key like any other.  Orientations are the strings
 '+' and '-'.
 
-Successor lists (`Successors`, one per anchor index and graph, from
-`AnchorIndex.successors`) give, per oriented unitig, the unitigs starting
-with its last (k-1)-mer: the starts of the key whose ends hold it, filled in
-one pass over the anchor table.  Each entry carries the candidate's text
-after the overlap and that text's length, so a junction compares it with
-the read in place.
+Each oriented unitig is one entry, `(unitig_id, '+'/'-', text, body,
+span)`: its oriented text (the '-' one reverse-complemented once, at the
+build), the text after its first (k-1)-mer and that text's length.  The one
+tuple is filed under the first word in the starts and under the last in the
+ends.  So the anchor table is the graph's only junction table: after any
+oriented unitig, the candidates are `starts_with_codes` of its last word,
+and a junction compares each candidate's body with the read in place.
 
 The interior index lists every (k-1)-mer occurrence inside every unitig and
 backs the single-unitig mapping regime.  Its keys are the words of the
@@ -62,16 +63,17 @@ _REBUILD = "rebuild it with `cdbgmap map --index-out`"
 FORWARD = "+"
 REVERSE = "-"
 
+_NO_ENTRIES = ((), ())  # (starts, ends) of a word that is not a key
+
 
 class AnchorIndex:
     """Written (k-1)-mer -> the oriented unitigs starting and ending with
-    that word."""
+    that word, as entries (unitig_id, '+'/'-', text, body, span)."""
 
     def __init__(self, k: int):
         self.k = k
-        # word -> (starts, ends); each a sorted tuple of (unitig_id, '+'/'-')
+        # word -> (starts, ends); each a tuple of entries, smallest id then '+'
         self._table: dict[str, tuple[tuple, tuple]] = {}
-        self._successors: Successors | None = None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -80,58 +82,21 @@ class AnchorIndex:
         return self._table.keys()
 
     def starts_with_codes(self, word: str) -> tuple:
-        """Oriented unitigs whose sequence starts with the written `word`,
-        as (unitig_id, '+'/'-'), smallest id then '+' first.  It takes the
-        word, not its code; the name stays because bench/traced.py wraps it."""
-        return self._table.get(word, ((), ()))[0]
+        """Entries of the oriented unitigs whose text starts with the written
+        `word`, smallest id then '+' first.  It takes the word, not its code;
+        the name stays because bench/traced.py wraps it."""
+        return self._table.get(word, _NO_ENTRIES)[0]
 
     def ends_with_codes(self, word: str) -> tuple:
-        """Oriented unitigs whose sequence ends with the written `word`.  It
-        takes the word, not its code; the name stays because
+        """Entries of the oriented unitigs whose text ends with the written
+        `word`.  It takes the word, not its code; the name stays because
         bench/traced.py wraps it."""
-        return self._table.get(word, ((), ()))[1]
-
-    def successors(self, graph: CompactedGraph) -> "Successors":
-        """The successor lists of `graph`'s oriented unitigs under this
-        index, kept for the next call with the same graph."""
-        if self._successors is None or self._successors.graph is not graph:
-            self._successors = Successors(graph, self)
-        return self._successors
-
-
-class Successors(dict):
-    """(unitig_id, '+'/'-') -> the unitigs starting with that oriented
-    unitig's last (k-1)-mer, as `starting` gives them.  Every oriented
-    unitig ends with exactly one anchor key, so one pass over the table
-    fills every list; a list is a property of the graph, not of any read."""
-
-    def __init__(self, graph: CompactedGraph, anchor: AnchorIndex):
-        super().__init__()
-        seq = graph.oriented_sequence
-        k1 = graph.k - 1
-        self.graph = graph
-        self._starting: dict[str, tuple] = {}
-        for word, (starts, ends) in anchor._table.items():
-            starting = tuple(_entry(uid, o, seq(uid, o), k1) for uid, o in starts)
-            self._starting[word] = starting
-            for end in ends:
-                self[end] = starting
-
-    def starting(self, word: str) -> tuple:
-        """Unitigs whose oriented sequence starts with the written word as
-        (unitig_id, '+'/'-', oriented sequence, text after the word, length
-        of that text), smallest id then '+' first."""
-        return self._starting.get(word, ())
-
-
-def _entry(uid: int, orient: str, text: str, k1: int) -> tuple:
-    body = text[k1:]
-    return uid, orient, text, body, len(body)
+        return self._table.get(word, _NO_ENTRIES)[1]
 
 
 def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
-    """Each oriented unitig is filed under its first (k-1)-mer in the starts
-    and its last in the ends: (u,'+') under u's first and last, (u,'-')
+    """One entry per oriented unitig, filed under its first (k-1)-mer in the
+    starts and its last in the ends: (u,'+') under u's first and last, (u,'-')
     under the reverse complements of its last and first, so the key set is
     closed under reverse complement.  Each list is filled in (id,
     orientation) order, so it comes out sorted."""
@@ -140,11 +105,11 @@ def build_anchor_index(graph: CompactedGraph) -> AnchorIndex:
     starts: dict[str, list] = {}
     ends: dict[str, list] = {}
     for u in graph.unitigs:
-        first, last = u.sequence[:size], u.sequence[-size:]
-        starts.setdefault(first, []).append((u.id, FORWARD))
-        ends.setdefault(last, []).append((u.id, FORWARD))
-        starts.setdefault(reverse_complement(last), []).append((u.id, REVERSE))
-        ends.setdefault(reverse_complement(first), []).append((u.id, REVERSE))
+        for orient, text in ((FORWARD, u.sequence), (REVERSE, reverse_complement(u.sequence))):
+            body = text[size:]
+            entry = (u.id, orient, text, body, len(body))
+            starts.setdefault(text[:size], []).append(entry)
+            ends.setdefault(text[-size:], []).append(entry)
     for key in {**starts, **ends}:  # a dict, not a set: string order is per process
         idx._table[key] = (tuple(starts.get(key, ())), tuple(ends.get(key, ())))
     return idx

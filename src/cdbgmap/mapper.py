@@ -28,8 +28,8 @@ one optimum: the first cheapest path in begin-anchor then candidate order,
 on the first strand that reaches that cost.  Scored by Hamming cost along
 the read, the rest of a walk depends only on the read position of its last
 junction and on the oriented unitig there, or rather on that unitig's last
-word, which fixes its successor list; so the search is memoised per strand
-pass over (read position, successor list) states.  A state is searched
+word, which fixes its junction candidates; so the search is memoised per
+strand pass over (read position, candidate list) states.  A state is searched
 again only under a larger mismatch cap, at most t + 1 times, and the search
 is polynomial in the read length and the number of anchor words.  That
 holds only because it searches walks, not paths of distinct unitigs, and
@@ -43,14 +43,13 @@ keyed by the words themselves, gives the unitigs ending with a begin
 overlap, and, for the greedy end anchor (a junction at the end overlap whose
 unitig reaches the read's end), the unitigs starting with the end overlap.
 A begin overlap at read position 0 is one anchor with an empty head, however
-many unitigs end with it.  Junction candidates come from the graph's
-successor lists (`AnchorIndex.successors`): after a unitig, the candidates
-are the unitigs starting with its last (k-1)-mer, built once per graph and
-never per read.  Only the junction right at a begin overlap at read
-position 0, which has no unitig before it, looks up the read's word.  Each
-candidate carries its text after the overlap, which `_junction` compares
-with the read in place (`str.startswith`) before it counts mismatches on a
-slice.
+many unitigs end with it.  Every junction looks up the path's last word in
+the one anchor table: its candidates are `starts_with_codes` of that word,
+which is the begin overlap itself at a path's first junction, since a begin
+anchor's unitig ends with it.  Each candidate entry carries its oriented
+text and its text after the overlap, built once with the index and never
+per read, and `_junction` compares the latter with the read in place
+(`str.startswith`) before it counts mismatches on a slice.
 
 All four mappers are one driver, `_map`, run over a list of regimes, each a
 strand pass with its index and the strands it tries.  Three rules settle the
@@ -314,7 +313,7 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     )
 
 
-def _begins(pos_b, word, graph, anchor):
+def _begins(pos_b, word, k1, anchor):
     """Begin anchors at the detected overlap `word` at `pos_b`:
     the unitigs ending with it that reach back to read position 0, smallest
     id then '+' first.  Each is yielded as (head, start_offset, text): the
@@ -326,9 +325,7 @@ def _begins(pos_b, word, graph, anchor):
         if ends:
             yield (), 0, ""
         return
-    k1 = graph.k - 1
-    for uid, orient in ends:
-        s = graph.oriented_sequence(uid, orient)
+    for uid, orient, s, _, _ in ends:
         left_start = len(s) - k1 - pos_b
         if left_start < 0:
             continue  # the read would extend past the unitig start
@@ -338,7 +335,7 @@ def _begins(pos_b, word, graph, anchor):
 def _junction(seq, at, body, limit):
     """The cost of a junction candidate: the mismatches, as `_hamming` gives
     them, of the text `body` it lays on the read from position `at` (its
-    text after the overlap, as a successor entry holds it), clipped at the
+    text after the overlap, as an anchor entry holds it), clipped at the
     read's end.  An exact fit is found in place, with no slice."""
     if seq.startswith(body, at):
         return 0, ()
@@ -361,12 +358,12 @@ def _branch_pass(
     seq = view.sequence(strand)
     length = len(seq)
     det_positions = [pos for pos, _ in dets]
-    succ = anchor.successors(graph)
+    starting = anchor.starts_with_codes
 
     failure = BEGIN_NOT_FOUND
     for pos_b, word_b in dets[:n]:
         begin = None
-        for head, start_offset, text in _begins(pos_b, word_b, graph, anchor):
+        for head, start_offset, text in _begins(pos_b, word_b, k1, anchor):
             cost_b, plist_b = _hamming(seq, 0, text, t)
             if plist_b is not None:
                 begin = (pos_b, word_b, head, start_offset, cost_b, plist_b)
@@ -379,7 +376,7 @@ def _branch_pass(
             if pos_e < pos_b:
                 break
             end = None
-            for uid, orient, _, body, span in succ.starting(word_e):
+            for uid, orient, _, body, span in starting(word_e):
                 if pos_e + span + k1 < length:
                     continue  # the read would extend past the unitig end
                 cost, plist = _junction(seq, pos_e + k1, body, t - cost_b)
@@ -388,14 +385,14 @@ def _branch_pass(
                     break
             if end is None:
                 continue
-            result = _greedy_cover(seq, k1, succ, det_positions, begin, end, t)
+            result = _greedy_cover(seq, k1, starting, det_positions, begin, end, t)
             if result.ok:
                 return result
             failure = _worse(failure, result.reason)
     return _Attempt(reason=failure)
 
 
-def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
+def _greedy_cover(seq, k1, starting, det_positions, begin, end, t) -> _Attempt:
     """Cover the read from the begin anchor's overlap to the end anchor's,
     one junction at a time, without backtracking."""
     pos_b, word, head, start_offset, cost_b, plist_b = begin
@@ -405,9 +402,7 @@ def _greedy_cover(seq, k1, succ, det_positions, begin, end, t) -> _Attempt:
     cost = cost_b + cost_e
     jpos = pos_b
     while jpos != pos_e:
-        # the unitigs after the last path unitig; an empty head (begin
-        # overlap at read position 0) has none, so the read's word is used
-        cands = succ[path[-1]] if path else succ.starting(word)
+        cands = starting(word)  # the unitigs after the path's last word
         at = jpos + k1
         reach = pos_e - jpos  # a candidate fits if its last word lands by pos_e
         chosen = None
@@ -559,7 +554,7 @@ def _exhaustive_pass(
     is none, either one `truncated` when the expansion budget ran out.
 
     The cost of the rest of a walk depends only on the read position of its
-    last junction and the successor list there (one list per word), so that
+    last junction and the candidate list there (one tuple per word), so that
     pair is a state, memoised for the pass as (the largest cap it was
     searched under, its first cheapest way on within that cap or None,
     `worst`).  A way on, once found, is the state's cheapest under any cap;
@@ -577,7 +572,7 @@ def _exhaustive_pass(
         return _Attempt(reason=NO_ANCHOR)
     seq = view.sequence(strand)
     length = len(seq)
-    succ = anchor.successors(graph)
+    starting = anchor.starts_with_codes
 
     memo = None  # made at the first junction
     expansions = 0
@@ -589,7 +584,7 @@ def _exhaustive_pass(
         positions, way on from its end); candidates are scanned in list
         order and, after each find, only a strictly cheaper way is sought."""
         nonlocal expansions, truncated
-        key = (jpos, id(cands))  # a successor list is one object per word
+        key = (jpos, id(cands))  # a candidate list is one object per word
         hit = memo.get(key)
         if hit is not None:
             searched, way, worst = hit
@@ -601,7 +596,7 @@ def _exhaustive_pass(
         worst = 0
         limit = cap
         at = jpos + k1
-        for uid, orient, _, body, span in cands:
+        for uid, orient, text, body, span in cands:
             expansions += 1
             if expansions > expansion_budget:
                 truncated = True
@@ -612,7 +607,7 @@ def _exhaustive_pass(
                 continue
             tail = None
             if at + span < length:  # the unitig stops short of the read's end
-                tail, tail_worst = onward(jpos + span, succ[uid, orient], limit - cost)
+                tail, tail_worst = onward(jpos + span, starting(text[-k1:]), limit - cost)
                 if tail is None:
                     worst = max(worst, cost + tail_worst)
                     continue
@@ -629,7 +624,7 @@ def _exhaustive_pass(
     best = None
     blocked = anchored = False
     for pos_b, word_b in dets[:n]:
-        for head, start_offset, text in _begins(pos_b, word_b, graph, anchor):
+        for head, start_offset, text in _begins(pos_b, word_b, k1, anchor):
             cost, plist = _hamming(seq, 0, text, cap)
             if plist is None:
                 blocked = True
@@ -639,8 +634,7 @@ def _exhaustive_pass(
             if pos_b + k1 < length:
                 if memo is None:
                     memo = {}
-                cands = succ[head[0]] if head else succ.starting(word_b)
-                tail, worst = onward(pos_b, cands, cap - cost)
+                tail, worst = onward(pos_b, starting(word_b), cap - cost)
                 if tail is None:
                     blocked = blocked or worst > cap - cost
                     continue
@@ -736,7 +730,9 @@ def map_stream(
     chunks = iter(lambda: list(islice(source, chunk_size)), [])
     head = list(islice(chunks, 2 if threads > 1 else 1))
     ctx = _fork_context() if len(head) > 1 else None
-    anchor.successors(graph)  # filled once here and inherited by any worker
+    # every junction looks up the path's last word in the anchor table, which
+    # holds the candidates' texts from its build: nothing is filled per stream,
+    # and a forked worker inherits the table as it stands.
     # frozen objects are left out of every collection, here and in any
     # workers: a full collection walks only what mapping makes, not the
     # graph, the indexes and all the caller holds, and no side writes to the

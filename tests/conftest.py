@@ -89,7 +89,7 @@ def interior_table(interior):
 
 
 def oriented(graph, uid, orientation):
-    """Orientation helper that does not reuse the graph's cached RC."""
+    """Orientation helper independent of the graph's and the index's RC."""
     seq = graph.unitigs[uid].sequence
     return seq if orientation == "+" else naive_rc(seq)
 
@@ -116,8 +116,8 @@ def assert_result_consistent(graph, anchor, result, read_seq):
     for (a, oa), (b, ob) in zip(result.path, result.path[1:]):
         junction = oriented(graph, a, oa)[-(k - 1) :]
         assert junction == oriented(graph, b, ob)[: k - 1]
-        assert (a, oa) in anchor.ends_with_codes(junction)
-        assert (b, ob) in anchor.starts_with_codes(junction)
+        assert (a, oa) in [e[:2] for e in anchor.ends_with_codes(junction)]
+        assert (b, ob) in [e[:2] for e in anchor.starts_with_codes(junction)]
 
 
 @pytest.fixture

@@ -64,8 +64,8 @@ def test_detect_read_overlaps_positions_and_incidences():
     dets = ReadView("ACTGAT", 2).detected("+", anchor)
     assert dets == [(0, "AC"), (2, "TG"), (4, "AT")]
     word = dets[1][1]
-    assert (0, "+") in anchor.ends_with_codes(word)
-    assert (1, "+") in anchor.starts_with_codes(word)
+    assert (0, "+") in [e[:2] for e in anchor.ends_with_codes(word)]
+    assert (1, "+") in [e[:2] for e in anchor.starts_with_codes(word)]
 
 
 def test_detect_read_overlaps_no_hits():
@@ -300,8 +300,6 @@ def test_map_reads_two_workers_match_one_on_repeats():
         seq = "".join(seq)
         reads.append(Read(id=f"r{i}", sequence=seq if i % 2 else naive_rc(seq)))
     one = map_reads(reads, graph, anchor, interior, PARAMS, threads=1)
-    # fresh indexes, so each worker fills its own successor lists
-    anchor, interior = indexes_for(graph)
     two = map_reads(reads, graph, anchor, interior, PARAMS, threads=2, chunk_size=16)
     assert one == two
     assert sum(r.regime == "branching_path" for r in one) > 20
@@ -839,6 +837,29 @@ def test_greedy_shortcut_beaten_by_exhaustive():
     assert [u for u, _ in exact.path] == [0, 1, 3, 5, 6]
     assert_result_consistent(graph, anchor, greedy, TRAP_READ)
     assert_result_consistent(graph, anchor, exact, TRAP_READ)
+
+
+@pytest.mark.parametrize("mapper", [map_branching, map_exhaustive])
+def test_junctions_and_begins_go_through_the_anchor_table_methods(monkeypatch, mapper):
+    # the per-layer call counts of a traced bench run count these methods,
+    # patched on the class: both mappers must fetch every junction's
+    # candidates with starts_with_codes and their begin anchors with
+    # ends_with_codes
+    from cdbgmap.index import AnchorIndex
+
+    graph = trap_graph()
+    anchor, _ = indexes_for(graph)
+    calls = {"starts_with_codes": 0, "ends_with_codes": 0}
+    for name in calls:
+        def counted(self, word, method=getattr(AnchorIndex, name), name=name):
+            calls[name] += 1
+            return method(self, word)
+
+        monkeypatch.setattr(AnchorIndex, name, counted)
+    result = mapper(Read(id="trap", sequence=TRAP_READ), graph, anchor, PARAMS)
+    assert result.mapped and len(result.path) == 5
+    assert calls["starts_with_codes"] >= len(result.path) - 1
+    assert calls["ends_with_codes"] > 0
 
 
 def test_exhaustive_dominates_greedy_randomized():
