@@ -6,8 +6,6 @@ from .census import (
     KmerCensus,
     SolidKmerSet,
     count_kmers,
-    load_solid,
-    save_solid,
     solid_set,
 )
 from .evaluation import (
@@ -23,13 +21,9 @@ from .evaluation import (
 from .fastx import read_sequences, write_fasta
 from .graph import (
     CompactedGraph,
-    DbgWalk,
-    PathEnumeration,
     Unitig,
     compact,
-    enumerate_paths,
     read_unitigs_fasta,
-    walk_sequence,
     write_gfa,
     write_unitigs_fasta,
 )
@@ -63,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorIndex",
     "CompactedGraph",
-    "DbgWalk",
     "EvalReport",
     "EvalRow",
     "InteriorIndex",
@@ -71,7 +64,6 @@ __all__ = [
     "MappingParams",
     "MappingResult",
     "MAX_K",
-    "PathEnumeration",
     "Read",
     "SimConfig",
     "SimulatedRead",
@@ -83,9 +75,7 @@ __all__ = [
     "compact",
     "count_kmers",
     "distance_to_optimum",
-    "enumerate_paths",
     "load_indexes",
-    "load_solid",
     "map_branching",
     "map_exhaustive",
     "map_read",
@@ -98,10 +88,8 @@ __all__ = [
     "reverse_complement_read",
     "run_accuracy_sweep",
     "save_indexes",
-    "save_solid",
     "simulate_reads",
     "solid_set",
-    "walk_sequence",
     "write_fasta",
     "write_gfa",
     "write_unitigs_fasta",

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
 from itertools import chain, count
 
-from .census import count_kmers, save_solid, solid_set
+from .census import count_kmers, solid_set
 from .evaluation import run_accuracy_sweep
 from .fastx import read_sequences
 from .graph import compact, read_unitigs_fasta, write_gfa, write_unitigs_fasta
@@ -101,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("-o", "--output", required=True, help="unitigs FASTA path")
     p_build.add_argument("--gfa", help="also write the graph as GFA1")
-    p_build.add_argument("--solid-out", help="persist the solid k-mer set")
     p_build.add_argument("inputs", nargs="+", help="FASTA/FASTQ files, plain or gzip")
 
     p_map = sub.add_parser("map", help="map reads onto the unitig graph")
@@ -202,7 +202,7 @@ def cmd_build(args) -> int:
     _check_k(args.k)
     if args.min_coverage < 1:
         raise SystemExit2("coverage threshold must be >= 1")
-    with _output_on_success(args.output, args.gfa, args.solid_out) as (output, gfa, solid_out):
+    with _output_on_success(args.output, args.gfa) as (output, gfa):
         # zip draws from `tally` only after a read, so it ends at the read count
         tally = count()
         reads = chain.from_iterable(map(read_sequences, args.inputs))
@@ -217,8 +217,6 @@ def cmd_build(args) -> int:
             raise SystemExit2("no solid k-mers at this coverage threshold")
         graph = compact(solid)
         write_unitigs_fasta(output, graph)
-        if solid_out:
-            save_solid(solid_out, solid)
         if gfa:
             write_gfa(gfa, graph, build_anchor_index(graph))
     print(f"reads={n_reads}")
@@ -298,6 +296,10 @@ def cmd_map(args) -> int:
 def cmd_eval(args) -> int:
     _check_k(args.k)
     _check_threads(args.threads)
+    for flag, gate in (("--min-recall", args.min_recall), ("--min-d0", args.min_d0)):
+        # a NaN gate would pass every report: nothing compares below NaN
+        if gate is not None and not math.isfinite(gate):
+            raise SystemExit2(f"{flag} must be a finite number, got {gate}")
     if args.random_ref is not None:
         import random
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .census import SolidKmerSet
 from .fastx import read_described, write_fasta
@@ -32,7 +32,6 @@ from .sequences import (
     flip,
     kmer_codes,
     non_acgt,
-    rc_code,
     reverse_complement,
 )
 
@@ -73,13 +72,6 @@ class CompactedGraph:
             and self.k == other.k
             and self.unitigs == other.unitigs
         )
-
-    def oriented_sequence(self, unitig_id: int, orientation: str) -> str:
-        if orientation == "+":
-            return self.unitigs[unitig_id].sequence
-        if orientation == "-":
-            return reverse_complement(self.unitigs[unitig_id].sequence)
-        raise ValueError(f"orientation must be '+' or '-', got {orientation!r}")
 
     def mean_length(self) -> float:
         total = sum(len(u.sequence) for u in self.unitigs)
@@ -128,101 +120,15 @@ def compact(solid: SolidKmerSet) -> CompactedGraph:
         if seed in consumed:
             continue
         consumed.add(seed)
-        rc = rc_code(seed, k)
+        word = decode_kmer(seed, k)
+        rc = kmer_codes(word)[1]
         right = _arm(seed, rc)
         # leftward extension is rightward extension of the reverse orientation
         left = _arm(rc, seed)
-        seq = reverse_complement(left) + decode_kmer(seed, k) + right
+        seq = reverse_complement(left) + word + right
         seq = min(seq, reverse_complement(seq))
         unitigs.append(Unitig(id=len(unitigs), sequence=seq))
     return CompactedGraph(k=k, unitigs=unitigs)
-
-
-@dataclass(frozen=True)
-class DbgWalk:
-    """A node-centric walk: consecutive k-mers overlap by k-1 characters."""
-
-    nodes: tuple[str, ...]
-
-    @property
-    def is_path(self) -> bool:
-        return len(set(self.nodes)) == len(self.nodes)
-
-
-def walk_sequence(walk: DbgWalk | Sequence[str]) -> str:
-    """The sequence a walk generates: first node plus one character per step."""
-    nodes = walk.nodes if isinstance(walk, DbgWalk) else tuple(walk)
-    if not nodes:
-        raise ValueError("empty walk")
-    k = len(nodes[0])
-    parts = [nodes[0]]
-    for prev, cur in zip(nodes, nodes[1:]):
-        if len(cur) != k or prev[1:] != cur[:-1]:
-            raise ValueError("not a walk")
-        parts.append(cur[-1])
-    return "".join(parts)
-
-
-class PathEnumeration(NamedTuple):
-    walks: list[DbgWalk]
-    truncated: bool
-
-
-def enumerate_paths(
-    solid: SolidKmerSet, start: str, len_nodes: int, budget: int = 100_000
-) -> PathEnumeration:
-    """All oriented node paths of exactly len_nodes nodes starting at `start`.
-
-    A node is an oriented k-mer whose canonical form is solid; a path never
-    repeats one.  Intended for small instances only: the search is
-    exhaustive, counting one unit of budget per node expansion.  When the
-    budget runs out the partial result is returned with truncated=True,
-    never silently dropped.
-    """
-    if len_nodes < 1:
-        raise ValueError("len_nodes must be >= 1")
-    k = solid.k
-    if len(start) != k:
-        raise ValueError(f"start must be a {k}-mer")
-    bits, rc = kmer_codes(start)
-    if min(bits, rc) not in solid.codes:
-        return PathEnumeration([], False)
-
-    codes = solid.codes
-    mask = (1 << (2 * k)) - 1
-    shift = 2 * (k - 1)
-    walks: list[DbgWalk] = []
-    expansions = 0
-    truncated = False
-    stack: list[int] = [bits]
-    on_path: set[int] = {bits}
-
-    def recurse(fwd: int, rc: int) -> None:
-        nonlocal expansions, truncated
-        if len(stack) == len_nodes:
-            walks.append(DbgWalk(nodes=tuple(decode_kmer(c, k) for c in stack)))
-            return
-        base = (fwd << 2) & mask
-        rc_shifted = rc >> 2
-        for b in range(4):
-            nf = base | b
-            nr = rc_shifted | ((3 - b) << shift)
-            if (nf if nf < nr else nr) not in codes or nf in on_path:
-                continue
-            expansions += 1
-            if expansions > budget:
-                truncated = True
-                return
-            stack.append(nf)
-            on_path.add(nf)
-            recurse(nf, nr)
-            on_path.discard(nf)
-            stack.pop()
-            if truncated:
-                return
-
-    recurse(bits, rc)
-    return PathEnumeration(walks, truncated)
 
 
 def write_unitigs_fasta(path: str | Path, graph: CompactedGraph) -> int:

@@ -3,9 +3,10 @@
 Packed codes are the k-mer form of graph set-up (counting and compaction):
 two bits per base, most significant bits first, with A=0, C=1, G=2, T=3.
 The indexes and the mapper key (k-1)-mers as written and encode nothing.
-`kmer_codes` (one exact word) and `window_codes` (every N-free window of a
-sequence) are the encoders from strings; each gives a word's forward code
-and its reverse complement's.
+`kmer_codes` is the one encoder of an exact word, and `window_codes` the
+one of every N-free window of a sequence; each gives a word's forward code
+and its reverse complement's, and `decode_kmer` turns a code back into its
+word.
 Because the code order matches the lexicographic base order, integer
 comparison of two packed k-mers of equal length is exactly lexicographic
 comparison of their sequences, so the canonical form of a k-mer is simply
@@ -57,43 +58,20 @@ def flip(orientation: str) -> str:
     return "-" if orientation == "+" else "+"
 
 
-def encode_kmer(s: str) -> int:
-    """Pack an ACGT string into an integer, first base in the highest bits."""
-    if not 1 <= len(s) <= MAX_K:
-        raise ValueError(f"k-mer length must be in [1, {MAX_K}], got {len(s)}")
-    return kmer_codes(s)[0]
-
-
 def kmer_codes(word: str) -> tuple[int, int]:
-    """Packed (fwd, rc) codes of an exact word: encode_kmer(word) and its
-    rc_code, read by int() from the word's bases written as base-4 digits."""
+    """Packed (fwd, rc) codes of an exact word and of its reverse complement,
+    read by int() from their bases written as base-4 digits."""
     if non_acgt(word):
         raise ValueError(f"non-ACGT in exact context: {word!r}")
     return int(word.translate(_DIGITS), 4), int(word.translate(_RC_DIGITS)[::-1], 4)
 
 
 def decode_kmer(bits: int, length: int) -> str:
-    """Inverse of encode_kmer."""
+    """The word of `length` bases whose packed code is `bits`."""
     out = []
     for shift in range(2 * (length - 1), -1, -2):
         out.append(BASES[(bits >> shift) & 3])
     return "".join(out)
-
-
-# byte -> the complements of its four 2-bit groups in reverse order
-_RC_BYTE = bytes(
-    sum((3 - (byte >> shift & 3)) << (6 - shift) for shift in (0, 2, 4, 6))
-    for byte in range(256)
-)
-
-
-def rc_code(bits: int, length: int) -> int:
-    """Packed reverse complement of a packed k-mer: its bytes from the last
-    one, each with its bases complemented in reverse order, less the
-    complemented padding above the k-mer's 2*length bits."""
-    n = (2 * length + 7) // 8
-    flipped = int.from_bytes(bits.to_bytes(n, "little").translate(_RC_BYTE), "big")
-    return flipped >> (8 * n - 2 * length)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +97,7 @@ _ACGT_RUN = re.compile("[ACGT]+")
 
 
 def window_codes(seq: str, size: int) -> list[tuple[int, int, int]]:
-    """All N-free windows of `seq` as (position, fwd_code, rc_code) triples.
+    """All N-free windows of `seq` as (position, fwd, rc) code triples.
 
     Windows containing any non-ACGT symbol are skipped; positions of the
     remaining windows are preserved.  This is the hot path of k-mer

@@ -2,7 +2,9 @@
 
 The oracles here are deliberately string-level and independent of the
 package's packed-integer implementations, so a bug in the bit twiddling
-cannot hide in the tests that check it.
+cannot hide in the tests that check it.  The reference walkers over packed
+codes (`enumerate_paths`, `walk_sequence`) and the string views of census,
+solid set and graph objects are in `oracles.py`.
 """
 
 import random

@@ -19,12 +19,13 @@ from cdbgmap.evaluation import (
     simulate_reads,
 )
 from cdbgmap.fastx import write_fasta
-from cdbgmap.graph import DbgWalk, compact, enumerate_paths, walk_sequence
+from cdbgmap.graph import compact
 from cdbgmap.index import build_anchor_index
 from cdbgmap.mapper import MappingParams, map_branching, map_reads
-from cdbgmap.sequences import decode_kmer, rc_code
+from cdbgmap.sequences import decode_kmer
 
 from conftest import naive_canonical, naive_kmers, naive_rc, random_genome
+from oracles import DbgWalk, enumerate_paths, oriented_sequence, solid_strings, walk_sequence
 
 REFERENCE_SEED = 31337
 REFERENCE_LENGTH = 200_000
@@ -161,7 +162,7 @@ def test_criterion_4_spectrum_preservation():
             for w in naive_kmers(u.sequence, k):
                 c = naive_canonical(w)
                 seen[c] = seen.get(c, 0) + 1
-        if set(seen.values()) - {1} or set(seen) != solid.as_strings():
+        if set(seen.values()) - {1} or set(seen) != solid_strings(solid):
             failures += 1
     _report(4, failures == 0, f"1000 genomes, k in {{5,7,9}}, failures={failures}")
 
@@ -173,13 +174,13 @@ def test_criterion_5_walk_sequence_law():
         k = (5, 7)[i % 2]
         genome = random_genome(20_000 + i, 300)
         solid = solid_set(count_kmers([genome], k), 1)
-        graphs.append((k, sorted(solid.codes), solid.as_strings()))
+        graphs.append((k, sorted(solid.codes), solid_strings(solid)))
     checked = 0
     failures = 0
     while checked < 10_000:
         k, codes, members = graphs[rng.randrange(len(graphs))]
         code = rng.choice(codes)
-        node = decode_kmer(code if rng.random() < 0.5 else rc_code(code, k), k)
+        node = decode_kmer(code, k) if rng.random() < 0.5 else naive_rc(decode_kmer(code, k))
         nodes = [node]
         for _ in range(rng.randint(0, 24)):
             nexts = [
@@ -215,7 +216,7 @@ def test_criterion_6_node_path_correspondence():
         solid = solid_set(count_kmers([genome], k), 1)
         graph = compact(solid)
         anchor = build_anchor_index(graph)
-        solid_strings = solid.as_strings()
+        solid_words = solid_strings(solid)
         for j in range(8):
             read_len = rng.randint(k + span[0], k + span[1])
             start = rng.randrange(0, length - read_len)
@@ -230,14 +231,14 @@ def test_criterion_6_node_path_correspondence():
             if not result.mapped or result.regime != "branching_path":
                 continue
             target = seq if result.strand == "+" else naive_rc(seq)
-            parts = [graph.oriented_sequence(u, o) for u, o in result.path]
+            parts = [oriented_sequence(graph, u, o) for u, o in result.path]
             generated = parts[0] + "".join(p[k - 1 :] for p in parts[1:])
             aligned = generated[result.start_offset : result.start_offset + len(target)]
             nodes = naive_kmers(aligned, k)
             if len(nodes) != len(target) - k + 1:
                 failures.append((i, j, "node count"))
                 continue
-            if any(naive_canonical(n) not in solid_strings for n in nodes):
+            if any(naive_canonical(n) not in solid_words for n in nodes):
                 failures.append((i, j, "non-solid node"))
                 continue
             cost = sum(1 for a, b in zip(target, aligned) if a != b)

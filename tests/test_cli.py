@@ -35,10 +35,8 @@ def test_build_reports_stats_and_preserves_spectrum(tmp_path, capsys):
     write_fasta(ref, [("chr", genome)])
     out = tmp_path / "unitigs.fa"
     gfa = tmp_path / "graph.gfa"
-    solid = tmp_path / "solid.bin"
     code, stdout, _ = run(
-        capsys, "build", "-k", "15", "-c", "1", "-o", str(out),
-        "--gfa", str(gfa), "--solid-out", str(solid), str(ref),
+        capsys, "build", "-k", "15", "-c", "1", "-o", str(out), "--gfa", str(gfa), str(ref),
     )
     assert code == 0
     stats = kv(stdout)
@@ -50,7 +48,19 @@ def test_build_reports_stats_and_preserves_spectrum(tmp_path, capsys):
         got.update(naive_canonical(w) for w in naive_kmers(u.sequence, 15))
     assert got == {naive_canonical(w) for w in naive_kmers(genome, 15)}
     assert gfa.read_text().startswith("H\tVN:Z:1.0")
-    assert solid.exists()
+
+
+def test_build_solid_out_is_not_an_option(tmp_path, capsys):
+    # the solid k-mer file was dropped: an old command line fails in argparse
+    ref = tmp_path / "ref.fa"
+    write_fasta(ref, [("chr", random_genome(1001, 1000))])
+    out, solid = tmp_path / "unitigs.fa", tmp_path / "s.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "-k", "15", "-c", "1", "-o", str(out), "--solid-out", str(solid),
+              str(ref)])
+    assert exc.value.code == 2
+    assert "--solid-out" in capsys.readouterr().err
+    assert not out.exists() and not solid.exists()
 
 
 def test_build_empty_input_exits_2(tmp_path, capsys):
@@ -376,8 +386,7 @@ def test_build_error_leaves_no_output(tmp_path, capsys, gfa, existing):
         out.write_bytes(b">old\nACGT\n")
     before = sorted(os.listdir(tmp_path))
     code, _, err = run(capsys, "build", "-k", "15", "-c", "1", "-o", str(out),
-                       "--gfa", str(tmp_path / gfa), "--solid-out", str(tmp_path / "s.bin"),
-                       str(ref))
+                       "--gfa", str(tmp_path / gfa), str(ref))
     assert code == 2
     assert err.startswith("error:") and f"{tmp_path / gfa}'" in err, err
     assert sorted(os.listdir(tmp_path)) == before
@@ -459,6 +468,22 @@ def test_eval_csv_and_gating(tmp_path, capsys):
     )
     assert code == 1
     assert "gates unmet" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("gate", ["--min-recall", "--min-d0"])
+def test_eval_non_finite_gate_exits_2(tmp_path, capsys, gate, value):
+    # nothing compares below NaN, so a NaN gate would pass every report
+    out, truth = tmp_path / "r.csv", tmp_path / "t.tsv"
+    code, stdout, err = run(
+        capsys, "eval", "-k", "15", "--random-ref", "2000", "--seed", "7",
+        "--rates", "0.01", "--reads-per-rate", "60", "--read-length", "60",
+        "-o", str(out), "--truth-out", str(truth), f"{gate}={value}",
+    )
+    assert code == 2
+    assert err == f"error: {gate} must be a finite number, got {float(value)}\n"
+    assert stdout == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_eval_reference_file_and_truth(tmp_path, capsys):

@@ -6,18 +6,16 @@ import pytest
 from cdbgmap.census import count_kmers, solid_set
 from cdbgmap.graph import (
     CompactedGraph,
-    DbgWalk,
     Unitig,
     compact,
-    enumerate_paths,
     read_unitigs_fasta,
-    walk_sequence,
     write_gfa,
     write_unitigs_fasta,
 )
 from cdbgmap.index import build_anchor_index
 
 from conftest import naive_canonical, naive_kmers, naive_rc, random_genome
+from oracles import DbgWalk, enumerate_paths, oriented_sequence, solid_strings, walk_sequence
 
 
 def solid_from(seqs, k, c=1):
@@ -66,7 +64,7 @@ def test_spectrum_preservation_random_genomes():
         graph = compact(solid)
         multiset = unitig_kmer_multiset(graph)
         assert set(multiset.values()) <= {1}
-        assert set(multiset) == solid.as_strings()
+        assert set(multiset) == solid_strings(solid)
 
 
 def naive_compact(kmers):
@@ -129,7 +127,7 @@ def test_compact_matches_string_level_reference(k):
             continue
         solid = solid_from(seqs, k)
         graph = compact(solid)
-        expected = naive_compact(solid.as_strings())
+        expected = naive_compact(solid_strings(solid))
         assert [(u.id, u.sequence) for u in graph.unitigs] == list(enumerate(expected))
 
 
@@ -150,7 +148,7 @@ def test_maximality_of_unitigs():
         genome = random_genome(1000 + seed, 400)
         solid = solid_from([genome], k)
         graph = compact(solid)
-        canonical = solid.as_strings()
+        canonical = solid_strings(solid)
         consumed = set(unitig_kmer_multiset(graph))
         for u in graph.unitigs:
             for mer, direction in ((u.sequence[-k:], "fwd"), (u.sequence[:k], "bwd")):
@@ -296,8 +294,8 @@ def test_gfa_agrees_with_anchor_index(tmp_path):
     for fields in (l.split("\t") for l in lines if l.startswith("L")):
         _, a, oa, b, ob, cigar = fields
         assert cigar == f"{k1}M"
-        sa = graph.oriented_sequence(int(a[1:]), oa)
-        sb = graph.oriented_sequence(int(b[1:]), ob)
+        sa = oriented_sequence(graph, int(a[1:]), oa)
+        sb = oriented_sequence(graph, int(b[1:]), ob)
         assert sa[-k1:] == sb[:k1]
         got.add((int(a[1:]), oa, int(b[1:]), ob))
 
@@ -309,10 +307,10 @@ def test_gfa_agrees_with_anchor_index(tmp_path):
     expected = set()
     for a in graph.unitigs:
         for oa in "+-":
-            sa = graph.oriented_sequence(a.id, oa)
+            sa = oriented_sequence(graph, a.id, oa)
             for b in graph.unitigs:
                 for ob in "+-":
-                    sb = graph.oriented_sequence(b.id, ob)
+                    sb = oriented_sequence(graph, b.id, ob)
                     if sa[-k1:] == sb[:k1]:
                         expected.add(
                             min((a.id, oa, b.id, ob), (b.id, flip(ob), a.id, flip(oa)))
@@ -332,7 +330,7 @@ def test_graph_validates_construction():
 
 def test_oriented_sequence():
     g = CompactedGraph(3, [Unitig(id=0, sequence="ACTGA")])
-    assert g.oriented_sequence(0, "+") == "ACTGA"
-    assert g.oriented_sequence(0, "-") == "TCAGT"
+    assert oriented_sequence(g, 0, "+") == "ACTGA"
+    assert oriented_sequence(g, 0, "-") == "TCAGT"
     with pytest.raises(ValueError):
-        g.oriented_sequence(0, "?")
+        oriented_sequence(g, 0, "?")

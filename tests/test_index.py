@@ -29,6 +29,7 @@ from conftest import (
     random_genome,
     with_crc,
 )
+from oracles import oriented_sequence
 
 
 def scan_incidences(graph, mer):
@@ -79,8 +80,8 @@ def test_anchor_example_branching_set():
     hits = incidences(build_anchor_index(graph), "CT")
     assert hits == scan_incidences(graph, "CT")
     # CT starts the unitigs carrying CTG and CTT, ends the one carrying ACT
-    started = {graph.oriented_sequence(u, o)[:2] for u, s, o in hits if s == "starts_with"}
-    ended = {graph.oriented_sequence(u, o)[-2:] for u, s, o in hits if s == "ends_with"}
+    started = {oriented_sequence(graph, u, o)[:2] for u, s, o in hits if s == "starts_with"}
+    ended = {oriented_sequence(graph, u, o)[-2:] for u, s, o in hits if s == "ends_with"}
     assert started == {"CT"} and ended == {"CT"}
     assert sum(1 for _, s, _ in hits if s == "starts_with") == 2
     assert sum(1 for _, s, _ in hits if s == "ends_with") == 1

@@ -609,7 +609,7 @@ def test_mapping_and_indexing_encode_nothing(monkeypatch):
 
     calls = []
     for module in (index, mapper, sequences):
-        for name in ("encode_kmer", "kmer_codes", "window_codes", "rc_code"):
+        for name in ("kmer_codes", "window_codes"):
             if hasattr(module, name):
                 def counted(*args, encode=getattr(module, name), name=name):
                     calls.append((name, args))

@@ -6,9 +6,7 @@ from cdbgmap.sequences import (
     MAX_K,
     Read,
     decode_kmer,
-    encode_kmer,
     kmer_codes,
-    rc_code,
     reverse_complement,
     reverse_complement_read,
     window_codes,
@@ -60,17 +58,8 @@ def test_encode_decode_round_trip_all_k():
     rng = random.Random(7)
     for k in range(1, MAX_K + 1):
         s = random_dna(rng, k)
-        assert decode_kmer(encode_kmer(s), k) == s
+        assert decode_kmer(kmer_codes(s)[0], k) == s
     assert MAX_K >= 63
-
-
-def test_encode_rejects_bad_input():
-    with pytest.raises(ValueError):
-        encode_kmer("ACN")
-    with pytest.raises(ValueError):
-        encode_kmer("A" * (MAX_K + 1))
-    with pytest.raises(ValueError):
-        encode_kmer("")
 
 
 def test_integer_order_is_lexicographic():
@@ -78,7 +67,7 @@ def test_integer_order_is_lexicographic():
     for _ in range(300):
         k = rng.randint(2, 16)
         a, b = random_dna(rng, k), random_dna(rng, k)
-        assert (encode_kmer(a) < encode_kmer(b)) == (a < b)
+        assert (kmer_codes(a)[0] < kmer_codes(b)[0]) == (a < b)
 
 
 def test_canonical_properties():
@@ -92,30 +81,14 @@ def test_canonical_properties():
         assert decode_kmer(min(kmer_codes(naive_rc(s))), k) == canon
 
 
-def rc_code_per_base(bits, length):
-    """Reference: the packed reverse complement built one base at a time."""
-    out = 0
-    for _ in range(length):
-        out = (out << 2) | (3 - (bits & 3))
-        bits >>= 2
-    return out
-
-
-def test_rc_code_matches_the_per_base_loop():
-    rng = random.Random(63)
-    for length in range(1, MAX_K + 1):
-        top = 4**length - 1
-        for bits in (0, 1, top, top - 1, *(rng.randint(0, top) for _ in range(20))):
-            assert rc_code(bits, length) == rc_code_per_base(bits, length), (bits, length)
-
-
 def test_rc_code_matches_string_rc():
     rng = random.Random(9)
     for _ in range(200):
         k = rng.randint(1, 63)
         s = random_dna(rng, k)
-        assert decode_kmer(rc_code(encode_kmer(s), k), k) == naive_rc(s)
-        assert kmer_codes(s) == (encode_kmer(s), rc_code(encode_kmer(s), k))
+        fwd, rc = kmer_codes(s)
+        assert decode_kmer(fwd, k) == s
+        assert decode_kmer(rc, k) == naive_rc(s)
     for bad in ("ACN", "acgt", "+123", "AC GT", "0123", ""):
         with pytest.raises(ValueError):
             kmer_codes(bad)
