@@ -173,14 +173,22 @@ def _output_on_success(*paths: str | None):
     is created beside its output at once, so an unwritable place fails
     before any work, and all are moved over their outputs at the end or
     removed on any error.  A path that exists and is not a regular file (a
-    FIFO, /dev/stdout) is yielded as is, since it cannot be replaced."""
+    FIFO, /dev/stdout) is yielded as is, since it cannot be replaced.  Two
+    outputs that resolve to one file are rejected before anything is
+    created, since the second would replace the first."""
+    reals = []  # the file each output replaces, None for one written in place
+    for path in paths:
+        in_place = path is None or os.path.exists(path) and not os.path.isfile(path)
+        real = None if in_place else os.path.realpath(path)
+        if real is not None and real in reals:
+            raise SystemExit2(f"two outputs name the same file: {path}")
+        reals.append(real)
     temps, moves = [], []
     try:
-        for path in paths:
-            if path is None or os.path.exists(path) and not os.path.isfile(path):
+        for path, real in zip(paths, reals):
+            if real is None:
                 temps.append(path)
                 continue
-            real = os.path.realpath(path)
             tmp = f"{real}.{os.getpid()}.{len(moves)}.tmp"
             try:
                 open(tmp, "w").close()

@@ -146,10 +146,12 @@ def _recorded_k(description: str) -> int | None:
     return None
 
 
-def read_unitigs_fasta(path: str | Path, k: int) -> CompactedGraph:
+def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph:
     """Inverse of write_unitigs_fasta.  A header that records a k other than
-    `k` raises ValueError; a header without one is taken to be at `k`.
-    Every ValueError names the file once, as `<path>: <message>`."""
+    `k` raises ValueError; a header without one is taken to be at `k`.  With
+    `k` None the first header that records a k sets it, and a file where no
+    header records one (an empty file too) raises ValueError.  Every
+    ValueError names the file once, as `<path>: <message>`."""
     described = list(read_described(path))  # its errors name the file already
     try:
         records = []
@@ -157,9 +159,13 @@ def read_unitigs_fasta(path: str | Path, k: int) -> CompactedGraph:
             if rec.id[:1] != "u" or not rec.id[1:].isdigit():
                 raise ValueError(f"not a unitig FASTA header: {rec.id!r}")
             recorded = _recorded_k(description)
-            if recorded is not None and recorded != k:
+            if k is None:
+                k = recorded
+            elif recorded is not None and recorded != k:
                 raise ValueError(f"graph built with k={recorded}, requested k={k}")
             records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
+        if k is None:
+            raise ValueError("no unitig header records k")
         records.sort(key=lambda u: u.id)
         return CompactedGraph(k=k, unitigs=records)
     except ValueError as exc:

@@ -27,38 +27,26 @@ reverse complement's pass doing the same.  Each occurrence is one int,
 alone.  The build slices each unitig's words and encodes nothing, and the
 index keeps the graph it was built from.
 
-The index file (format version 7) is a snapshot of that graph: a header of
-magic, version, k and unitig count (little-endian 32-bit fields after the
-magic); the unitig sequences in id order, each ended by a newline; and a
-CRC-32 of every byte before it.  `load_indexes` checks the magic, version
-and CRC, makes a `CompactedGraph` of the sequences (which rejects a unitig
-shorter than k or with a base outside ACGT) and builds both indexes from it
-with `build_anchor_index` and `build_interior_index`, the code a run without
-a file uses, so a load saves to the same bytes.  The file saves no time over
-a build from the unitig FASTA, which `cdbgmap map` reads in any case: it is
-kept for the callers of `--index-out` and `--index-in`, which check it
-against the `-g` graph.  A file of versions 1 to 6 is rejected from its
-version field alone, with a message to rebuild it.
+The index file is the unitig FASTA that `cdbgmap build` writes (`>u<id>
+k=<k>` headers): `save_indexes` writes the graph an index was built from
+with `write_unitigs_fasta`, and `load_indexes` reads it back at the k its
+headers record and builds both indexes from it with `build_anchor_index`
+and `build_interior_index`, the code a run without a file uses, so a load
+saves to the same bytes.  The file saves no time over a build from the
+`-g` FASTA, which `cdbgmap map` reads in any case: it is kept for the
+callers of `--index-out` and `--index-in`, which check it against the `-g`
+graph, so a damaged file is rejected or cannot change a result.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
-import zlib
 from itertools import islice
 from pathlib import Path
 
-from .graph import CompactedGraph, Unitig
-from .sequences import MAX_K, reverse_complement
+from .graph import CompactedGraph, read_unitigs_fasta, write_unitigs_fasta
+from .sequences import reverse_complement
 from .sequences import window_codes  # noqa: F401  (bench/traced.py wraps index.window_codes)
-
-_INDEX_MAGIC = b"CDBGIDX1"
-_INDEX_VERSION = 7
-
-# magic, version, k, unitig count
-_HEADER = struct.Struct("<8sIII")
-_REBUILD = "rebuild it with `cdbgmap map --index-out`"
 
 FORWARD = "+"
 REVERSE = "-"
@@ -163,44 +151,15 @@ def build_interior_index(graph: CompactedGraph) -> InteriorIndex:
 
 
 def save_indexes(path: str | Path, interior: InteriorIndex) -> None:
-    """The graph `interior` was built from, in the file layout of the module
-    docstring."""
-    graph = interior.graph
-    data = _HEADER.pack(_INDEX_MAGIC, _INDEX_VERSION, graph.k, len(graph))
-    data += "".join(u.sequence + "\n" for u in graph.unitigs).encode("ascii")
-    with open(path, "wb") as out:
-        out.write(data)
-        out.write(zlib.crc32(data).to_bytes(4, "little"))
+    """The graph `interior` was built from, as its unitig FASTA."""
+    write_unitigs_fasta(path, interior.graph)
 
 
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
-    """The anchor and interior indexes of the graph in a file save_indexes
-    wrote, built as from any graph.  A file of another format version
-    (nothing past its version is read), or a truncated or malformed one,
-    raises ValueError."""
-    with open(path, "rb") as inp:
-        data = inp.read()
-    if data[:8] != _INDEX_MAGIC:
-        raise ValueError(f"not an index file: {path}")
-    version = int.from_bytes(data[8:12], "little")
-    if len(data) >= 12 and version != _INDEX_VERSION:
-        raise ValueError(
-            f"index {path} has format version {version}, this cdbgmap reads "
-            f"version {_INDEX_VERSION}: {_REBUILD}"
-        )
-    body = memoryview(data)[:-4]
-    try:
-        if len(body) < _HEADER.size or zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
-            raise ValueError("CRC-32 mismatch")
-        _, _, k, count = _HEADER.unpack_from(data)
-        if not 2 <= k <= MAX_K:
-            raise ValueError(f"k={k} is not in [2, {MAX_K}]")
-        seqs = str(body[_HEADER.size:], "ascii").split("\n")
-        if seqs.pop() or len(seqs) != count:
-            raise ValueError(f"the unitig count {count} is not that of the unitigs it holds")
-        graph = CompactedGraph(k, list(map(Unitig, range(count), seqs)))
-    except ValueError as exc:
-        raise ValueError(f"truncated or malformed index file {path} ({exc}): {_REBUILD}") from None
+    """The anchor and interior indexes of the unitig FASTA at `path`, at the
+    k its headers record, built as from any graph.  A file that is not such
+    a FASTA raises ValueError naming it."""
+    graph = read_unitigs_fasta(path)
     return build_anchor_index(graph), build_interior_index(graph)
 
 

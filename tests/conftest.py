@@ -8,7 +8,6 @@ solid set and graph objects are in `oracles.py`.
 """
 
 import random
-import zlib
 
 import pytest
 
@@ -53,13 +52,6 @@ def damaged_gzip(path, data, damage):
         raise ValueError(damage)
     path.write_bytes(bytes(data))
     return path
-
-
-def with_crc(data):
-    """Index file bytes with the CRC-32 trailer recomputed, so that a load
-    gets past the checksum to the check a corruption aims at."""
-    body = bytes(data[:-4])
-    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def graph_from_sequences(seqs, k, min_count=1):

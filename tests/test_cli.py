@@ -1,8 +1,8 @@
 import gzip
 import os
 import random
-import struct
 import threading
+import zlib
 
 import pytest
 
@@ -11,7 +11,7 @@ from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import CompactedGraph, Unitig, read_unitigs_fasta
 from cdbgmap.index import build_interior_index, save_indexes
 
-from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome, with_crc
+from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome
 
 
 def run(capsys, *argv):
@@ -410,6 +410,62 @@ def test_eval_error_leaves_no_truth(tmp_path, capsys, output):
     assert os.listdir(tmp_path / "a_directory") == []
 
 
+def _same_file_twice(tmp_path, spelling):
+    """An existing file and a second name for it: the same path, a path
+    through `..`, or a symbolic link."""
+    (tmp_path / "sub").mkdir()
+    first = tmp_path / "out"
+    first.write_bytes(b"old\n")
+    if spelling == "link":
+        second = tmp_path / "link"
+        second.symlink_to(first)
+    else:
+        second = first if spelling == "same" else tmp_path / "sub" / ".." / "out"
+    return first, second
+
+
+def _rejected_as_one_file(tmp_path, before, first, code, err, second):
+    assert code == 2
+    assert err == f"error: two outputs name the same file: {second}\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file either
+    assert first.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "link"])
+def test_build_two_outputs_naming_one_file_exit_2(tmp_path, capsys, spelling):
+    ref = tmp_path / "ref.fa"
+    write_fasta(ref, [("chr", random_genome(1001, 1000))])
+    first, second = _same_file_twice(tmp_path, spelling)
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(capsys, "build", "-k", "11", "-c", "1", "-o", str(first),
+                       "--gfa", str(second), str(ref))
+    _rejected_as_one_file(tmp_path, before, first, code, err, second)
+    # outputs written in place are not replaced, so they may coincide
+    assert run(capsys, "build", "-k", "11", "-c", "1", "-o", os.devnull,
+               "--gfa", os.devnull, str(ref))[0] == 0
+
+
+def test_map_two_outputs_naming_one_file_exit_2(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=5)
+    first, second = _same_file_twice(tmp_path, "dotdot")
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(first),
+                       "--index-out", str(second), str(reads))
+    _rejected_as_one_file(tmp_path, before, first, code, err, second)
+
+
+def test_eval_two_outputs_naming_one_file_exit_2(tmp_path, capsys):
+    first, second = _same_file_twice(tmp_path, "same")
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(
+        capsys, "eval", "-k", "15", "--random-ref", "1000", "--rates", "0",
+        "--reads-per-rate", "20", "--read-length", "60", "--no-exhaustive",
+        "-o", str(first), "--truth-out", str(second),
+    )
+    _rejected_as_one_file(tmp_path, before, first, code, err, second)
+
+
 def test_map_malformed_fastq_keeps_an_existing_output(tmp_path, capsys):
     genome, unitigs = _built_workspace(tmp_path, capsys)
     reads = tmp_path / "reads.fq"
@@ -510,34 +566,24 @@ def test_eval_bad_rates_exit_2(tmp_path, capsys):
     assert "bad rate list" in err
 
 
-def _index_sections(idx_path):
-    """(start, end) byte ranges of a saved index by name, in file order: the
-    header fields, the unitig sequences and the CRC trailer."""
-    size = idx_path.stat().st_size
-    sizes = [("magic", 8), ("version", 4), ("k", 4), ("unitig count", 4),
-             ("unitigs", size - 24), ("trailer", 4)]
-    sections, end = {}, 0
-    for name, n in sizes:
-        sections[name] = (end, end + n)
-        end += n
-    return sections
-
-
 def _saved_index(tmp_path, capsys, genome=None):
-    """A built graph, a few reads and the index `map --index-out` saved."""
+    """A built graph, a few reads, the index `map --index-out` saved and the
+    TSV of that run, which read no index."""
     genome, unitigs = _built_workspace(tmp_path, capsys, genome)
     reads = _reads_file(tmp_path, genome, n=5)
-    idx = tmp_path / "graph.idx"
+    idx, direct = tmp_path / "graph.idx", tmp_path / "a.tsv"
     assert run(
         capsys, "map", "-k", "15", "-g", str(unitigs), "-o",
-        str(tmp_path / "a.tsv"), "--index-out", str(idx), str(reads),
+        str(direct), "--index-out", str(idx), str(reads),
     )[0] == 0
-    return unitigs, reads, idx
+    assert idx.read_bytes() == unitigs.read_bytes()
+    return unitigs, reads, idx, direct.read_bytes()
 
 
 def _map_with_index(tmp_path, capsys, unitigs, reads, content, name="bad"):
-    """Exit code and stderr of `map --index-in` on an index of `content`,
-    checking that a failure leaves no TSV."""
+    """Exit code, stderr and TSV bytes (None when there is none) of `map
+    --index-in` on an index of `content`, checking that a failure is one
+    `error:` line and leaves no TSV."""
     bad = tmp_path / f"{name}.idx"
     bad.write_bytes(content)
     out = tmp_path / f"{name}.tsv"
@@ -545,25 +591,41 @@ def _map_with_index(tmp_path, capsys, unitigs, reads, content, name="bad"):
         capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
         "--index-in", str(bad), str(reads),
     )
+    bad.unlink()
     if code:
-        assert err.startswith("error:") and "Traceback" not in err, (name, err)
+        assert err.startswith("error:") and err.count("\n") == 1, (name, err)
         assert not out.exists(), name
-    return code, err
+        return code, err, None
+    tsv = out.read_bytes()
+    out.unlink()
+    return code, err, tsv
+
+
+def _damaged_index_outcomes(tmp_path, capsys, unitigs, reads, direct, damaged):
+    """Map through each (name, content) index of `damaged`: each run either
+    exits 2 with an `error:` line and no TSV, or writes the TSV of the run
+    without an index.  Returns how many runs did each."""
+    rejected = same = 0
+    for name, content in damaged:
+        code, err, tsv = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
+        if code:
+            assert code == 2, (name, err)
+            rejected += 1
+        else:
+            assert tsv == direct, name
+            same += 1
+    return rejected, same
 
 
 def test_map_truncated_index_exits_2(tmp_path, capsys):
-    unitigs, reads, idx = _saved_index(tmp_path, capsys)
+    # a loaded graph is used only when it equals -g, so a cut file is
+    # rejected or cannot change the TSV; cutting the last newline keeps it
+    unitigs, reads, idx, direct = _saved_index(tmp_path, capsys)
     data = idx.read_bytes()
-    sections = _index_sections(idx)
-    cuts = {"version": 10}
-    for part in ("k", "unitigs", "trailer"):
-        start, end = sections[part]
-        cuts[part] = (start + end) // 2
-    for where, cut in cuts.items():
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, data[:cut], where)
-        assert code == 2 and "truncated or malformed" in err, where
-    code, err = _map_with_index(tmp_path, capsys, unitigs, reads, data + b"\x00", "extra")
-    assert code == 2 and "CRC-32 mismatch" in err
+    cuts = sorted({*range(0, len(data), 7), len(data) - 1})
+    damaged = [(f"cut{cut}", data[:cut]) for cut in cuts]
+    rejected, same = _damaged_index_outcomes(tmp_path, capsys, unitigs, reads, direct, damaged)
+    assert (rejected, same) == (len(cuts) - 1, 1)
 
 
 def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
@@ -585,61 +647,46 @@ def test_map_short_read_is_unmapped_too_short(tmp_path, capsys):
 
 
 def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
-    unitigs, reads, idx = _saved_index(tmp_path, capsys)
+    unitigs, reads, idx, _ = _saved_index(tmp_path, capsys)
     data = idx.read_bytes()
     graph = read_unitigs_fasta(unitigs, 15)
-    rebuild = "this cdbgmap reads version 7: rebuild it with `cdbgmap map --index-out`"
     cases = {}
-    for version in range(1, 7):  # the loader reads nothing past another version
-        old = bytearray(data)
-        struct.pack_into("<I", old, 8, version)
-        cases[f"v{version}"] = (bytes(old), f"format version {version}, " + rebuild)
-    wrong = bytearray(data)  # a header k other than -k, which the unitigs allow
-    struct.pack_into("<I", wrong, 12, 13)
-    cases["k"] = (with_crc(wrong), "index was built for k=13, requested k=15")
-    wrong = bytearray(data)  # a unitig count other than the unitigs the file holds
-    struct.pack_into("<I", wrong, 16, len(graph) + 1)
-    cases["unitig count"] = (with_crc(wrong), f"the unitig count {len(graph) + 1} is not")
+    for version in (1, 7):  # the binary layout of earlier releases, named in the error
+        body = b"CDBGIDX1" + b"".join(n.to_bytes(4, "little") for n in (version, 15, len(graph)))
+        body += "".join(u.sequence + "\n" for u in graph.unitigs).encode()
+        cases[f"v{version}"] = (body + zlib.crc32(body).to_bytes(4, "little"), f"v{version}.idx: ")
+    cases["k"] = (data.replace(b" k=15", b" k=13"), "index was built for k=13, requested k=15")
     more = tmp_path / "more.saved"  # a file of every unitig of -g and one more
     extra = Unitig(len(graph), "ACGT" * 5)
     save_indexes(more, build_interior_index(CompactedGraph(15, graph.unitigs + [extra])))
     cases["one unitig more"] = (more.read_bytes(), "was not built from")
     for name, (content, message) in cases.items():
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
+        code, err, _ = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
         assert code == 2 and message in err, (name, err)
 
 
 def test_map_corrupt_index_exits_2(tmp_path, capsys):
+    # a loaded graph is used only when it equals -g, so a changed byte is
+    # rejected or cannot change the TSV (a base made lowercase, say)
     repeat = random_genome(2005, 40)
     genome = (random_genome(2003, 300) + repeat + random_genome(2004, 300) + repeat
               + random_genome(2006, 300))
-    unitigs, reads, idx = _saved_index(tmp_path, capsys, genome)
+    unitigs, reads, idx, direct = _saved_index(tmp_path, capsys, genome)
     data = idx.read_bytes()
-    sections = _index_sections(idx)
+    assert data.count(b">") >= 3
     rng = random.Random(1105)
-    cases = 0
-    for name, (start, end) in sections.items():
-        for pos in rng.sample(range(start, end), min(end - start, 8)):
-            bad = bytearray(data)
-            bad[pos] ^= rng.randrange(1, 256)
-            code, _ = _map_with_index(tmp_path, capsys, unitigs, reads, bytes(bad), f"flip{pos}")
-            assert code == 2, (name, pos)
-            cases += 1
-    assert cases >= 30
-    # a valid CRC over one base of a middle unitig changed to another base,
-    # or to a symbol outside ACGT, or over a header k out of range
-    graph = read_unitigs_fasta(unitigs, 15)
-    assert len(graph) >= 3
-    middle = len(graph) // 2
-    at = sections["unitigs"][0] + sum(len(u.sequence) + 1 for u in graph.unitigs[:middle])
-    at += len(graph.unitigs[middle].sequence) // 2
-    base = data[at:at + 1]
-    fields = [("was not built from", at, b"A" if base != b"A" else b"C"),
-              ("malformed", at, b"N")]
-    fields += [("is not in [2, 63]", sections["k"][0], struct.pack("<I", k))
-               for k in (0, 1, 64, 2**32 - 1)]
-    for message, at, value in fields:
+    damaged = []
+    for pos in range(len(data)):
         bad = bytearray(data)
-        bad[at:at + len(value)] = value
-        code, err = _map_with_index(tmp_path, capsys, unitigs, reads, with_crc(bad), message)
-        assert code == 2 and message in err, (message, err)
+        bad[pos] ^= rng.randrange(1, 256)
+        damaged.append((f"flip{pos}", bytes(bad)))
+    rejected, same = _damaged_index_outcomes(tmp_path, capsys, unitigs, reads, direct, damaged)
+    assert rejected > 0.9 * len(damaged) and same > 0
+    # a base of a middle unitig changed to another base, or made lowercase
+    at = data.index(b"\n", data.index(b">u1 ")) + 10
+    base = data[at:at + 1]
+    other = data[:at] + (b"A" if base != b"A" else b"C") + data[at + 1:]
+    code, err, _ = _map_with_index(tmp_path, capsys, unitigs, reads, other)
+    assert code == 2 and "was not built from" in err
+    lower = data[:at] + base.lower() + data[at + 1:]
+    assert _map_with_index(tmp_path, capsys, unitigs, reads, lower)[2] == direct

@@ -277,6 +277,28 @@ def test_unitig_fasta_without_recorded_k_is_read_at_the_given_k(tmp_path):
     assert read_unitigs_fasta(path, k=7) == graph
 
 
+def test_unitig_fasta_without_k_reads_the_recorded_k(tmp_path):
+    graph = compact(solid_from([random_genome(126, 300)], 7))
+    assert len(graph) > 1
+    path = tmp_path / "unitigs.fa"
+    write_unitigs_fasta(path, graph)
+    assert read_unitigs_fasta(path) == graph
+    # a header without a k is taken at the k another one records
+    text = path.read_text()
+    path.write_text(text.replace(">u0 k=7", ">u0", 1))
+    assert read_unitigs_fasta(path) == graph
+    # two headers that record different ks
+    last = text.rindex(" k=7")
+    path.write_text(text[:last] + " k=9" + text[last + 4:])
+    with pytest.raises(ValueError, match=f"{path}: graph built with k=9, requested k=7"):
+        read_unitigs_fasta(path)
+    # no header records k, or there is no header at all
+    for content in (text.replace(" k=7", ""), ""):
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"{path}: no unitig header records k"):
+            read_unitigs_fasta(path)
+
+
 def test_gfa_agrees_with_anchor_index(tmp_path):
     genome = random_genome(321, 400)
     graph = compact(solid_from([genome], 5))

@@ -1,12 +1,11 @@
 import random
 import re
-import struct
 import sys
 
 import pytest
 
 from cdbgmap.census import count_kmers
-from cdbgmap.graph import compact
+from cdbgmap.graph import compact, write_unitigs_fasta
 from cdbgmap.index import (
     AnchorIndex,
     approximate_bytes,
@@ -16,7 +15,7 @@ from cdbgmap.index import (
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import _SLICE, MAX_K
+from cdbgmap.sequences import _SLICE
 
 from conftest import (
     build_graph,
@@ -27,7 +26,6 @@ from conftest import (
     naive_rc,
     oriented,
     random_genome,
-    with_crc,
 )
 from oracles import oriented_sequence
 
@@ -390,14 +388,15 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     interior = build_interior_index(graph)
     p1, p2, p3 = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
     save_indexes(p1, interior)
-    # magic, version 7, k, unitig count, the unitigs in id order, CRC-32
-    data = p1.read_bytes()
-    assert data[:20] == b"CDBGIDX1" + struct.pack("<III", 7, 7, len(graph))
-    assert data[20:-4] == "".join(u.sequence + "\n" for u in graph.unitigs).encode()
-    assert data == with_crc(data)
+    # the file is the unitig FASTA of the graph the index was built from
+    fasta = tmp_path / "unitigs.fa"
+    write_unitigs_fasta(fasta, graph)
+    assert p1.read_bytes() == fasta.read_bytes()
+    assert p1.read_text().startswith(f">u0 k=7\n{graph.unitigs[0].sequence[:80]}\n")
     anchor2, interior2 = load_indexes(p1)
     assert interior2.graph == graph
     assert interior2._table == interior._table
+    assert anchor2._table == anchor._table
     assert (anchor2.k, interior2.k) == (7, 7)
     # equal graphs give byte-identical files, and a load saves to the same bytes
     graph_b, _ = graph_from_sequences([genome], 7)
@@ -419,6 +418,8 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     assert any(naive_rc(key) == key for key in build_anchor_index(graphs[3]).keys())
     for graph in graphs:
         save_indexes(p1, build_interior_index(graph))
+        write_unitigs_fasta(fasta, graph)
+        assert p1.read_bytes() == fasta.read_bytes()
         anchor2, interior2 = load_indexes(p1)
         assert list(anchor2._table.items()) == list(build_anchor_index(graph)._table.items())
         assert list(interior2._table.items()) == list(build_interior_index(graph)._table.items())
@@ -429,50 +430,28 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
 
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "bad.idx"
-    p.write_bytes(b"WRONGMAG" + b"\x00" * 24)
-    with pytest.raises(ValueError, match="not an index"):
-        load_indexes(p)
     graph = build_graph(["ACTG", "TGAT"], 3)
     save_indexes(p, build_interior_index(graph))
-    data = bytearray(p.read_bytes())
-    # header (20 bytes), then unitig 0's first base
-    assert data[20:25] == b"ACTG\n"
-    data[20] = ord("N")
-    p.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="malformed.*CRC-32 mismatch"):
-        load_indexes(p)
-    p.write_bytes(with_crc(data))
-    with pytest.raises(ValueError, match="malformed.*unitig 0 contains non-ACGT.*rebuild"):
-        load_indexes(p)
-
-
-def test_load_rejects_a_malformed_snapshot_with_a_valid_crc(tmp_path):
-    graph, _ = graph_from_sequences([repeat_genome(5)], 9)
-    p = tmp_path / "g.idx"
-    save_indexes(p, build_interior_index(graph))
-    data = p.read_bytes()
-    body = data[20:-4]
-    count = len(graph)
-
-    def header(k=9, unitigs=count):
-        return data[:8] + struct.pack("<III", 7, k, unitigs)
-
-    first = len(graph.unitigs[0].sequence)
-    shortest = min(graph.unitigs, key=lambda u: len(u.sequence))
+    good = p.read_bytes()
+    assert good == b">u0 k=3\nACTG\n>u1 k=3\nTGAT\n"
     cases = [
-        (f"the unitig count {count + 1} is not", header(unitigs=count + 1) + body),
-        (f"the unitig count {count - 1} is not", header(unitigs=count - 1) + body),
-        ("the unitig count", header() + body[:-1]),  # no newline after the last
-        (f"unitig {count} shorter than k", header(unitigs=count + 1) + body + b"\n"),
-        ("unitig 0 shorter than k", header() + body[:8] + body[first:]),
-        (f"unitig {shortest.id} shorter than k", header(k=len(shortest.sequence) + 1) + body),
-        ("unitig 0 contains non-ACGT", header() + b"acgt" + body[4:]),
-        ("'ascii' codec", header() + b"\xc3\xa9" + body[2:]),
+        (b"CDBGIDX1" + b"\x00" * 24, "unrecognized sequence file format"),
+        (b"ACTG\nTGAT\n", "unrecognized sequence file format"),
+        (good.replace(b"u1", b"x1"), "not a unitig FASTA header: 'x1'"),
+        (good.replace(b"u1", b"u1a"), "not a unitig FASTA header: 'u1a'"),
+        (good.replace(b"u1", b"u0"), "not a unitig FASTA header: 'u0.2'"),
+        (good.replace(b"u1", b"u2"), "unitig ids must be dense from 0, got 2 at 1"),
+        (good.replace(b"ACTG", b"ACNG"), "unitig 0 contains non-ACGT"),
+        (good.replace(b"ACTG", b"AC"), "unitig 0 shorter than k"),
+        (good.replace(b"k=3", b"k=x"), "bad k field: 'k=x'"),
+        (good.replace(b"k=3", b"k=1"), "k must be >= 2, got 1"),
+        (good.replace(b" k=3", b""), "no unitig header records k"),
+        (good.replace(b"ACTG", b"AC\xc3\xa9"), "'ascii' codec"),
+        (b"", "no unitig header records k"),
     ]
-    cases += [(f"is not in [2, {MAX_K}]", header(k=k) + body) for k in (0, 1, 64, 2**32 - 1)]
-    for message, bad in cases:
-        p.write_bytes(with_crc(bad + b"CRC!"))
-        with pytest.raises(ValueError, match=f"malformed.*{re.escape(message)}"):
+    for content, message in cases:
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match=f"{re.escape(str(p))}: .*{re.escape(message)}"):
             load_indexes(p)
 
 
