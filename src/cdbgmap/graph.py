@@ -5,13 +5,14 @@ Unitigs are maximal non-branching paths; extension across a junction is
 allowed only when the current end has exactly one forward neighbour, that
 neighbour has exactly one backward neighbour, the junction (k-1)-overlap is
 not its own reverse complement, and the neighbour has not already been
-consumed (which also cuts cycles).  One step, the single successor of an
-oriented k-mer, is used both ways: forward from the end, and forward from
-the neighbour's reverse orientation, whose successors are the neighbour's
-predecessors.  A unitig's left arm is its right arm walked from the seed's
+visited (which also cuts cycles).  Each step of an arm probes the four
+successors of the end, and then the four successors of the neighbour's
+reverse orientation, which are the neighbour's predecessors; the probes are
+written out inline because the walk is nothing but these lookups (see
+`compact`).  A unitig's left arm is its right arm walked from the seed's
 reverse orientation.  A palindromic overlap needs no test of its own: past
 it, the neighbour's reverse complement is a second predecessor, unless the
-neighbour is the current end reversed, which is consumed.
+neighbour is the current end reversed, which is visited.
 
 Construction is deterministic: seeds are taken in ascending packed-canonical
 order, ids are dense in seed order, and each unitig is stored in whichever
@@ -79,47 +80,90 @@ class CompactedGraph:
 
 
 def compact(solid: SolidKmerSet) -> CompactedGraph:
-    """Build the compacted graph; every solid k-mer lands in exactly one unitig."""
+    """Build the compacted graph; every solid k-mer lands in exactly one unitig.
+
+    An arm step probes the four successors of the current end, then the four
+    successors of the single candidate's reverse orientation, which are the
+    candidate's predecessors.  Both blocks of four are written out inline: a
+    probe is one comparison and one set lookup, so a helper call per step,
+    or a loop over the bases, costs as much as the probes it runs.
+    `unvisited` starts as a copy of the solid set, so it holds the solid
+    set's own ints, and a visit removes one instead of storing a freshly
+    computed int for every k-mer.
+    """
     if not solid.codes:
         raise ValueError("cannot compact an empty solid k-mer set")
     k = solid.k
     codes = solid.codes
     mask = (1 << (2 * k)) - 1
     shift = 2 * (k - 1)
-    consumed: set[int] = set()
-
-    def _step(fwd: int, rc: int):
-        """The single oriented successor (nf, nr) of an oriented k-mer, or
-        None if it has 0 or more than 1."""
-        found = None
-        for b in range(4):
-            nf = ((fwd << 2) | b) & mask
-            nr = (rc >> 2) | ((3 - b) << shift)
-            if (nf if nf < nr else nr) in codes:
-                if found is not None:
-                    return None
-                found = nf, nr
-        return found
+    # appending A, C, G or T to the forward orientation prepends T, G, C or
+    # A to the reverse one: its top two bits become t0, t1, t2 or 0
+    t0, t1, t2 = 3 << shift, 2 << shift, 1 << shift
+    unvisited = set(codes)
+    remove = unvisited.remove
 
     def _arm(fwd: int, rc: int) -> str:
-        """The bases of the maximal rightward extension, consuming its k-mers."""
+        """The bases of the maximal rightward extension, visiting its k-mers."""
         out = []
-        while step := _step(fwd, rc):
-            nf, nr = step
-            nc = nf if nf < nr else nr
-            # its predecessors are the successors of its reverse orientation
-            if nc in consumed or _step(nr, nf) is None:
+        append = out.append
+        while True:
+            f = (fwd << 2) & mask
+            r = rc >> 2
+            hits = 0
+            b = r | t0
+            if (f if f < b else b) in codes:
+                hits += 1
+                nf, nr = f, b
+            a = f | 1
+            b = r | t1
+            if (a if a < b else b) in codes:
+                hits += 1
+                nf, nr = a, b
+            a = f | 2
+            b = r | t2
+            if (a if a < b else b) in codes:
+                hits += 1
+                nf, nr = a, b
+            a = f | 3
+            if (a if a < r else r) in codes:
+                hits += 1
+                nf, nr = a, r
+            if hits != 1:
                 break
-            out.append(BASES[nf & 3])
-            consumed.add(nc)
+            nc = nf if nf < nr else nr
+            if nc not in unvisited:
+                break
+            # the candidate's predecessors: successors of its reverse orientation
+            f = (nr << 2) & mask
+            r = nf >> 2
+            hits = 0
+            b = r | t0
+            if (f if f < b else b) in codes:
+                hits += 1
+            a = f | 1
+            b = r | t1
+            if (a if a < b else b) in codes:
+                hits += 1
+            a = f | 2
+            b = r | t2
+            if (a if a < b else b) in codes:
+                hits += 1
+            a = f | 3
+            if (a if a < r else r) in codes:
+                hits += 1
+            if hits != 1:
+                break
+            append(nf & 3)
+            remove(nc)
             fwd, rc = nf, nr
-        return "".join(out)
+        return "".join([BASES[b] for b in out])
 
     unitigs: list[Unitig] = []
     for seed in sorted(codes):
-        if seed in consumed:
+        if seed not in unvisited:
             continue
-        consumed.add(seed)
+        remove(seed)
         word = decode_kmer(seed, k)
         rc = kmer_codes(word)[1]
         right = _arm(seed, rc)
@@ -149,10 +193,12 @@ def _recorded_k(description: str) -> int | None:
 def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph:
     """Inverse of write_unitigs_fasta.  A header that records a k other than
     `k` raises ValueError; a header without one is taken to be at `k`.  With
-    `k` None the first header that records a k sets it, and a file where no
-    header records one (an empty file too) raises ValueError.  Every
+    `k` None the first header that records a k sets it, a later header that
+    records another k raises ValueError naming both values, and a file where
+    no header records one (an empty file too) raises ValueError.  Every
     ValueError names the file once, as `<path>: <message>`."""
     described = list(read_described(path))  # its errors name the file already
+    requested = k
     try:
         records = []
         for rec, description in described:
@@ -162,6 +208,8 @@ def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph
             if k is None:
                 k = recorded
             elif recorded is not None and recorded != k:
+                if requested is None:
+                    raise ValueError(f"unitig headers record k={k} and k={recorded}")
                 raise ValueError(f"graph built with k={recorded}, requested k={k}")
             records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
         if k is None:

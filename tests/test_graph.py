@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -106,7 +107,7 @@ def naive_compact(kmers):
     return out
 
 
-@pytest.mark.parametrize("k", [3, 5, 7, 9])
+@pytest.mark.parametrize("k", range(2, 10))
 def test_compact_matches_string_level_reference(k):
     rng = random.Random(k)
     cases = []
@@ -129,6 +130,20 @@ def test_compact_matches_string_level_reference(k):
         graph = compact(solid)
         expected = naive_compact(solid_strings(solid))
         assert [(u.id, u.sequence) for u in graph.unitigs] == list(enumerate(expected))
+
+
+def test_compact_allocates_nothing_per_kmer():
+    """Visiting a k-mer stores no new object: the traced peak of a
+    compaction is the visit set's table and the sorted seeds, not one int
+    per solid k-mer on top of them."""
+    solid = solid_from([random_genome(31, 50_000)], 31)
+    tracemalloc.start()
+    try:
+        compact(solid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(solid) < 75, f"{peak / len(solid):.1f} B per solid k-mer"
 
 
 def _neighbors(mer, canonical, direction):
@@ -290,7 +305,7 @@ def test_unitig_fasta_without_k_reads_the_recorded_k(tmp_path):
     # two headers that record different ks
     last = text.rindex(" k=7")
     path.write_text(text[:last] + " k=9" + text[last + 4:])
-    with pytest.raises(ValueError, match=f"{path}: graph built with k=9, requested k=7"):
+    with pytest.raises(ValueError, match=f"{path}: unitig headers record k=7 and k=9"):
         read_unitigs_fasta(path)
     # no header records k, or there is no header at all
     for content in (text.replace(" k=7", ""), ""):
