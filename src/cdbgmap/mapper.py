@@ -74,7 +74,12 @@ pass encodes anything; each reads the strand's text as it stands:
   (pigeonhole; a word holding N is a miss).  Such a `skipped` pass is
   scanned for its reason only if the read ends unmapped;
 - the branching and exhaustive passes detect the anchor overlaps once per
-  read: each (k-1)-substring of the read is one anchor-key test.
+  read, on its forward text, with `AnchorIndex.overlaps`: at k > 24 it
+  looks up only every s-th (k-s)-gram of the read (s = min(8, k-23)) in the
+  anchor index's probe table and tests whole just the windows a hit names;
+  at k <= 24 each (k-1)-substring of the read is one anchor-key test.  The
+  '-' strand's overlaps are the forward ones, read off the reverse
+  complement.
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
@@ -227,15 +232,15 @@ class ReadView:
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
         """The strand's windows that are indexed unitig overlaps, as
-        (position, word) pairs in ascending order.  The anchor keys are
-        closed under reverse complement, so the '-' strand's are the forward
-        ones, read off the reverse complement at L-(k-1)-p."""
-        size, base = self.size, self._base
+        (position, word) pairs in ascending order, found on the forward text
+        by `anchor.overlaps`.  The anchor keys are closed under reverse
+        complement, so the '-' strand's are the forward ones, read off the
+        reverse complement at L-(k-1)-p."""
         if self._dets is None:
-            seq, keys = self._seq, anchor.keys()
-            self._dets = [(i, w) for i in range(base + 1) if (w := seq[i : i + size]) in keys]
+            self._dets = anchor.overlaps(self._seq)
         if strand == "+" or not self._dets:
             return self._dets
+        size, base = self.size, self._base
         rc = self.sequence(strand)
         return [(base - p, rc[base - p : base - p + size]) for p, _ in reversed(self._dets)]
 

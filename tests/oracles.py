@@ -3,7 +3,9 @@
 No product path uses these: they are the oracles the graph, census, index
 and acceptance tests check the package against.  `enumerate_paths` walks
 the solid set's packed codes one base at a time, independently of
-`compact`; `walk_sequence` is the sequence law of a node-centric walk.
+`compact`; `walk_sequence` is the sequence law of a node-centric walk;
+`scan_overlaps` tests every window of a read against the anchor keys, as
+the strided probes of `AnchorIndex.overlaps` must find them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ def census_strings(census: KmerCensus) -> dict[str, int]:
 
 def solid_strings(solid: SolidKmerSet) -> set[str]:
     return {decode_kmer(c, solid.k) for c in solid.codes}
+
+
+def scan_overlaps(seq: str, keys, size: int) -> list[tuple[int, str]]:
+    """Every `size`-window of `seq` that is in `keys`, as (position, word)
+    pairs in ascending order: one lookup per window."""
+    return [(i, w) for i in range(len(seq) - size + 1) if (w := seq[i : i + size]) in keys]
 
 
 def oriented_sequence(graph: CompactedGraph, unitig_id: int, orientation: str) -> str:

@@ -654,7 +654,10 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     for version in (1, 7):  # the binary layout of earlier releases, named in the error
         body = b"CDBGIDX1" + b"".join(n.to_bytes(4, "little") for n in (version, 15, len(graph)))
         body += "".join(u.sequence + "\n" for u in graph.unitigs).encode()
-        cases[f"v{version}"] = (body + zlib.crc32(body).to_bytes(4, "little"), f"v{version}.idx: ")
+        cases[f"v{version}"] = (
+            body + zlib.crc32(body).to_bytes(4, "little"),
+            f"v{version}.idx: a binary index from an earlier cdbgmap; rebuild it with --index-out",
+        )
     cases["k"] = (data.replace(b" k=15", b" k=13"), "index was built for k=13, requested k=15")
     more = tmp_path / "more.saved"  # a file of every unitig of -g and one more
     extra = Unitig(len(graph), "ACGT" * 5)

@@ -1,12 +1,15 @@
+import gc
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
 from cdbgmap.census import count_kmers
 from cdbgmap.graph import compact, write_unitigs_fasta
 from cdbgmap.index import (
+    _BYTES_SAMPLE,
     AnchorIndex,
     approximate_bytes,
     build_anchor_index,
@@ -15,7 +18,7 @@ from cdbgmap.index import (
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import _SLICE
+from cdbgmap.sequences import _SLICE, reverse_complement_read
 
 from conftest import (
     build_graph,
@@ -27,7 +30,7 @@ from conftest import (
     oriented,
     random_genome,
 )
-from oracles import oriented_sequence
+from oracles import oriented_sequence, scan_overlaps
 
 
 def scan_incidences(graph, mer):
@@ -277,6 +280,143 @@ def test_anchor_keys_are_written_words(k):
             assert ReadView(seq, k1).detected(strand, idx) == both
 
 
+def mutated_repeat_genome(seed, backbone=20_000, families=2, family_length=600, copies=20):
+    """A random backbone with `copies` of each of a few repeat families,
+    each copy with 2% substitutions and on a random strand, and a random
+    spacer after each: a graph of many short unitigs that share grams."""
+    rng = random.Random(seed)
+    parts = [random_genome(seed, backbone)]
+    for family in range(families):
+        unit = random_genome(seed + 1 + family, family_length)
+        for _ in range(copies):
+            copy = "".join(
+                rng.choice([b for b in "ACGT" if b != base]) if rng.random() < 0.02 else base
+                for base in unit
+            )
+            parts.append(copy if rng.random() < 0.5 else naive_rc(copy))
+            parts.append(random_genome(rng.randrange(10**6), rng.randint(50, 400)))
+    return "".join(parts)
+
+
+def window_graph(genome, k):
+    """Every k-window of `genome` as its own unitig, so that every
+    (k-1)-window of the genome, and of its reverse complement, is a key."""
+    return build_graph(naive_kmers(genome, k), k)
+
+
+def gram_shifts(keys, stride, gram):
+    """String-level probe table: each key's gram at each shift j < stride
+    -> the set of (shift, key) pairs holding it."""
+    held = {}
+    for key in keys:
+        for j in range(stride):
+            held.setdefault(key[j : j + gram], set()).add((j, key))
+    return held
+
+
+K_EVERY_STRIDE = [*range(2, 13), *range(24, 33), 63]
+
+
+@pytest.mark.parametrize("k", K_EVERY_STRIDE)
+def test_probe_table_files_each_gram_at_its_shifts(k):
+    stride = min(8, max(1, k - 23))
+    graph = window_graph(random_genome(300 + k, 4 * k), k)
+    idx = build_anchor_index(graph)
+    assert (idx.stride, idx.gram) == (stride, k - stride)
+    assert idx.gram >= 23 or stride == 1
+    if stride == 1:  # every window is tested: no probe table
+        assert idx._probes is None
+        return
+    held = gram_shifts(idx.keys(), stride, idx.gram)
+    assert idx._probes.keys() == held.keys()
+    for gram, shifts in idx._probes.items():
+        assert shifts == tuple(sorted({j for j, _ in held[gram]}, reverse=True))
+        mask = sum(1 << j for j in shifts)
+        assert shifts is idx._shifts[mask]  # shared, not built per gram
+    assert len(idx._shifts) == len({id(shifts) for shifts in idx._probes.values()})
+    # a gram that keys hold at different shifts: the key at p holds the
+    # gram at p+1 at shift 1, the key at p+1 at shift 0
+    assert any(len({j for j, _ in pairs}) > 1 and len({key for _, key in pairs}) > 1
+               for pairs in held.values())
+
+
+def detector_graphs(k):
+    """Graphs whose keys the detector must find in reads: a compacted one
+    with repeats; one whose unitig ends are palindromic (for odd k, whose
+    (k-1)-mers can be their own reverse complement); a dense one where
+    every window of its genome is a key; a periodic one, where keys hold
+    each gram at several shifts."""
+    half = random_genome(500 + k, (k - 1) // 2)
+    palindrome = half + naive_rc(half)  # k-1 long at odd k, k-2 at even k
+    assert palindrome == naive_rc(palindrome)
+    repeats_genome = random_genome(510 + k, 300) + repeat_genome(k)
+    dense_genome = random_genome(520 + k, 4 * k)
+    periodic_genome = (random_genome(530 + k, 3) * (2 * k))[: 4 * k]
+    return [
+        (graph_from_sequences([repeats_genome], k)[0], repeats_genome),
+        (build_graph([palindrome + "A" + random_genome(540 + k, k),
+                      random_genome(541 + k, k) + "C" + palindrome,
+                      palindrome + "GT"], k),
+         random_genome(542 + k, k) + palindrome + "A" + palindrome + random_genome(543 + k, k)),
+        (window_graph(dense_genome, k), dense_genome),
+        (window_graph(periodic_genome, k), periodic_genome),
+    ]
+
+
+@pytest.mark.parametrize("k", K_EVERY_STRIDE)
+def test_detected_matches_the_scan_oracle(k):
+    """The strided probes find exactly the windows a test of every window
+    finds, in order, on both strands: random ACGTN reads of k to 3k bases,
+    and reads cut from each graph's genome with random substitutions,
+    N among them, on either strand."""
+    size = k - 1
+    rng = random.Random(k)
+    palindromic = 0
+    for graph, genome in detector_graphs(k):
+        anchor = build_anchor_index(graph)
+        keys = anchor.keys()
+        palindromic += sum(key == naive_rc(key) for key in keys)
+        reads = ["".join(rng.choice("ACGTN") for _ in range(rng.randint(k, 3 * k)))
+                 for _ in range(20)]
+        for _ in range(40):
+            length = rng.randint(k, min(3 * k, len(genome)))
+            start = rng.randrange(len(genome) - length + 1)
+            read = list(genome[start : start + length])
+            for _ in range(rng.randrange(3)):
+                read[rng.randrange(length)] = rng.choice("ACGTN")
+            read = "".join(read)
+            reads.append(read if rng.random() < 0.5 else naive_rc(read))
+        found = 0
+        for seq in reads:
+            view = ReadView(seq, size)
+            for strand, text in (("-", reverse_complement_read(seq)), ("+", seq)):
+                expected = scan_overlaps(text, keys, size)
+                assert view.detected(strand, anchor) == expected, (k, strand, seq)
+                found += len(expected)
+        assert found
+    assert palindromic or k % 2 == 0
+
+
+def test_anchor_build_traces_few_bytes_per_key():
+    """The probe table is one string per distinct gram and a shared shift
+    tuple, made after the build's entry lists are freed, so the traced peak
+    of a build on a repeat graph stays at the anchor table's own.  On this
+    graph (918 keys, k 31, CPython 3.10 to 3.12) the peak reads 957 to 1,037
+    B per key, with or without the probe table; one tuple per gram reads
+    1,132 to 1,239, one set per gram or a probe table made beside the entry
+    lists 1,859 or more."""
+    graph, _ = graph_from_sequences([mutated_repeat_genome(5)], 31)
+    gc.collect()  # empties the free lists, whose objects tracemalloc would not see
+    tracemalloc.start()
+    try:
+        idx = build_anchor_index(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx._probes and len(idx) > 500
+    assert peak / len(idx) < 1100, f"{peak / len(idx):.1f} B per anchor key"
+
+
 def test_interior_example():
     graph = build_graph(["ACTGA"], 3)
     idx = build_interior_index(graph)
@@ -435,7 +575,8 @@ def test_load_rejects_garbage(tmp_path):
     good = p.read_bytes()
     assert good == b">u0 k=3\nACTG\n>u1 k=3\nTGAT\n"
     cases = [
-        (b"CDBGIDX1" + b"\x00" * 24, "unrecognized sequence file format"),
+        (b"CDBGIDX1" + b"\x00" * 24,
+         "a binary index from an earlier cdbgmap; rebuild it with --index-out"),
         (b"ACTG\nTGAT\n", "unrecognized sequence file format"),
         (good.replace(b"u1", b"x1"), "not a unitig FASTA header: 'x1'"),
         (good.replace(b"u1", b"u1a"), "not a unitig FASTA header: 'u1a'"),
@@ -475,3 +616,16 @@ def test_approximate_bytes_positive():
     )
     estimate = approximate_bytes(build_interior_index(graph))
     assert abs(estimate - walked) < 0.05 * walked
+    # an anchor index counts its probe table: each gram, and each shared
+    # shift tuple once
+    graph, _ = graph_from_sequences([mutated_repeat_genome(7, backbone=5_000)], 31)
+    anchor = build_anchor_index(graph)
+    table, probes, shifts = anchor._table, anchor._probes, anchor._shifts
+    assert len(probes) > _BYTES_SAMPLE  # the estimate samples the grams
+    walked = sys.getsizeof(table) + sum(
+        sys.getsizeof(key) + sys.getsizeof(value) + sum(map(sys.getsizeof, value))
+        for key, value in table.items()
+    )
+    walked += sys.getsizeof(probes) + sum(map(sys.getsizeof, probes))
+    walked += sys.getsizeof(shifts) + sum(map(sys.getsizeof, shifts.values()))
+    assert abs(approximate_bytes(anchor) - walked) < 0.05 * walked
