@@ -167,21 +167,25 @@ def _check_threads(threads: int) -> None:
 
 
 @contextlib.contextmanager
-def _output_on_success(*paths: str | None):
+def _output_on_success(*paths: str | None, inputs=()):
     """Temporary paths to write the outputs at `paths` to (None for an output
     not asked for), which appear at `paths` only if the block succeeds.  Each
     is created beside its output at once, so an unwritable place fails
     before any work, and all are moved over their outputs at the end or
     removed on any error.  A path that exists and is not a regular file (a
-    FIFO, /dev/stdout) is yielded as is, since it cannot be replaced.  Two
-    outputs that resolve to one file are rejected before anything is
-    created, since the second would replace the first."""
+    FIFO, /dev/stdout) is yielded as is, since it cannot be replaced.  An
+    output that resolves to the same file as another output or as one of
+    the `inputs` (None for an input not given) is rejected before anything
+    is created, since it would replace that file."""
+    read_from = {os.path.realpath(path) for path in inputs if path is not None}
     reals = []  # the file each output replaces, None for one written in place
     for path in paths:
         in_place = path is None or os.path.exists(path) and not os.path.isfile(path)
         real = None if in_place else os.path.realpath(path)
         if real is not None and real in reals:
             raise SystemExit2(f"two outputs name the same file: {path}")
+        if real in read_from:
+            raise SystemExit2(f"an output names an input file: {path}")
         reals.append(real)
     temps, moves = [], []
     try:
@@ -210,7 +214,7 @@ def cmd_build(args) -> int:
     _check_k(args.k)
     if args.min_coverage < 1:
         raise SystemExit2("coverage threshold must be >= 1")
-    with _output_on_success(args.output, args.gfa) as (output, gfa):
+    with _output_on_success(args.output, args.gfa, inputs=args.inputs) as (output, gfa):
         # zip draws from `tally` only after a read, so it ends at the read count
         tally = count()
         reads = chain.from_iterable(map(read_sequences, args.inputs))
@@ -259,7 +263,8 @@ def _result_to_tsv(result: MappingResult) -> str:
 def cmd_map(args) -> int:
     _check_k(args.k)
     _check_threads(args.threads)
-    with _output_on_success(args.output, args.index_out) as (output, index_out):
+    inputs = [args.graph, args.index_in, *args.reads]
+    with _output_on_success(args.output, args.index_out, inputs=inputs) as (output, index_out):
         graph = read_unitigs_fasta(args.graph, k=args.k)
         if args.index_in:
             anchor, interior = load_indexes(args.index_in)
@@ -308,23 +313,24 @@ def cmd_eval(args) -> int:
         # a NaN gate would pass every report: nothing compares below NaN
         if gate is not None and not math.isfinite(gate):
             raise SystemExit2(f"{flag} must be a finite number, got {gate}")
-    if args.random_ref is not None:
-        import random
-
-        rng = random.Random(args.seed)
-        reference = "".join(rng.choice("ACGT") for _ in range(args.random_ref))
-    else:
-        records = list(read_sequences(args.reference))
-        if not records:
-            raise SystemExit2("no sequences")
-        reference = records[0].sequence
-        if "N" in reference:
-            reference = max(reference.split("N"), key=len)
     try:
         rates = [float(r) for r in args.rates.split(",") if r.strip() != ""]
     except ValueError as exc:
         raise SystemExit2(f"bad rate list: {exc}")
-    with _output_on_success(args.output, args.truth_out) as (output, truth_out):
+    outputs = _output_on_success(args.output, args.truth_out, inputs=[args.reference])
+    with outputs as (output, truth_out):
+        if args.random_ref is not None:
+            import random
+
+            rng = random.Random(args.seed)
+            reference = "".join(rng.choice("ACGT") for _ in range(args.random_ref))
+        else:
+            records = list(read_sequences(args.reference))
+            if not records:
+                raise SystemExit2("no sequences")
+            reference = records[0].sequence
+            if "N" in reference:
+                reference = max(reference.split("N"), key=len)
         report = run_accuracy_sweep(
             reference,
             k=args.k,

@@ -25,19 +25,25 @@ The exhaustive mapper anchors like the greedy one (begin anchors only) and
 then searches every walk on from them (a walk may repeat a unitig), which
 makes its cost a lower bound for the greedy cost on every read.  It keeps
 one optimum: the first cheapest path in begin-anchor then candidate order,
-on the first strand that reaches that cost.  Scored by Hamming cost along
-the read, the rest of a walk depends only on the read position of its last
-junction and on the oriented unitig there, or rather on that unitig's last
-word, which fixes its junction candidates; so the search is memoised per
-strand pass over (read position, candidate list) states.  A state is searched
-again only under a larger mismatch cap, at most t + 1 times, and the search
-is polynomial in the read length and the number of anchor words.  That
-holds only because it searches walks, not paths of distinct unitigs, and
-scores Hamming cost, not edit distance.  Its `expansion_budget` bounds the
-candidate evaluations of one strand pass, which are state expansions, not
-paths.  Both mappers take their begin anchors from `_begins` and cost
-every junction candidate through `_junction`, so they share one anchoring
-and extension geometry and differ only in search policy.  Anchors come from
+on the first strand that reaches that cost.  It deepens a bound on the
+cost from the cheapest begin anchor's up to t and, under each bound, looks
+depth first, on an explicit stack of frames rather than by recursion, for
+the first walk within it: the first bound with a walk is the minimum, and
+that walk the first cheapest.  Scored by Hamming cost along the read, the
+rest of a walk depends only on the read position of its last junction, on
+the oriented unitig there, or rather on that unitig's last word, which fixes
+its junction candidates, and on the mismatches left; so each such state
+found to have no walk on is remembered for the strand pass, with whether a
+Hamming check below it went over, and never searched again.  A (read
+position, candidate list) pair is searched at most once per number of
+mismatches left, at most t + 1 times, and the search is polynomial in the
+read length and the number of anchor words.  That holds only because it
+searches walks, not paths of distinct unitigs, and scores Hamming cost, not
+edit distance.  Its `expansion_budget` bounds the candidate evaluations of
+one strand pass; a pass that spends it fails, `truncated`, with no walk.
+Both mappers take their begin anchors from `_begins` and cost every
+junction candidate through `_junction`, so they share one anchoring and
+extension geometry and differ only in search policy.  Anchors come from
 the read's words, each looked up as written on the strand: the anchor table,
 keyed by the words themselves, gives the unitigs ending with a begin
 overlap, and, for the greedy end anchor (a junction at the end overlap whose
@@ -314,7 +320,6 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
         mismatches=best.cost,
         mismatch_positions=best.positions,
         repeated=len(set(uids)) != len(uids),
-        truncated=best.truncated,
     )
 
 
@@ -556,113 +561,105 @@ def _exhaustive_pass(
     expansion_budget: int,
 ) -> _Attempt:
     """The first cheapest walk from the begin anchors, or the reason there
-    is none, either one `truncated` when the expansion budget ran out.
+    is none; once the expansion budget runs out, `budget_exceeded` and
+    `truncated`, with no walk.
 
-    The cost of the rest of a walk depends only on the read position of its
-    last junction and the candidate list there (one tuple per word), so that
-    pair is a state, memoised for the pass as (the largest cap it was
-    searched under, its first cheapest way on within that cap or None,
-    `worst`).  A way on, once found, is the state's cheapest under any cap;
-    None answers any cap up to the one searched.  `worst` is the most
-    mismatches any walk from the state reached, a failed Hamming check
-    counting as the cap plus one: under any cap c up to the one searched, a
-    check below the state goes over budget exactly when `worst` exceeds c.
-    So a memoised None still tells `budget_exceeded` from `cover_failed`, as
-    a search that re-ran every revisit would."""
+    The bound on a walk's cost deepens from the cheapest begin anchor's
+    cost to t.  Under each bound the begin anchors are tried in order, and
+    `_first_walk` searches on from each for the first walk within the
+    bound, so the first bound with a walk is the minimum cost and its first
+    walk is the first cheapest.  The rest of a walk depends only on the
+    read position of its last junction, the candidate list there (one tuple
+    per word) and the mismatches left, so `failed` holds each such state
+    found to have no walk on, with whether any Hamming check below it went
+    over.  Every bound and begin anchor shares it, and no state in it is
+    searched again.  Unmapped, the reason is `budget_exceeded` when a begin
+    anchor or a check of the search at bound t went over, as a search of
+    every walk would find."""
     k1 = graph.k - 1
     t = params.max_mismatches
-    n = params.max_anchor_attempts
     dets = view.detected(strand, anchor)
     if not dets:
         return _Attempt(reason=NO_ANCHOR)
     seq = view.sequence(strand)
-    length = len(seq)
     starting = anchor.starts_with_codes
-
-    memo = None  # made at the first junction
-    expansions = 0
-    truncated = False
-
-    def onward(jpos, cands, cap):
-        """(way, worst) from the junction at `jpos` through `cands` within
-        `cap` mismatches.  `way` is None or the chain (cost, unitig,
-        positions, way on from its end); candidates are scanned in list
-        order and, after each find, only a strictly cheaper way is sought."""
-        nonlocal expansions, truncated
-        key = (jpos, id(cands))  # a candidate list is one object per word
-        hit = memo.get(key)
-        if hit is not None:
-            searched, way, worst = hit
-            if way is not None:
-                return (way if way[0] <= cap else None), worst
-            if cap <= searched:
-                return None, worst
-        way = None
-        worst = 0
-        limit = cap
-        at = jpos + k1
-        for uid, orient, text, body, span in cands:
-            expansions += 1
-            if expansions > expansion_budget:
-                truncated = True
-                return way, worst
-            cost, plist = _junction(seq, at, body, limit)
-            if plist is None:
-                worst = max(worst, cap + 1)
-                continue
-            tail = None
-            if at + span < length:  # the unitig stops short of the read's end
-                tail, tail_worst = onward(jpos + span, starting(text[-k1:]), limit - cost)
-                if tail is None:
-                    worst = max(worst, cost + tail_worst)
-                    continue
-                cost += tail[0]
-            way = (cost, (uid, orient), plist, tail)
-            limit = cost - 1
-            if limit < 0:
-                break
-        if not truncated:
-            memo[key] = (cap, way, worst)
-        return way, worst
-
-    cap = t  # a path must cost at most t, then less than the best found
-    best = None
-    blocked = anchored = False
-    for pos_b, word_b in dets[:n]:
+    begins = []
+    over = False  # a begin anchor went over the budget
+    for pos_b, word_b in dets[: params.max_anchor_attempts]:
         for head, start_offset, text in _begins(pos_b, word_b, k1, anchor):
-            cost, plist = _hamming(seq, 0, text, cap)
+            cost, plist = _hamming(seq, 0, text, t)
             if plist is None:
-                blocked = True
-                continue
-            anchored = True
-            tail = None
-            if pos_b + k1 < length:
-                if memo is None:
-                    memo = {}
-                tail, worst = onward(pos_b, starting(word_b), cap - cost)
-                if tail is None:
-                    blocked = blocked or worst > cap - cost
-                    continue
-                cost += tail[0]
-            best = (cost, head, start_offset, plist, tail)
-            cap = cost - 1
-            if cap < 0:  # nothing is cheaper than a walk of cost 0
-                break
-        if cap < 0:
-            break
+                over = True
+            else:
+                begins.append((cost, pos_b, word_b, head, start_offset, plist))
+    if not begins:
+        return _Attempt(reason=BEGIN_NOT_FOUND)
 
-    if best is None:
-        if not anchored:
-            return _Attempt(reason=BEGIN_NOT_FOUND, truncated=truncated)
-        reason = BUDGET_EXCEEDED if blocked else COVER_FAILED
-        return _Attempt(reason=reason, truncated=truncated)
-    cost, head, start_offset, plist, way = best
-    path, positions = list(head), list(plist)
-    while way is not None:
-        _, unitig, plist, way = way
-        path.append(unitig)
-        positions.extend(plist)
-    return _Attempt(path, start_offset, cost, tuple(positions), truncated=truncated)
+    failed = {}  # (read position, id(candidates), mismatches left) -> went over
+    budget = expansion_budget
+    for bound in range(min(begin[0] for begin in begins), t + 1):
+        blocked = over
+        for cost, pos_b, word_b, head, start_offset, plist in begins:
+            if cost > bound:
+                continue
+            steps = ()
+            if pos_b + k1 < len(seq):
+                steps, went_over, budget = _first_walk(
+                    seq, k1, starting, pos_b + k1, starting(word_b), bound - cost, failed, budget)
+                if budget < 0:
+                    return _Attempt(reason=BUDGET_EXCEEDED, truncated=True)
+                if steps is None:
+                    blocked = blocked or went_over
+                    continue
+            path, positions = list(head), list(plist)
+            for unitig, mismatched in steps:
+                path.append(unitig)
+                positions.extend(mismatched)
+            return _Attempt(path, start_offset, len(positions), tuple(positions))
+    return _Attempt(reason=BUDGET_EXCEEDED if blocked else COVER_FAILED)
+
+
+def _first_walk(seq, k1, starting, at, cands, left, failed, budget):
+    """The first walk on from the junction whose candidates `cands` are laid
+    on the read from position `at`, depth first in candidate order, that
+    costs at most `left` mismatches, as (its steps, a (unitig, positions)
+    pair per unitig, or None; whether a Hamming check went over; the
+    expansion budget left, negative once spent).  The stack of frames is
+    the walk.  A frame that runs out of candidates is a state with no walk
+    on, and goes into `failed`."""
+    length = len(seq)
+    key = (at, id(cands), left)
+    if key in failed:
+        return None, failed[key], budget
+    stack, rest, over = [], iter(cands), False
+    while True:
+        for uid, orient, text, body, span in rest:
+            budget -= 1
+            if budget < 0:
+                return None, over, budget
+            cost, plist = _junction(seq, at, body, left)
+            if plist is None:
+                over = True
+                continue
+            step = ((uid, orient), plist)
+            if at + span >= length:  # the unitig reaches the read's end
+                return [frame[-1] for frame in stack] + [step], over, budget
+            cands = starting(text[-k1:])
+            child = (at + span, id(cands), left - cost)
+            if child in failed:
+                over = over or failed[child]
+                continue
+            stack.append((key, rest, over, step))
+            key, rest, over = child, iter(cands), False
+            at, _, left = key
+            break
+        else:
+            failed[key] = over
+            if not stack:
+                return None, over, budget
+            key, rest, was_over, _ = stack.pop()
+            over = was_over or over
+            at, _, left = key
 
 
 def map_exhaustive(
@@ -676,9 +673,10 @@ def map_exhaustive(
     greedy mapper's on the same input.  Each strand is a regime of its own:
     the first strand reaching the minimum wins, and a perfect first strand
     ends the search.  Unmapped, the reason is the worst over the strands.
-    `expansion_budget` bounds each strand's candidate evaluations (state
-    expansions of the memoised search); a result cut short by it is
-    `truncated`."""
+    `expansion_budget` bounds each strand's candidate evaluations, over all
+    the bounds its search deepens through; a strand that spends it fails
+    with reason `budget_exceeded` and no walk, and an unmapped read is
+    `truncated` if any of its strands was."""
     search = partial(_exhaustive_pass, expansion_budget=expansion_budget)
     return _map(read, graph, params, *((search, anchor, (strand,)) for strand in params.strands))
 

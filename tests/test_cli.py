@@ -466,6 +466,78 @@ def test_eval_two_outputs_naming_one_file_exit_2(tmp_path, capsys):
     _rejected_as_one_file(tmp_path, before, first, code, err, second)
 
 
+def _rejected_as_an_input(tmp_path, before, output, code, err, data):
+    assert code == 2
+    assert err == f"error: an output names an input file: {output}\n"
+    assert sorted(os.listdir(tmp_path)) == before  # no temporary file either
+    assert output.read_bytes() == data
+
+
+@pytest.mark.parametrize("flag", ["-o", "--gfa"])
+def test_build_output_naming_an_input_exits_2(tmp_path, capsys, flag):
+    (tmp_path / "sub").mkdir()
+    ref = tmp_path / "ref.fa"
+    write_fasta(ref, [("chr", random_genome(1001, 1000))])
+    data, before = ref.read_bytes(), sorted(os.listdir(tmp_path))
+    if flag == "-o":
+        output, argv = ref, ["-o", str(ref)]
+    else:  # another spelling of the input's path
+        output = tmp_path / "sub" / ".." / "ref.fa"
+        argv = ["-o", str(tmp_path / "g.fa"), "--gfa", str(output)]
+    code, _, err = run(capsys, "build", "-k", "11", "-c", "1", *argv, str(ref))
+    _rejected_as_an_input(tmp_path, before, output, code, err, data)
+
+
+@pytest.mark.parametrize("names", ["graph", "reads", "index"])
+def test_map_output_naming_an_input_exits_2(tmp_path, capsys, names):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=5)
+    index = tmp_path / "graph.idx"
+    index.write_bytes(unitigs.read_bytes())  # the index file is the unitig FASTA
+    if names == "index":
+        output = index
+        argv = ["--index-in", str(index), "--index-out", str(index), "-o", str(tmp_path / "m.tsv")]
+    else:
+        output = unitigs if names == "graph" else reads
+        argv = ["-o", str(output)]
+    data, before = output.read_bytes(), sorted(os.listdir(tmp_path))
+    code, _, err = run(capsys, "map", "-k", "15", "-g", str(unitigs), *argv, str(reads))
+    _rejected_as_an_input(tmp_path, before, output, code, err, data)
+    # an output written in place replaces nothing, so it may name an input
+    assert run(capsys, "map", "-k", "15", "-g", str(unitigs), "-o", os.devnull, os.devnull)[0] == 0
+
+
+@pytest.mark.parametrize("flag", ["-o", "--truth-out"])
+def test_eval_output_naming_its_reference_exits_2(tmp_path, capsys, flag):
+    ref = tmp_path / "s.fa"
+    write_fasta(ref, [("chr", random_genome(1001, 1000))])
+    data, before = ref.read_bytes(), sorted(os.listdir(tmp_path))
+    other = "--truth-out" if flag == "-o" else "-o"
+    code, _, err = run(
+        capsys, "eval", "-k", "15", "--reference", str(ref), "--rates", "0",
+        "--reads-per-rate", "20", "--read-length", "60", "--no-exhaustive",
+        flag, str(ref), other, str(tmp_path / "other"),
+    )
+    _rejected_as_an_input(tmp_path, before, ref, code, err, data)
+
+
+def test_eval_audits_reads_across_thousands_of_junctions(tmp_path, capsys):
+    # at k 5 the 20 kb reference compacts to 512 short unitigs, so each 8 kb
+    # read's path holds 7,996 of them: the exhaustive audit must not recurse
+    # per junction
+    out = tmp_path / "deep.csv"
+    code, _, err = run(
+        capsys, "eval", "-k", "5", "--random-ref", "20000", "--rates", "0",
+        "--reads-per-rate", "3", "--read-length", "8000", "--seed", "1", "-o", str(out),
+    )
+    assert (code, err) == (0, "")
+    header, row = out.read_text().splitlines()
+    assert header.split(",")[:8] == ["error_rate", "recall", "d0", "d1", "d2", "d3",
+                                     "d4plus", "subopt_frac"]
+    assert row.split(",")[:8] == ["0", "1.000000", "100.0000", "0.0000", "0.0000",
+                                  "0.0000", "0.0000", "0.000000"]
+
+
 def test_map_malformed_fastq_keeps_an_existing_output(tmp_path, capsys):
     genome, unitigs = _built_workspace(tmp_path, capsys)
     reads = tmp_path / "reads.fq"

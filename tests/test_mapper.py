@@ -345,7 +345,9 @@ def test_map_read_follows_its_contract_on_repeats():
 
 def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
     # each strand's own search is the forward-only search of its sequence;
-    # an expansion budget of 4 makes some of them truncate
+    # an expansion budget of 4 makes some of them truncate.  The last read
+    # is '- cheaper' at the full budget: its '-' strand maps at 1 mismatch
+    # through (16,'-'),(15,'+'), its '+' strand at 2 through (35,'+'),(34,'+')
     from cdbgmap import mapper
 
     searched = []
@@ -360,7 +362,7 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
     anchor, _ = indexes_for(graph)
     forward = MappingParams(strand_mode="forward_only")
     rng = random.Random(3)
-    seen = set()
+    reads = []
     for i in range(200):
         src = rng.choice(sources)
         start = rng.randrange(0, len(src) - 29)
@@ -369,7 +371,10 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
             p = rng.randrange(30)
             seq[p] = rng.choice([b for b in "ACGT" if b != seq[p]])
         seq = "".join(seq)
-        read = Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq))
+        reads.append(Read(id=f"r{i}", sequence=seq if rng.random() < 0.5 else naive_rc(seq)))
+    reads.append(Read(id="minus", sequence="ATTAAGCATCTAATCCTTGGTCCAGGTCGC"))
+    seen = set()
+    for read in reads:
         for budget in (200_000, 4):
             plus = map_exhaustive(read, graph, anchor, forward, budget)
             minus = map_exhaustive(
@@ -1095,7 +1100,8 @@ def test_exhaustive_is_polynomial_across_a_chain_of_bubbles():
     # sixteen SNP bubbles in a row, 2**16 walks; the read takes the second
     # branch of each, one mismatch away from the first, so a search over
     # paths would climb through every within-budget choice of first
-    # branches; the memoised search evaluates each junction state once
+    # branches; the memoised search evaluates each junction state once per
+    # bound on the cost
     k1 = 8
     spacers = [random_genome(200 + i, 14) for i in range(17)]
     unitigs, walk = [spacers[0]], [(0, "+")]
@@ -1111,19 +1117,34 @@ def test_exhaustive_is_polynomial_across_a_chain_of_bubbles():
                             expansion_budget=200)
     assert (result.path, result.mismatches, result.truncated) == (tuple(walk), 0, False)
     assert_result_consistent(graph, anchor, result, read)
+    # the read's last 3 or 4 bases mismatched: no walk fits until the bound
+    # reaches their count, and each bound searches the chain's junction
+    # states once more
+    for n, t, cost in ((3, 2, None), (3, 3, 3), (4, 2, None), (4, 3, None)):
+        seq = read[:-n] + "".join("CGTA"["ACGT".index(b)] for b in read[-n:])
+        result = map_exhaustive(Read(id="r", sequence=seq), graph, anchor,
+                                MappingParams(max_mismatches=t), expansion_budget=200)
+        assert not result.truncated, (n, t)
+        if cost is None:
+            assert result.reason == "budget_exceeded", (n, t)
+        else:
+            assert (result.path, result.mismatches) == (tuple(walk), cost)
+            assert_result_consistent(graph, anchor, result, seq)
 
 
 def test_repeat_flag_on_cyclic_path():
-    # AACGAA loops on itself through the AA overlap
+    # AACGAA loops on itself through the AA overlap; each CGAA of a read is
+    # one more junction, and 1,200 of them go far deeper than the
+    # interpreter's recursion limit
     graph = build_graph(["AACGAA"], 3)
     anchor, _ = indexes_for(graph)
-    read = Read(id="r", sequence="AACGAACGAA")
-    result = map_branching(read, graph, anchor, PARAMS)
-    assert result.mapped
-    assert result.mismatches == 0
-    assert result.repeated
-    assert [u for u, _ in result.path] == [0, 0]
-    assert_result_consistent(graph, anchor, result, read.sequence)
+    for repeats in (2, 1200):
+        read = Read(id="r", sequence="AA" + "CGAA" * repeats)
+        for mapper in (map_branching, map_exhaustive):
+            result = mapper(read, graph, anchor, PARAMS)
+            assert (result.mismatches, result.repeated, result.truncated) == (0, True, False)
+            assert [u for u, _ in result.path] == [0] * repeats
+            assert_result_consistent(graph, anchor, result, read.sequence)
 
 
 def test_strand_symmetry_single_unitig_regime():
