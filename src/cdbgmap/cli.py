@@ -367,10 +367,7 @@ def main(argv=None) -> int:
     handlers = {"build": cmd_build, "map": cmd_map, "eval": cmd_eval}
     try:
         return handlers[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SystemExit2, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

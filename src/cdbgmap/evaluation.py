@@ -164,16 +164,18 @@ def compare_branching_mappers(
     """Greedy-vs-exhaustive audit over one simulated batch.
 
     Returns counts of: reads the exhaustive mapper maps that greedy branching
-    does not, reads it maps strictly better, and dominance violations (which
-    must always be zero).
+    does not, reads it maps strictly better, dominance violations (which
+    must always be zero), and reads whose exhaustive search was cut short by
+    its budget.  A cut-short read counts only as `truncated`: its result is
+    no optimum, so it is neither a win nor a violation.
     """
-    exhaustive_only = 0
-    strictly_better = 0
-    dominance_violations = 0
+    exhaustive_only = strictly_better = dominance_violations = truncated = 0
     for sim in sims:
         greedy = map_branching(sim.read, graph, anchor, params)
         exact = map_exhaustive(sim.read, graph, anchor, params)
-        if exact.mapped and not greedy.mapped:
+        if exact.truncated:
+            truncated += 1
+        elif exact.mapped and not greedy.mapped:
             exhaustive_only += 1
         elif exact.mapped and greedy.mapped:
             if exact.mismatches < greedy.mismatches:
@@ -189,6 +191,7 @@ def compare_branching_mappers(
         "exhaustive_only": exhaustive_only,
         "strictly_better": strictly_better,
         "dominance_violations": dominance_violations,
+        "truncated": truncated,
         "subopt_frac": (exhaustive_only + strictly_better) / mapped if mapped else 0.0,
     }
 

@@ -1,18 +1,18 @@
 """Compacted de Bruijn graph construction over canonical solid k-mers.
 
 The graph is node-centric: a k-mer and its reverse complement are one node.
-Unitigs are maximal non-branching paths; extension across a junction is
-allowed only when the current end has exactly one forward neighbour, that
-neighbour has exactly one backward neighbour, the junction (k-1)-overlap is
-not its own reverse complement, and the neighbour has not already been
-visited (which also cuts cycles).  Each step of an arm probes the four
-successors of the end, and then the four successors of the neighbour's
-reverse orientation, which are the neighbour's predecessors; the probes are
-written out inline because the walk is nothing but these lookups (see
-`compact`).  A unitig's left arm is its right arm walked from the seed's
-reverse orientation.  A palindromic overlap needs no test of its own: past
-it, the neighbour's reverse complement is a second predecessor, unless the
-neighbour is the current end reversed, which is visited.
+Unitigs are maximal non-branching paths.  Extension runs through the end's
+last k-1 bases, the (k-1)-overlap, as in BCALM 2's compaction by overlap
+adjacency, and asks two questions of it: does exactly one solid k-mer start
+with it (the neighbour), and does no solid k-mer other than the end finish
+with it?  The second asks of the end's three siblings, the end with another
+first base; one sibling hit stops the arm.  The neighbour must also not have
+been visited, which cuts cycles.  The probes, four successors and three
+siblings, are written out inline because the walk is nothing but these
+lookups (see `compact`).  A unitig's left arm is its right arm walked from
+the seed's reverse orientation.  A palindromic overlap needs no test of its
+own: past it, the neighbour's reverse complement is a sibling of the end,
+or the end itself, which is visited.
 
 Construction is deterministic: seeds are taken in ascending packed-canonical
 order, ids are dense in seed order, and each unitig is stored in whichever
@@ -82,11 +82,12 @@ class CompactedGraph:
 def compact(solid: SolidKmerSet) -> CompactedGraph:
     """Build the compacted graph; every solid k-mer lands in exactly one unitig.
 
-    An arm step probes the four successors of the current end, then the four
-    successors of the single candidate's reverse orientation, which are the
-    candidate's predecessors.  Both blocks of four are written out inline: a
-    probe is one comparison and one set lookup, so a helper call per step,
-    or a loop over the bases, costs as much as the probes it runs.
+    An arm step probes the four successors of the current end and, when
+    exactly one is solid and unvisited, the end's three siblings, breaking at
+    the first solid one: seven lookups per extended step.  The probes are
+    written out inline: a probe is one comparison and one set lookup, so a
+    helper call per step, or a loop over the bases, costs as much as the
+    probes it runs.
     `unvisited` starts as a copy of the solid set, so it holds the solid
     set's own ints, and a visit removes one instead of storing a freshly
     computed int for every k-mer.
@@ -98,7 +99,9 @@ def compact(solid: SolidKmerSet) -> CompactedGraph:
     mask = (1 << (2 * k)) - 1
     shift = 2 * (k - 1)
     # appending A, C, G or T to the forward orientation prepends T, G, C or
-    # A to the reverse one: its top two bits become t0, t1, t2 or 0
+    # A to the reverse one: its top two bits become t0, t1, t2 or 0.  XOR
+    # with t2, t1 or t0 changes the first base, and XOR with 1, 2 or 3 the
+    # last base's complement to match: the end's three siblings
     t0, t1, t2 = 3 << shift, 2 << shift, 1 << shift
     unvisited = set(codes)
     remove = unvisited.remove
@@ -134,25 +137,19 @@ def compact(solid: SolidKmerSet) -> CompactedGraph:
             nc = nf if nf < nr else nr
             if nc not in unvisited:
                 break
-            # the candidate's predecessors: successors of its reverse orientation
-            f = (nr << 2) & mask
-            r = nf >> 2
-            hits = 0
-            b = r | t0
-            if (f if f < b else b) in codes:
-                hits += 1
-            a = f | 1
-            b = r | t1
+            # no other k-mer ends with the end's last k-1 bases: none of its
+            # three siblings, the end with another first base, is solid
+            a = fwd ^ t2
+            b = rc ^ 1
             if (a if a < b else b) in codes:
-                hits += 1
-            a = f | 2
-            b = r | t2
+                break
+            a = fwd ^ t1
+            b = rc ^ 2
             if (a if a < b else b) in codes:
-                hits += 1
-            a = f | 3
-            if (a if a < r else r) in codes:
-                hits += 1
-            if hits != 1:
+                break
+            a = fwd ^ t0
+            b = rc ^ 3
+            if (a if a < b else b) in codes:
                 break
             append(nf & 3)
             remove(nc)

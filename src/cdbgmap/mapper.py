@@ -61,8 +61,8 @@ All four mappers are one driver, `_map`, run over a list of regimes, each a
 strand pass with its index and the strands it tries.  Three rules settle the
 result: a regime's result is its first strand whose pass succeeds; a later
 regime's result replaces an earlier one only when strictly cheaper; and no
-regime runs after a cost-0 result.  Unmapped, a read carries the worst
-reason over the passes that ran, and is `truncated` if any of them was.
+regime runs after a cost-0 result.  A read is `truncated` if any pass that
+ran was, mapped or not, and unmapped it carries the worst reason over them.
 `map_single_unitig` and `map_branching` are one regime over the mapping
 strands; `map_read` is the single-unitig regime and then the branching one;
 `map_exhaustive` is one regime per strand, so its strands compete on cost
@@ -278,9 +278,9 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     """The strand/regime driver behind every mapper.  A regime is
     (strand_pass, index, strands), and its result is its first strand whose
     pass succeeds.  A later regime's result replaces an earlier one only when
-    strictly cheaper, and no regime runs after a cost-0 result.  Unmapped,
-    the reason is the worst over the passes that ran, and the result is
-    truncated if any of them was.  A pass `skipped` by the pigeonhole rule
+    strictly cheaper, and no regime runs after a cost-0 result.  The result
+    is truncated if any pass that ran was, and unmapped, its reason is the
+    worst over them.  A pass `skipped` by the pigeonhole rule
     has failed, but its reason needs the full scan: that runs, with
     `exact=True`, only when the read ends unmapped."""
     if len(read.sequence) < graph.k:
@@ -320,6 +320,7 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
         mismatches=best.cost,
         mismatch_positions=best.positions,
         repeated=len(set(uids)) != len(uids),
+        truncated=truncated,
     )
 
 
@@ -675,8 +676,8 @@ def map_exhaustive(
     ends the search.  Unmapped, the reason is the worst over the strands.
     `expansion_budget` bounds each strand's candidate evaluations, over all
     the bounds its search deepens through; a strand that spends it fails
-    with reason `budget_exceeded` and no walk, and an unmapped read is
-    `truncated` if any of its strands was."""
+    with reason `budget_exceeded` and no walk, and the read is `truncated`,
+    mapped or not, if any of its strands was."""
     search = partial(_exhaustive_pass, expansion_budget=expansion_budget)
     return _map(read, graph, params, *((search, anchor, (strand,)) for strand in params.strands))
 

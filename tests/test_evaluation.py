@@ -1,5 +1,10 @@
+import random
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
+from cdbgmap import evaluation
 from cdbgmap.evaluation import (
     EvalReport,
     SimConfig,
@@ -9,7 +14,7 @@ from cdbgmap.evaluation import (
     run_accuracy_sweep,
     simulate_reads,
 )
-from cdbgmap.mapper import MappingParams, map_branching, map_read
+from cdbgmap.mapper import MappingParams, map_branching, map_exhaustive, map_read
 from cdbgmap.sequences import Read
 
 from conftest import build_graph, indexes_for, naive_rc, random_genome
@@ -107,6 +112,45 @@ def test_compare_branching_mappers_flags_trap():
     stats = compare_branching_mappers(sims, results, graph, anchor, PARAMS)
     assert stats["strictly_better"] == 1
     assert stats["dominance_violations"] == 0
+
+
+def test_audit_leaves_out_reads_cut_short(monkeypatch):
+    # forty copies of four 40 bp repeat units, each with a point variant,
+    # make a branching graph at k 11; small expansion budgets cut the
+    # exhaustive search short on many reads, and greedy maps some of those
+    # that the cut-short search does not
+    rng = random.Random(5)
+    units = [random_genome(300 + i, 40) for i in range(4)]
+    parts = []
+    for i in range(40):
+        unit = list(rng.choice(units))
+        unit[rng.randrange(len(unit))] = rng.choice("ACGT")
+        parts.append("".join(unit) + random_genome(400 + i, 6))
+    genome = "".join(parts)
+    graph, anchor, _ = build_reference_graph(genome, 11)
+    params = MappingParams(max_mismatches=3)
+    sims = list(simulate_reads(SimConfig(genome, 80, 60, 0.03, 9)))
+    greedy = [map_branching(s.read, graph, anchor, params) for s in sims]
+    full = [map_exhaustive(s.read, graph, anchor, params) for s in sims]
+    assert not any(r.truncated for r in full)
+    for budget in (10, 40):
+        cut = [map_exhaustive(s.read, graph, anchor, params, expansion_budget=budget)
+               for s in sims]
+        truncated = sum(r.truncated for r in cut)
+        assert 0 < truncated < len(sims)
+        assert any(g.mapped and not e.mapped for g, e in zip(greedy, cut))
+        for g, e, f in zip(greedy, cut, full):
+            # a read whose search was cut short says so
+            if replace(e, truncated=False) != f:
+                assert e.truncated
+            if not e.truncated and g.mapped:
+                assert e.mapped and e.mismatches <= g.mismatches
+        monkeypatch.setattr(evaluation, "map_exhaustive",
+                            partial(map_exhaustive, expansion_budget=budget))
+        stats = compare_branching_mappers(sims, greedy, graph, anchor, params)
+        assert stats["truncated"] == truncated
+        assert stats["dominance_violations"] == 0
+        assert stats["exhaustive_only"] + stats["strictly_better"] <= len(sims) - truncated
 
 
 def test_run_accuracy_sweep_smoke(tmp_path):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cdbgmap.census import count_kmers, solid_set
+from cdbgmap.census import SolidKmerSet, count_kmers, solid_set
 from cdbgmap.graph import (
     CompactedGraph,
     Unitig,
@@ -144,6 +144,28 @@ def test_compact_allocates_nothing_per_kmer():
     finally:
         tracemalloc.stop()
     assert peak / len(solid) < 75, f"{peak / len(solid):.1f} B per solid k-mer"
+
+
+class _CountedCodes(frozenset):
+    """A solid code set that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, code):
+        self.lookups += 1
+        return frozenset.__contains__(self, code)
+
+
+def test_compact_probes_seven_times_per_extended_step():
+    """A step probes the end's four successors and its three siblings; each
+    arm stops at a genome end after the four successor probes."""
+    genome = random_genome(32, 2000)
+    solid = solid_from([genome], 15)
+    codes = _CountedCodes(solid.codes)
+    graph = compact(SolidKmerSet(k=15, codes=codes))
+    assert [len(u.sequence) for u in graph.unitigs] == [len(genome)]
+    steps = len(solid) - 1
+    assert codes.lookups == 7 * steps + 2 * 4
 
 
 def _neighbors(mer, canonical, direction):

@@ -347,7 +347,8 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
     # each strand's own search is the forward-only search of its sequence;
     # an expansion budget of 4 makes some of them truncate.  The last read
     # is '- cheaper' at the full budget: its '-' strand maps at 1 mismatch
-    # through (16,'-'),(15,'+'), its '+' strand at 2 through (35,'+'),(34,'+')
+    # through (16,'-'),(15,'+'), its '+' strand at 2 through (35,'+'),(34,'+').
+    # A strand cut short flags the result, mapped or not
     from cdbgmap import mapper
 
     searched = []
@@ -399,14 +400,19 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
                 truncated = plus.truncated or minus.truncated
                 case = f"unmapped, truncated {truncated}"
                 worse = max(plus.reason, minus.reason, key=REASON_ORDER.index)
-                expected = MappingResult(read_id=read.id, regime="unmapped", reason=worse,
-                                         truncated=truncated)
+                expected = MappingResult(read_id=read.id, regime="unmapped", reason=worse)
                 strands = ["+", "-"]
+            # mapped or not, the result is truncated if a strand that ran was
+            ran = {"+": plus, "-": minus}
+            expected = replace(expected, truncated=any(ran[s].truncated for s in strands))
             assert got == expected, (case, budget, read.sequence)
             assert searched == strands, (case, budget, read.sequence)
             seen.add(case)
+            if got.mapped and got.truncated:
+                seen.add("mapped, truncated")
     assert seen == {"perfect +", "tie", "+ cheaper", "- cheaper", "+ only", "- only",
-                    "unmapped, truncated True", "unmapped, truncated False"}
+                    "unmapped, truncated True", "unmapped, truncated False",
+                    "mapped, truncated"}
 
 
 class EveryWord:
@@ -1120,8 +1126,11 @@ def test_exhaustive_is_polynomial_across_a_chain_of_bubbles():
     # the read's last 3 or 4 bases mismatched: no walk fits until the bound
     # reaches their count, and each bound searches the chain's junction
     # states once more
+    def mismatched(n):
+        return read[:-n] + "".join("CGTA"["ACGT".index(b)] for b in read[-n:])
+
     for n, t, cost in ((3, 2, None), (3, 3, 3), (4, 2, None), (4, 3, None)):
-        seq = read[:-n] + "".join("CGTA"["ACGT".index(b)] for b in read[-n:])
+        seq = mismatched(n)
         result = map_exhaustive(Read(id="r", sequence=seq), graph, anchor,
                                 MappingParams(max_mismatches=t), expansion_budget=200)
         assert not result.truncated, (n, t)
@@ -1130,6 +1139,13 @@ def test_exhaustive_is_polynomial_across_a_chain_of_bubbles():
         else:
             assert (result.path, result.mismatches) == (tuple(walk), cost)
             assert_result_consistent(graph, anchor, result, seq)
+    # at budget 49 the '+' pass is cut short and '-' maps at cost 3: a walk
+    # cheaper on '+' could have been missed, so the mapped result says so
+    result = map_exhaustive(Read(id="r", sequence=mismatched(3)), graph, anchor,
+                            MappingParams(max_mismatches=3), expansion_budget=49)
+    reverse_walk = tuple((u, "-") for u, _ in reversed(walk))
+    assert (result.path, result.mismatches, result.truncated) == (reverse_walk, 3, True)
+    assert_result_consistent(graph, anchor, result, mismatched(3))
 
 
 def test_repeat_flag_on_cyclic_path():
