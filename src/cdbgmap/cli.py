@@ -325,10 +325,13 @@ def cmd_eval(args) -> int:
             rng = random.Random(args.seed)
             reference = "".join(rng.choice("ACGT") for _ in range(args.random_ref))
         else:
-            records = list(read_sequences(args.reference))
-            if not records:
+            records = read_sequences(args.reference)
+            first = next(records, None)
+            if first is None:
                 raise SystemExit2("no sequences")
-            reference = records[0].sequence
+            for _ in records:  # parsed, not held: a malformed record still fails
+                pass
+            reference = first.sequence
             if "N" in reference:
                 reference = max(reference.split("N"), key=len)
         report = run_accuracy_sweep(

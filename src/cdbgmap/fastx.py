@@ -1,5 +1,6 @@
 """Streaming FASTA/FASTQ readers (plain or gzip) and a FASTA writer.
 
+Each input is opened once and read forward, so it may be a pipe or a FIFO.
 Compression is detected by magic bytes, never by file extension.  Sequences
 are uppercased and any symbol outside ACGT becomes N at this boundary, so
 ambiguity codes beyond N never reach the rest of the toolkit.  Record order
@@ -26,14 +27,6 @@ for _i in range(256):
     _ch = chr(_i).upper()
     _NORMALIZE[_i] = _ch if _ch in "ACGT" else "N"
 _NORMALIZE_TABLE = str.maketrans(_NORMALIZE)
-
-
-def _open_text(path: str | Path):
-    with open(path, "rb") as probe:
-        magic = probe.read(2)
-    if magic == _GZIP_MAGIC:
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii")
-    return open(path, "rt", encoding="ascii")
 
 
 def normalize_sequence(seq: str) -> str:
@@ -125,24 +118,26 @@ def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
     after the name, '' when there is none.  Every ValueError it raises
     (corrupt or truncated gzip data, an unrecognized format, a malformed or
     empty record, a non-ASCII byte) names the file once."""
-    handle = _open_text(path)
+    raw = open(path, "rb")
     try:
-        first = handle.read(1)
-        if not first:
-            return
-        handle.seek(0)
-        if first == ">":
+        # the gzip magic and the format byte are peeked, not read, so the
+        # parsers start at the first byte of a pipe as of a file
+        stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == _GZIP_MAGIC else raw
+        first = stream.peek(1)[:1]
+        handle = io.TextIOWrapper(stream, encoding="ascii")
+        if first == b">":
             yield from _parse_fasta(handle)
-        elif first == "@":
+        elif first == b"@":
             yield from _parse_fastq(handle)
-        else:
+        elif first:
+            handle.read(1)  # decodes a chunk: a non-ASCII byte there is reported as one
             raise ValueError("unrecognized sequence file format")
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise ValueError(f"corrupt or truncated gzip file {path}: {exc}") from exc
     except ValueError as exc:  # an unknown format, a bad record, a non-ASCII byte
         raise ValueError(f"{path}: {exc}") from exc
     finally:
-        handle.close()
+        raw.close()  # a GzipFile does not close the file it was given
 
 
 def write_fasta(path: str | Path, records, width: int = 80) -> int:

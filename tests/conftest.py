@@ -7,7 +7,10 @@ codes (`enumerate_paths`, `walk_sequence`) and the string views of census,
 solid set and graph objects are in `oracles.py`.
 """
 
+import contextlib
+import os
 import random
+import threading
 
 import pytest
 
@@ -52,6 +55,59 @@ def damaged_gzip(path, data, damage):
         raise ValueError(damage)
     path.write_bytes(bytes(data))
     return path
+
+
+@contextlib.contextmanager
+def fed_through(kind, data, fifo=None):
+    """A path that is not a regular file and gives `data` when read: the
+    read end of an os.pipe() as /dev/fd/N ("pipe") or the named FIFO made
+    at `fifo` ("fifo"), filled by a writer thread.  On exit the read side
+    is let go, so a writer that nothing reads any more stops, and the
+    writer is joined with a timeout."""
+    if kind == "pipe":
+        read_end, write_end = os.pipe()
+        path, open_writer = f"/dev/fd/{read_end}", lambda: os.fdopen(write_end, "wb")
+    else:
+        os.mkfifo(fifo)
+        path, open_writer = str(fifo), lambda: open(fifo, "wb")
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open_writer() as out:
+            out.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        if kind == "pipe":
+            os.close(read_end)
+        else:  # a writer still waiting for a reader opens, then finds none
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert not writer.is_alive(), "the writer into the pipe hung"
+
+
+def in_time(fn, timeout=30):
+    """fn() run in a thread: its value, or the exception it raised.  Fails
+    when it has not returned within `timeout` seconds, as a reader that
+    opens a pipe twice does, waiting for a writer that has gone."""
+    got = []
+
+    def call():
+        try:
+            got.append((fn(), None))
+        except BaseException as exc:
+            got.append((None, exc))
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert got, f"no return within {timeout} s"
+    value, exc = got[0]
+    if exc is not None:
+        raise exc
+    return value
 
 
 def graph_from_sequences(seqs, k, min_count=1):

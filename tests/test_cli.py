@@ -11,7 +11,14 @@ from cdbgmap.fastx import write_fasta
 from cdbgmap.graph import CompactedGraph, Unitig, read_unitigs_fasta
 from cdbgmap.index import build_interior_index, save_indexes
 
-from conftest import damaged_gzip, naive_canonical, naive_kmers, random_genome
+from conftest import (
+    damaged_gzip,
+    fed_through,
+    in_time,
+    naive_canonical,
+    naive_kmers,
+    random_genome,
+)
 
 
 def run(capsys, *argv):
@@ -79,6 +86,27 @@ def test_build_gzip_input(tmp_path, capsys):
     )
     assert code == 0
     assert "unitig_count=" in stdout
+
+
+def test_build_from_a_gzip_pipe_writes_the_unitigs_of_the_file(tmp_path, capsys):
+    ref = tmp_path / "ref.fa.gz"
+    ref.write_bytes(gzip.compress(b">chr\n" + random_genome(5, 4000).encode() + b"\n"))
+    from_file, from_pipe = tmp_path / "file.fa", tmp_path / "pipe.fa"
+    assert run(capsys, "build", "-k", "15", "-c", "1", "-o", str(from_file), str(ref))[0] == 0
+    with fed_through("pipe", ref.read_bytes()) as path:
+        code, stdout, _ = in_time(
+            lambda: run(capsys, "build", "-k", "15", "-c", "1", "-o", str(from_pipe), path)
+        )
+    assert code == 0 and "reads=1" in stdout
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
+def test_build_from_an_empty_pipe_exits_2(tmp_path, capsys):
+    with fed_through("pipe", b"") as path:
+        code, _, err = in_time(lambda: run(capsys, "build", "-o", str(tmp_path / "u.fa"), path))
+    assert code == 2
+    assert "no sequences" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_build_rejects_bad_k(tmp_path, capsys):
@@ -255,6 +283,22 @@ def test_map_writes_into_a_fifo_in_place(tmp_path, capsys):
     assert code == 0
     assert got[0].count(b"\n") == 1 + 50
     assert os.listdir(tmp_path).count("out.fifo") == 1
+
+
+def test_map_reads_from_a_fifo_on_a_piped_graph_as_from_files(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome)
+    from_files, piped = tmp_path / "files.tsv", tmp_path / "piped.tsv"
+    code, _, _ = run(capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(from_files),
+                     str(reads))
+    assert code == 0
+    with fed_through("pipe", unitigs.read_bytes()) as graph, \
+            fed_through("fifo", reads.read_bytes(), tmp_path / "reads.fifo") as fifo:
+        code, stdout, _ = in_time(
+            lambda: run(capsys, "map", "-k", "15", "-g", graph, "-o", str(piped), fifo)
+        )
+    assert code == 0 and "reads=120" in stdout
+    assert piped.read_bytes() == from_files.read_bytes()
 
 
 def test_map_index_round_trip_equivalent(tmp_path, capsys):
@@ -627,6 +671,19 @@ def test_eval_reference_file_and_truth(tmp_path, capsys):
     )
     assert code == 0
     assert truth.read_text().startswith("read_id\t")
+
+
+def test_eval_reference_with_a_malformed_later_record_exits_2(tmp_path, capsys):
+    # only the first record is used, but the whole file is parsed
+    ref = tmp_path / "ref.fa"
+    ref.write_text(f">chr\n{random_genome(3003, 2500)}\n>\nACGT\n")
+    code, _, err = run(
+        capsys, "eval", "-k", "15", "--reference", str(ref), "--rates", "0",
+        "--reads-per-rate", "50", "--read-length", "70", "-o", str(tmp_path / "report.csv"),
+    )
+    assert code == 2
+    assert err == f"error: {ref}: FASTA header without a name\n"
+    assert os.listdir(tmp_path) == ["ref.fa"]
 
 
 def test_eval_bad_rates_exit_2(tmp_path, capsys):

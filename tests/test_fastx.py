@@ -1,13 +1,16 @@
+import gc
 import gzip
 import random
 import re
+import sys
+import warnings
 
 import pytest
 
 from cdbgmap.fastx import read_described, read_sequences, write_fasta
 from cdbgmap.sequences import Read
 
-from conftest import damaged_gzip
+from conftest import damaged_gzip, fed_through, in_time
 
 
 def test_multiline_fasta(tmp_path):
@@ -140,3 +143,46 @@ def test_crlf_tolerated(tmp_path):
     p.write_bytes(b">a\r\nACGT\r\n")
     (rec,) = read_sequences(p)
     assert rec.sequence == "ACGT"
+
+
+def _fastx_bytes(fmt, n):
+    """`n` random 100 bp records as FASTA, FASTQ or gzip FASTQ bytes."""
+    rng = random.Random(n)
+    seqs = ["".join(rng.choices("ACGT", k=100)) for _ in range(n)]
+    if fmt == "fasta":
+        return "".join(f">r{i} d\n{s[:60]}\n{s[60:]}\n" for i, s in enumerate(seqs)).encode()
+    data = "".join(f"@r{i} d\n{s}\n+\n{'I' * 100}\n" for i, s in enumerate(seqs)).encode()
+    return gzip.compress(data) if fmt == "fastq.gz" else data
+
+
+@pytest.mark.parametrize("kind", ["pipe", "fifo"])
+@pytest.mark.parametrize("fmt", ["fasta", "fastq", "fastq.gz"])
+@pytest.mark.parametrize("n", [20, 3000])
+def test_pipes_and_fifos_read_as_files(tmp_path, kind, fmt, n):
+    # under 8 KB the whole input fits one buffered read, over 64 KB it does
+    # not fit a pipe's buffer: an input opened twice loses its start or
+    # cannot seek back to it
+    data = _fastx_bytes(fmt, n)
+    assert len(data) < 8192 if n == 20 else len(data) > 65536
+    p = tmp_path / "in"
+    p.write_bytes(data)
+    expected = list(read_described(p))
+    assert len(expected) == n
+    with fed_through(kind, data, tmp_path / "in.fifo") as path:
+        assert in_time(lambda: list(read_described(path))) == expected
+
+
+@pytest.mark.parametrize("fmt", ["fastq", "fastq.gz"])
+def test_inputs_are_closed_when_read_or_abandoned(tmp_path, monkeypatch, fmt):
+    p = tmp_path / "in"
+    p.write_bytes(_fastx_bytes(fmt, 20))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(list(read_described(p))) == 20
+        records = read_described(p)
+        next(records)
+        del records  # abandoned after one record
+        gc.collect()
+    assert unraisable == []
