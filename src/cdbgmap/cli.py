@@ -27,6 +27,7 @@ from .index import (
     load_indexes,
     save_indexes,
 )
+from .mapper import BRANCHING_PATH, SINGLE_UNITIG, UNMAPPED
 from .mapper import MappingParams, MappingResult, map_stream
 from .mapper import map_reads  # noqa: F401  (bench/traced.py wraps cli.map_reads)
 from .sequences import MAX_K
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("inputs", nargs="+", help="FASTA/FASTQ files, plain or gzip")
 
     p_map = sub.add_parser("map", help="map reads onto the unitig graph")
-    _add_common(p_map)
+    p_map.add_argument("-k", type=int, help="k-mer size (default: the k the graph records)")
     _add_mapping_params(p_map)
     p_map.add_argument("-g", "--graph", required=True, help="unitigs FASTA from build")
     p_map.add_argument("-o", "--output", required=True, help="mapping TSV path")
@@ -231,11 +232,12 @@ def cmd_build(args) -> int:
         write_unitigs_fasta(output, graph)
         if gfa:
             write_gfa(gfa, graph, build_anchor_index(graph))
-    print(f"reads={n_reads}")
-    print(f"distinct_kmers={distinct_kmers}")
-    print(f"solid_kmers={len(solid)}")
-    print(f"unitig_count={len(graph)}")
-    print(f"mean_len={graph.mean_length():.2f}")
+        print(f"reads={n_reads}")
+        print(f"distinct_kmers={distinct_kmers}")
+        print(f"solid_kmers={len(solid)}")
+        print(f"unitig_count={len(graph)}")
+        print(f"mean_len={graph.mean_length():.2f}")
+        sys.stdout.flush()  # an unwritable stdout fails before the outputs are moved
     return 0
 
 
@@ -255,23 +257,19 @@ def _result_to_tsv(result: MappingResult) -> str:
             ".",
         )
     else:
-        fields = (result.read_id, "unmapped", ".", ".", ".", ".", ".", "unmapped",
+        fields = (result.read_id, "unmapped", ".", ".", ".", ".", ".", UNMAPPED,
                   result.reason or ".")
     return "\t".join(fields)
 
 
 def cmd_map(args) -> int:
-    _check_k(args.k)
     _check_threads(args.threads)
     inputs = [args.graph, args.index_in, *args.reads]
     with _output_on_success(args.output, args.index_out, inputs=inputs) as (output, index_out):
         graph = read_unitigs_fasta(args.graph, k=args.k)
+        _check_k(graph.k)
         if args.index_in:
             anchor, interior = load_indexes(args.index_in)
-            if anchor.k != args.k:
-                raise SystemExit2(
-                    f"index was built for k={anchor.k}, requested k={args.k}"
-                )
             if interior.graph != graph:
                 raise SystemExit2(f"index {args.index_in} was not built from {args.graph}")
             graph = interior.graph  # equal to the -g graph: keep one of the two
@@ -281,7 +279,7 @@ def cmd_map(args) -> int:
         if index_out:
             save_indexes(index_out, interior)
         reads = chain.from_iterable(map(read_sequences, args.reads))
-        regimes = {"single_unitig": 0, "branching_path": 0, "unmapped": 0}
+        regimes = {SINGLE_UNITIG: 0, BRANCHING_PATH: 0, UNMAPPED: 0}
         started = time.perf_counter()
         with open(output, "w", encoding="ascii") as out:
             out.write("\t".join(TSV_COLUMNS) + "\n")
@@ -291,18 +289,18 @@ def cmd_map(args) -> int:
                     regimes[row.rsplit("\t", 2)[1]] += 1
                 out.write("\n".join(rows))
                 out.write("\n")
-    elapsed = time.perf_counter() - started
-    n_reads = sum(regimes.values())
-    total = n_reads or 1
-    print(f"reads={n_reads}")
-    print(f"pct_single_unitig={100.0 * regimes['single_unitig'] / total:.2f}")
-    print(f"pct_branching_path={100.0 * regimes['branching_path'] / total:.2f}")
-    print(f"pct_unmapped={100.0 * regimes['unmapped'] / total:.2f}")
-    print(f"reads_per_sec={n_reads / elapsed if elapsed else 0.0:.1f}")
-    for name, idx in (("anchor", anchor), ("interior", interior)):
-        keys = len(idx) or 1
-        print(f"{name}_index_keys={len(idx)}")
-        print(f"{name}_index_bytes_per_key={approximate_bytes(idx) / keys:.1f}")
+        elapsed = time.perf_counter() - started
+        n_reads = sum(regimes.values())
+        total = n_reads or 1
+        print(f"reads={n_reads}")
+        for regime, n in regimes.items():
+            print(f"pct_{regime}={100.0 * n / total:.2f}")
+        print(f"reads_per_sec={n_reads / elapsed if elapsed else 0.0:.1f}")
+        for name, idx in (("anchor", anchor), ("interior", interior)):
+            keys = len(idx) or 1
+            print(f"{name}_index_keys={len(idx)}")
+            print(f"{name}_index_bytes_per_key={approximate_bytes(idx) / keys:.1f}")
+        sys.stdout.flush()  # an unwritable stdout fails before the outputs are moved
     return 0
 
 
@@ -347,11 +345,12 @@ def cmd_eval(args) -> int:
             truth_path=truth_out,
         )
         report.write_csv(output)
-    for row in report.rows:
-        print(
-            f"rate={row.error_rate:g} recall={row.recall:.4f} d0={row.d0:.2f} "
-            f"subopt_frac={row.subopt_frac:.6f} reads_per_sec={row.reads_per_sec:.0f}"
-        )
+        for row in report.rows:
+            print(
+                f"rate={row.error_rate:g} recall={row.recall:.4f} d0={row.d0:.2f} "
+                f"subopt_frac={row.subopt_frac:.6f} reads_per_sec={row.reads_per_sec:.0f}"
+            )
+        sys.stdout.flush()  # an unwritable stdout fails before the outputs are moved
     gates_ok = True
     for row in report.rows:
         if args.min_recall is not None and row.recall * 100.0 < args.min_recall:

@@ -178,41 +178,38 @@ def write_unitigs_fasta(path: str | Path, graph: CompactedGraph) -> int:
     return write_fasta(path, ((f"u{u.id} k={graph.k}", u.sequence) for u in graph.unitigs))
 
 
-def _recorded_k(description: str) -> int | None:
+def _recorded_k(name: str, description: str) -> int:
     for field in description.split():
         if field.startswith("k="):
             if not field[2:].isdigit():
                 raise ValueError(f"unitig header has a bad k field: {field!r}")
             return int(field[2:])
-    return None
+    raise ValueError(f"unitig header {name!r} records no k")
 
 
 def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph:
-    """Inverse of write_unitigs_fasta.  A header that records a k other than
-    `k` raises ValueError; a header without one is taken to be at `k`.  With
-    `k` None the first header that records a k sets it, a later header that
-    records another k raises ValueError naming both values, and a file where
-    no header records one (an empty file too) raises ValueError.  Every
-    ValueError names the file once, as `<path>: <message>`."""
+    """Inverse of write_unitigs_fasta, at the k its headers record.  Every
+    header must record the same k; a header that records none, two headers
+    that record different ks, a file with no header at all, and a `k` other
+    than the recorded one each raise ValueError.  Every ValueError names the
+    file once, as `<path>: <message>`."""
     described = list(read_described(path))  # its errors name the file already
-    requested = k
     try:
-        records = []
+        records, recorded = [], None
         for rec, description in described:
             if rec.id[:1] != "u" or not rec.id[1:].isdigit():
                 raise ValueError(f"not a unitig FASTA header: {rec.id!r}")
-            recorded = _recorded_k(description)
-            if k is None:
-                k = recorded
-            elif recorded is not None and recorded != k:
-                if requested is None:
-                    raise ValueError(f"unitig headers record k={k} and k={recorded}")
-                raise ValueError(f"graph built with k={recorded}, requested k={k}")
+            header_k = _recorded_k(rec.id, description)
+            if recorded is not None and header_k != recorded:
+                raise ValueError(f"unitig headers record k={recorded} and k={header_k}")
+            recorded = header_k
             records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
-        if k is None:
+        if recorded is None:
             raise ValueError("no unitig header records k")
+        if k is not None and k != recorded:
+            raise ValueError(f"graph built with k={recorded}, requested k={k}")
         records.sort(key=lambda u: u.id)
-        return CompactedGraph(k=k, unitigs=records)
+        return CompactedGraph(k=recorded, unitigs=records)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

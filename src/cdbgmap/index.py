@@ -49,9 +49,8 @@ and `build_interior_index`, the code a run without a file uses, so a load
 saves to the same bytes.  The file saves no time over a build from the
 `-g` FASTA, which `cdbgmap map` reads in any case: it is kept for the
 callers of `--index-out` and `--index-in`, which check it against the `-g`
-graph, so a damaged file is rejected or cannot change a result.  A binary
-index of an earlier cdbgmap, which starts with `CDBGIDX1`, is named as one
-to rebuild with `--index-out`.
+graph, so a damaged file is rejected or cannot change a result.  It is
+opened once and read forward, so it may be a pipe or a FIFO.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ _NO_ENTRIES = ((), ())  # (starts, ends) of a word that is not a key
 # length k - stride, so no gram is shorter than _MIN_GRAM bases.
 _MAX_STRIDE = 8
 _MIN_GRAM = 23
-
-# The first bytes of the binary index files of earlier releases.
-_BINARY_MAGIC = b"CDBGIDX1"
 
 
 class AnchorIndex:
@@ -245,12 +241,7 @@ def save_indexes(path: str | Path, interior: InteriorIndex) -> None:
 def load_indexes(path: str | Path) -> tuple[AnchorIndex, InteriorIndex]:
     """The anchor and interior indexes of the unitig FASTA at `path`, at the
     k its headers record, built as from any graph.  A file that is not such
-    a FASTA raises ValueError naming it; so does a binary index written by
-    an earlier cdbgmap, which says to rebuild it."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC:
-            raise ValueError(f"{path}: a binary index from an earlier cdbgmap; "
-                             "rebuild it with --index-out")
+    a FASTA raises ValueError naming it."""
     graph = read_unitigs_fasta(path)
     return build_anchor_index(graph), build_interior_index(graph)
 

@@ -19,7 +19,7 @@ from cdbgmap.evaluation import (
     simulate_reads,
 )
 from cdbgmap.fastx import write_fasta
-from cdbgmap.graph import compact
+from cdbgmap.graph import compact, write_unitigs_fasta
 from cdbgmap.index import build_anchor_index
 from cdbgmap.mapper import MappingParams, map_branching, map_reads
 from cdbgmap.sequences import decode_kmer
@@ -289,7 +289,7 @@ def test_criterion_8_thread_determinism(workspace, tmp_path_factory):
 
     tmp = tmp_path_factory.mktemp("crit8")
     unitigs = tmp / "unitigs.fa"
-    write_fasta(unitigs, [(f"u{u.id}", u.sequence) for u in workspace.graph.unitigs])
+    write_unitigs_fasta(unitigs, workspace.graph)
     sims, _, _ = _evaluate_rate(workspace, 0.01)
     reads = tmp / "reads.fa"
     write_fasta(reads, [(s.read.id, s.read.sequence) for s in sims])

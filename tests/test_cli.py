@@ -1,4 +1,6 @@
+import errno
 import gzip
+import io
 import os
 import random
 import threading
@@ -316,6 +318,44 @@ def test_map_index_round_trip_equivalent(tmp_path, capsys):
         "--index-in", str(idx), str(reads),
     )[0] == 0
     assert direct.read_bytes() == via_index.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["pipe", "fifo"])
+def test_map_index_in_through_a_pipe_gives_the_tsv_of_the_file(tmp_path, capsys, kind):
+    # the index file is opened once and read forward, like every sequence input
+    unitigs, reads, idx, direct = _saved_index(tmp_path, capsys)
+    out = tmp_path / "piped.tsv"
+    with fed_through(kind, idx.read_bytes(), tmp_path / "index.fifo") as path:
+        code, _, err = in_time(lambda: run(
+            capsys, "map", "-k", "15", "-g", str(unitigs), "-o", str(out),
+            "--index-in", path, str(reads),
+        ))
+    assert (code, err) == (0, "")
+    assert out.read_bytes() == direct
+
+
+def test_map_without_k_reads_the_k_of_the_graph(tmp_path, capsys):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome)
+    given, recorded = tmp_path / "given.tsv", tmp_path / "recorded.tsv"
+    argv = ("-g", str(unitigs), str(reads))
+    assert run(capsys, "map", "-k", "15", "-o", str(given), *argv)[0] == 0
+    assert run(capsys, "map", "-o", str(recorded), *argv)[0] == 0
+    assert recorded.read_bytes() == given.read_bytes()
+
+
+@pytest.mark.parametrize("k", [None, "13", "15", "31"])
+def test_map_graph_without_recorded_k_exits_2(tmp_path, capsys, k):
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    headerless = tmp_path / "headerless.fa"
+    headerless.write_text(unitigs.read_text().replace(" k=15", ""))
+    reads = _reads_file(tmp_path, genome, n=5)
+    out = tmp_path / "map.tsv"
+    code, _, err = run(capsys, "map", *(("-k", k) if k else ()), "-g", str(headerless),
+                       "-o", str(out), str(reads))
+    assert code == 2
+    assert err == f"error: {headerless}: unitig header 'u0' records no k\n"
+    assert not out.exists()
 
 
 def test_map_wrong_k_for_index_exits_2(tmp_path, capsys):
@@ -780,21 +820,26 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     data = idx.read_bytes()
     graph = read_unitigs_fasta(unitigs, 15)
     cases = {}
-    for version in (1, 7):  # the binary layout of earlier releases, named in the error
+    # the binary layout of earlier releases is no sequence file: its first
+    # byte is no record marker, and a byte above 127 in the chunk decoded to
+    # say so is reported as one
+    for version in (1, 7):
         body = b"CDBGIDX1" + b"".join(n.to_bytes(4, "little") for n in (version, 15, len(graph)))
         body += "".join(u.sequence + "\n" for u in graph.unitigs).encode()
         cases[f"v{version}"] = (
             body + zlib.crc32(body).to_bytes(4, "little"),
-            f"v{version}.idx: a binary index from an earlier cdbgmap; rebuild it with --index-out",
+            (f"v{version}.idx: unrecognized sequence file format",
+             f"v{version}.idx: 'ascii' codec can't decode byte"),
         )
-    cases["k"] = (data.replace(b" k=15", b" k=13"), "index was built for k=13, requested k=15")
+    # the graph of an index read at another k is another graph
+    cases["k"] = (data.replace(b" k=15", b" k=13"), ("was not built from",))
     more = tmp_path / "more.saved"  # a file of every unitig of -g and one more
     extra = Unitig(len(graph), "ACGT" * 5)
     save_indexes(more, build_interior_index(CompactedGraph(15, graph.unitigs + [extra])))
-    cases["one unitig more"] = (more.read_bytes(), "was not built from")
-    for name, (content, message) in cases.items():
+    cases["one unitig more"] = (more.read_bytes(), ("was not built from",))
+    for name, (content, messages) in cases.items():
         code, err, _ = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)
-        assert code == 2 and message in err, (name, err)
+        assert code == 2 and any(message in err for message in messages), (name, err)
 
 
 def test_map_corrupt_index_exits_2(tmp_path, capsys):
@@ -822,3 +867,55 @@ def test_map_corrupt_index_exits_2(tmp_path, capsys):
     assert code == 2 and "was not built from" in err
     lower = data[:at] + base.lower() + data[at + 1:]
     assert _map_with_index(tmp_path, capsys, unitigs, reads, lower)[2] == direct
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a full disk: its `failing` method, write or
+    flush, raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.failing == "write":
+            self._full()
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            self._full()
+        super().flush()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", ["build", "map", "eval"])
+def test_unwritable_stdout_exits_2_and_keeps_the_outputs(
+        tmp_path, capsys, monkeypatch, command, failing):
+    # the summary is printed before the outputs are moved into place, so a
+    # summary that cannot be written creates and replaces no output
+    genome, unitigs = _built_workspace(tmp_path, capsys)
+    reads = _reads_file(tmp_path, genome, n=20)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    old, new = out_dir / "old", out_dir / "new"
+    old.write_bytes(b"old\n")
+    argv = {
+        "build": ("build", "-k", "15", "-c", "1", "-o", str(old), "--gfa", str(new),
+                  str(tmp_path / "ref.fa")),
+        "map": ("map", "-g", str(unitigs), "-o", str(old), "--index-out", str(new),
+                str(reads)),
+        "eval": ("eval", "-k", "15", "--random-ref", "2000", "--rates", "0",
+                 "--reads-per-rate", "20", "--read-length", "60", "-o", str(old),
+                 "--truth-out", str(new)),
+    }[command]
+    monkeypatch.setattr("sys.stdout", _FullStdout(failing))
+    code = main(list(argv))
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert os.listdir(out_dir) == ["old"]
+    assert old.read_bytes() == b"old\n"

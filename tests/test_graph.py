@@ -306,12 +306,14 @@ def test_unitig_fasta_rejects_another_k(tmp_path):
         read_unitigs_fasta(path, k=9)
 
 
-def test_unitig_fasta_without_recorded_k_is_read_at_the_given_k(tmp_path):
+def test_unitig_fasta_without_recorded_k_is_rejected_at_any_k(tmp_path):
     graph = compact(solid_from([random_genome(125, 300)], 7))
     path = tmp_path / "unitigs.fa"
     records = (f">u{u.id} len={len(u.sequence)}\n{u.sequence}\n" for u in graph.unitigs)
     path.write_text("".join(records))
-    assert read_unitigs_fasta(path, k=7) == graph
+    for k in (None, 7, 9):
+        with pytest.raises(ValueError, match=f"{path}: unitig header 'u0' records no k"):
+            read_unitigs_fasta(path, k=k)
 
 
 def test_unitig_fasta_without_k_reads_the_recorded_k(tmp_path):
@@ -320,20 +322,26 @@ def test_unitig_fasta_without_k_reads_the_recorded_k(tmp_path):
     path = tmp_path / "unitigs.fa"
     write_unitigs_fasta(path, graph)
     assert read_unitigs_fasta(path) == graph
-    # a header without a k is taken at the k another one records
+    # a header without a k is rejected, though another one records it
     text = path.read_text()
-    path.write_text(text.replace(">u0 k=7", ">u0", 1))
-    assert read_unitigs_fasta(path) == graph
-    # two headers that record different ks
     last = text.rindex(" k=7")
+    for content, name in ((text.replace(">u0 k=7", ">u0", 1), "u0"),
+                          (text[:last] + text[last + 4:], f"u{len(graph) - 1}")):
+        path.write_text(content)
+        for k in (None, 7):
+            with pytest.raises(ValueError, match=f"{path}: unitig header '{name}' records no k"):
+                read_unitigs_fasta(path, k=k)
+    # two headers that record different ks
     path.write_text(text[:last] + " k=9" + text[last + 4:])
     with pytest.raises(ValueError, match=f"{path}: unitig headers record k=7 and k=9"):
         read_unitigs_fasta(path)
     # no header records k, or there is no header at all
-    for content in (text.replace(" k=7", ""), ""):
-        path.write_text(content)
-        with pytest.raises(ValueError, match=f"{path}: no unitig header records k"):
-            read_unitigs_fasta(path)
+    path.write_text(text.replace(" k=7", ""))
+    with pytest.raises(ValueError, match=f"{path}: unitig header 'u0' records no k"):
+        read_unitigs_fasta(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"{path}: no unitig header records k"):
+        read_unitigs_fasta(path)
 
 
 def test_gfa_agrees_with_anchor_index(tmp_path):

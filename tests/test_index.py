@@ -575,8 +575,8 @@ def test_load_rejects_garbage(tmp_path):
     good = p.read_bytes()
     assert good == b">u0 k=3\nACTG\n>u1 k=3\nTGAT\n"
     cases = [
-        (b"CDBGIDX1" + b"\x00" * 24,
-         "a binary index from an earlier cdbgmap; rebuild it with --index-out"),
+        # the binary index of earlier releases is not a sequence file
+        (b"CDBGIDX1" + b"\x00" * 24, "unrecognized sequence file format"),
         (b"ACTG\nTGAT\n", "unrecognized sequence file format"),
         (good.replace(b"u1", b"x1"), "not a unitig FASTA header: 'x1'"),
         (good.replace(b"u1", b"u1a"), "not a unitig FASTA header: 'u1a'"),
@@ -586,7 +586,8 @@ def test_load_rejects_garbage(tmp_path):
         (good.replace(b"ACTG", b"AC"), "unitig 0 shorter than k"),
         (good.replace(b"k=3", b"k=x"), "bad k field: 'k=x'"),
         (good.replace(b"k=3", b"k=1"), "k must be >= 2, got 1"),
-        (good.replace(b" k=3", b""), "no unitig header records k"),
+        (good.replace(b" k=3", b""), "unitig header 'u0' records no k"),
+        (good.replace(b"u1 k=3", b"u1"), "unitig header 'u1' records no k"),
         (good.replace(b"ACTG", b"AC\xc3\xa9"), "'ascii' codec"),
         (b"", "no unitig header records k"),
     ]
