@@ -69,7 +69,7 @@ def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
             continue
         if line.startswith(">"):
             if name is not None:
-                read = Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
+                read = Read(dedup(name), normalize_sequence("".join(chunks)))
                 chunks = []  # not held while the consumer works on the record
                 yield read, text
             name, text = _name_and_description(line[1:])
@@ -80,7 +80,7 @@ def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
                 raise ValueError("FASTA data before first header")
             chunks.append(line)
     if name is not None:
-        read = Read(id=dedup(name), sequence=normalize_sequence("".join(chunks)))
+        read = Read(dedup(name), normalize_sequence("".join(chunks)))
         del chunks
         yield read, text
 
@@ -105,7 +105,7 @@ def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
         name, text = _name_and_description(header[1:])
         if not name:
             raise ValueError("FASTQ header without a name")
-        yield Read(id=dedup(name), sequence=normalize_sequence(seq)), text
+        yield Read(dedup(name), normalize_sequence(seq)), text
 
 
 def read_sequences(path: str | Path) -> Iterator[Read]:

@@ -103,7 +103,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
@@ -158,18 +158,35 @@ class MappingParams:
         return ("+", "-") if self.strand_mode == "both" else ("+",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MappingResult:
     read_id: str
     regime: str
-    strand: str | None = None
-    path: tuple[tuple[int, str], ...] = ()
-    start_offset: int | None = None
-    mismatches: int | None = None
-    mismatch_positions: tuple[int, ...] = ()
-    reason: str | None = None
-    repeated: bool = False
-    truncated: bool = False
+    strand: str | None
+    path: tuple[tuple[int, str], ...]
+    start_offset: int | None
+    mismatches: int | None
+    mismatch_positions: tuple[int, ...]
+    reason: str | None
+    repeated: bool
+    truncated: bool
+
+    def __init__(self, read_id, regime, strand=None, path=(), start_offset=None,
+                 mismatches=None, mismatch_positions=(), reason=None, repeated=False,
+                 truncated=False):
+        # one result per read: its fields go into the instance dict in
+        # declaration order, not through one frozen `__setattr__` call each
+        d = self.__dict__
+        d["read_id"] = read_id
+        d["regime"] = regime
+        d["strand"] = strand
+        d["path"] = path
+        d["start_offset"] = start_offset
+        d["mismatches"] = mismatches
+        d["mismatch_positions"] = mismatch_positions
+        d["reason"] = reason
+        d["repeated"] = repeated
+        d["truncated"] = truncated
 
     @property
     def mapped(self) -> bool:
@@ -177,20 +194,32 @@ class MappingResult:
 
 
 def _hamming(seq: str, base: int, text: str, limit: int):
-    """Mismatches of `text` against the read `seq` from position `base`, as
-    (count, positions in read coordinates), aborting with (count, None) as
-    soon as the count exceeds `limit`."""
+    """Mismatches of `text` against the read `seq` from position `base`,
+    clipped to the shorter of the two, as (count, positions in read
+    coordinates), aborting with (count, None) as soon as the count exceeds
+    `limit`.
+
+    The two texts' ASCII bytes are read as big-endian ints and XOR-ed, so a
+    mismatch is a non-zero byte.  ASCII bytes XOR to at most 0x7F, so the
+    highest set bit lies in the byte `bit_length() >> 3` places from the
+    end: the first mismatch left.  Each is taken in ascending read order and
+    its byte cleared, with no loop over the matching bases.  A text outside
+    ASCII raises UnicodeEncodeError (parsed reads are ACGTN)."""
     part = seq[base : base + len(text)]
     if part == text:
         return 0, ()
+    end = base + len(part) - 1
+    diff = int.from_bytes(part.encode("ascii"), "big") ^ int.from_bytes(
+        text[: len(part)].encode("ascii"), "big")
     cost = 0
     out = []
-    for i, (x, y) in enumerate(zip(part, text), base):
-        if x != y:
-            cost += 1
-            if cost > limit:
-                return cost, None
-            out.append(i)
+    while diff:
+        cost += 1
+        if cost > limit:
+            return cost, None
+        back = diff.bit_length() >> 3
+        out.append(end - back)
+        diff &= (1 << (back << 3)) - 1
     return cost, tuple(out)
 
 
@@ -202,8 +231,7 @@ class ReadView:
     `unplaceable` reads the t+1 disjoint words at 0, k-1, ..., t(k-1) of a
     strand before any scan: when none is a key, no placement within t
     mismatches exists, since t mismatches leave one of them exact
-    (pigeonhole; a word holding N is a miss).  `hits` scans lazily, so a
-    pass placed by its first hit reads no further.
+    (pigeonhole; a word holding N is a miss).
     """
 
     def __init__(self, sequence: str, size: int):
@@ -228,13 +256,10 @@ class ReadView:
         if self._base < t * size:
             return False
         seq = self.sequence(strand)
-        return not any(seq[i : i + size] in keys for i in range(0, (t + 1) * size, size))
-
-    def hits(self, strand: str, keys):
-        """The strand's words that are in `keys`, as (position, word) pairs,
-        lazily in ascending order.  A word holding N is never a key."""
-        seq, size = self.sequence(strand), self.size
-        return ((i, w) for i in range(self._base + 1) if (w := seq[i : i + size]) in keys)
+        for i in range(0, (t + 1) * size, size):
+            if seq[i : i + size] in keys:
+                return False
+        return True
 
     def detected(self, strand: str, anchor: AnchorIndex) -> list:
         """The strand's windows that are indexed unitig overlaps, as
@@ -251,23 +276,25 @@ class ReadView:
         return [(base - p, rc[base - p : base - p + size]) for p, _ in reversed(self._dets)]
 
 
-@dataclass
 class _Attempt:
-    """Internal outcome of one strand pass."""
+    """Internal outcome of one strand pass: a placement when `reason` is
+    None, else the reason there is none."""
 
-    path: list = field(default_factory=list)
-    start_offset: int = 0
-    cost: int = 0
-    positions: tuple = ()
-    reason: str | None = None
-    truncated: bool = False
-    # failed by the pigeonhole rule, unscanned: `reason` stands in for the
-    # one that only the scan gives
-    skipped: bool = False
+    __slots__ = ("reason", "path", "start_offset", "cost", "positions", "truncated")
 
-    @property
-    def ok(self) -> bool:
-        return self.reason is None
+    def __init__(self, reason=None, path=(), start_offset=0, cost=0, positions=(),
+                 truncated=False):
+        self.reason = reason
+        self.path = path
+        self.start_offset = start_offset
+        self.cost = cost
+        self.positions = positions
+        self.truncated = truncated
+
+
+# the one outcome of every pass failed by the pigeonhole rule, unscanned: its
+# reason stands in for the one that only the scan gives
+_SKIPPED = _Attempt(NO_ANCHOR)
 
 
 def _worse(reason_a: str | None, reason_b: str | None) -> str | None:
@@ -284,7 +311,7 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     has failed, but its reason needs the full scan: that runs, with
     `exact=True`, only when the read ends unmapped."""
     if len(read.sequence) < graph.k:
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=TOO_SHORT)
+        return MappingResult(read.id, UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
     best = best_strand = None
     reason = None
@@ -293,11 +320,11 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     for strand_pass, index, strands in regimes:
         for strand in strands:
             attempt = strand_pass(view, strand, graph, index, params)
-            if attempt.ok:
+            if attempt.reason is None:
                 if best is None or attempt.cost < best.cost:
                     best, best_strand = attempt, strand
                 break
-            if attempt.skipped:
+            if attempt is _SKIPPED:
                 skipped.append((strand_pass, index, strand))
                 continue
             reason = _worse(reason, attempt.reason)
@@ -308,20 +335,14 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
         for strand_pass, index, strand in skipped:
             attempt = strand_pass(view, strand, graph, index, params, exact=True)
             reason = _worse(reason, attempt.reason)
-        return MappingResult(read_id=read.id, regime=UNMAPPED, reason=reason, truncated=truncated)
+        return MappingResult(read.id, UNMAPPED, reason=reason, truncated=truncated)
     path = tuple(best.path)
-    uids = [u for u, _ in path]
-    return MappingResult(
-        read_id=read.id,
-        regime=SINGLE_UNITIG if len(path) == 1 else BRANCHING_PATH,
-        strand=best_strand,
-        path=path,
-        start_offset=best.start_offset,
-        mismatches=best.cost,
-        mismatch_positions=best.positions,
-        repeated=len(set(uids)) != len(uids),
-        truncated=truncated,
-    )
+    if len(path) == 1:
+        regime, repeated = SINGLE_UNITIG, False
+    else:
+        regime, repeated = BRANCHING_PATH, len({u for u, _ in path}) != len(path)
+    return MappingResult(read.id, regime, best_strand, path, best.start_offset, best.cost,
+                         best.positions, None, repeated, truncated)
 
 
 def _begins(pos_b, word, k1, anchor):
@@ -346,11 +367,12 @@ def _begins(pos_b, word, k1, anchor):
 def _junction(seq, at, body, limit):
     """The cost of a junction candidate: the mismatches, as `_hamming` gives
     them, of the text `body` it lays on the read from position `at` (its
-    text after the overlap, as an anchor entry holds it), clipped at the
-    read's end.  An exact fit is found in place, with no slice."""
+    text after the overlap, as an anchor entry holds it), which `_hamming`
+    clips at the read's end.  An exact fit is found in place, with no
+    slice."""
     if seq.startswith(body, at):
         return 0, ()
-    return _hamming(seq, at, body[: len(seq) - at], limit)
+    return _hamming(seq, at, body, limit)
 
 
 def _branch_pass(
@@ -365,7 +387,7 @@ def _branch_pass(
     n = params.max_anchor_attempts
     dets = view.detected(strand, anchor)
     if not dets:
-        return _Attempt(reason=NO_ANCHOR)
+        return _Attempt(NO_ANCHOR)
     seq = view.sequence(strand)
     length = len(seq)
     det_positions = [pos for pos, _ in dets]
@@ -397,10 +419,10 @@ def _branch_pass(
             if end is None:
                 continue
             result = _greedy_cover(seq, k1, starting, det_positions, begin, end, t)
-            if result.ok:
+            if result.reason is None:
                 return result
             failure = _worse(failure, result.reason)
-    return _Attempt(reason=failure)
+    return _Attempt(failure)
 
 
 def _greedy_cover(seq, k1, starting, det_positions, begin, end, t) -> _Attempt:
@@ -445,9 +467,9 @@ def _greedy_cover(seq, k1, starting, det_positions, begin, end, t) -> _Attempt:
                         break
                     limit = cost_u - 1  # only a strictly cheaper fit replaces it
             if not fitted:
-                return _Attempt(reason=COVER_FAILED)
+                return _Attempt(COVER_FAILED)
             if chosen is None:
-                return _Attempt(reason=BUDGET_EXCEEDED)
+                return _Attempt(BUDGET_EXCEEDED)
         cost_u, uid, orient, s, jpos, plist = chosen
         path.append((uid, orient))
         positions.extend(plist)
@@ -455,11 +477,11 @@ def _greedy_cover(seq, k1, starting, det_positions, begin, end, t) -> _Attempt:
         word = s[-k1:]
 
     if word != seq[pos_e : pos_e + k1]:
-        return _Attempt(reason=COVER_FAILED)
+        return _Attempt(COVER_FAILED)
     if pos_e + k1 < len(seq):
         path.append(end_unitig)
     positions.extend(plist_e)
-    return _Attempt(path=path, start_offset=start_offset, cost=cost, positions=tuple(positions))
+    return _Attempt(None, path, start_offset, cost, tuple(positions))
 
 
 def map_branching(
@@ -482,23 +504,30 @@ def _single_pass(
 ) -> _Attempt:
     """The first of the strand's first `max_anchor_attempts` interior seeds
     that places the read, at its cheapest occurrence.  Unless `exact`, a
-    strand that `ReadView.unplaceable` rules out is `skipped` unscanned."""
+    strand that `ReadView.unplaceable` rules out is `skipped` unscanned.
+    The seeds are the strand's words that are interior keys, scanned from
+    the read's start with one table lookup each, so a read placed by its
+    first seed reads no further (a word holding N is never a key)."""
     t = params.max_mismatches
-    n = params.max_anchor_attempts
+    left = params.max_anchor_attempts
     table = interior._table
     if not exact and view.unplaceable(strand, table, t):
-        return _Attempt(reason=NO_ANCHOR, skipped=True)
+        return _SKIPPED
     seq = view.sequence(strand)
     length = len(seq)
+    size = view.size
     unitigs = graph.unitigs
+    get = table.get
 
     failure = NO_ANCHOR
-    # each hit's occurrences place the read on the forward unitig text;
+    # each seed's occurrences place the read on the forward unitig text;
     # reverse placements surface through the reverse-complement pass
-    for pos, word in islice(view.hits(strand, table), n):
+    for pos in range(length - size + 1):
+        occurrences = get(seq[pos : pos + size])  # packed `offset << 32 | uid`, see InteriorIndex
+        if occurrences is None:
+            continue
         best = None
         structural = False
-        occurrences = table[word]  # packed `offset << 32 | uid`, see InteriorIndex
         if type(occurrences) is int:
             occurrences = (occurrences,)
         for packed in occurrences:
@@ -517,11 +546,12 @@ def _single_pass(
                 best = cand
         if best is not None:
             cost, uid, start, plist = best
-            return _Attempt(
-                path=[(uid, "+")], start_offset=start, cost=cost, positions=plist
-            )
+            return _Attempt(None, ((uid, "+"),), start, cost, plist)
         failure = _worse(failure, BUDGET_EXCEEDED if structural else COVER_FAILED)
-    return _Attempt(reason=failure)
+        left -= 1
+        if not left:
+            break
+    return _Attempt(failure)
 
 
 def map_single_unitig(
@@ -581,7 +611,7 @@ def _exhaustive_pass(
     t = params.max_mismatches
     dets = view.detected(strand, anchor)
     if not dets:
-        return _Attempt(reason=NO_ANCHOR)
+        return _Attempt(NO_ANCHOR)
     seq = view.sequence(strand)
     starting = anchor.starts_with_codes
     begins = []
@@ -594,7 +624,7 @@ def _exhaustive_pass(
             else:
                 begins.append((cost, pos_b, word_b, head, start_offset, plist))
     if not begins:
-        return _Attempt(reason=BEGIN_NOT_FOUND)
+        return _Attempt(BEGIN_NOT_FOUND)
 
     failed = {}  # (read position, id(candidates), mismatches left) -> went over
     budget = expansion_budget
@@ -608,7 +638,7 @@ def _exhaustive_pass(
                 steps, went_over, budget = _first_walk(
                     seq, k1, starting, pos_b + k1, starting(word_b), bound - cost, failed, budget)
                 if budget < 0:
-                    return _Attempt(reason=BUDGET_EXCEEDED, truncated=True)
+                    return _Attempt(BUDGET_EXCEEDED, truncated=True)
                 if steps is None:
                     blocked = blocked or went_over
                     continue
@@ -616,8 +646,8 @@ def _exhaustive_pass(
             for unitig, mismatched in steps:
                 path.append(unitig)
                 positions.extend(mismatched)
-            return _Attempt(path, start_offset, len(positions), tuple(positions))
-    return _Attempt(reason=BUDGET_EXCEEDED if blocked else COVER_FAILED)
+            return _Attempt(None, path, start_offset, len(positions), tuple(positions))
+    return _Attempt(BUDGET_EXCEEDED if blocked else COVER_FAILED)
 
 
 def _first_walk(seq, k1, starting, at, cands, left, failed, budget):
@@ -703,7 +733,7 @@ def _init_worker(*state) -> None:
 
 
 def _worker_chunk(pairs: list[tuple[str, str]]) -> list:
-    return _map_chunk([Read(id=i, sequence=s) for i, s in pairs], *_WORKER_STATE)
+    return _map_chunk([Read(i, s) for i, s in pairs], *_WORKER_STATE)
 
 
 def map_stream(

@@ -1,5 +1,7 @@
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,8 @@ from cdbgmap.mapper import (
     MappingParams,
     MappingResult,
     ReadView,
+    _hamming,
+    _single_pass,
     map_branching,
     map_exhaustive,
     map_read,
@@ -56,6 +60,28 @@ TRAP_READ = "ACAAACCCCCAAAACAACACCCCACCAC"
 
 def trap_graph():
     return build_graph(TRAP_UNITIGS, 5)
+
+
+def test_mapping_result_stays_a_frozen_dataclass():
+    # one is built per read, with no frozen `__setattr__` call per field: it
+    # keeps its fields and defaults, refuses assignment, compares and hashes
+    # by value, and works with `replace` and pickle (worker results cross a
+    # pipe)
+    assert [f.name for f in fields(MappingResult)] == [
+        "read_id", "regime", "strand", "path", "start_offset", "mismatches",
+        "mismatch_positions", "reason", "repeated", "truncated"]
+    unmapped = MappingResult(read_id="r", regime="unmapped", reason="no_anchor")
+    assert unmapped == MappingResult("r", "unmapped", None, (), None, None, (), "no_anchor",
+                                     False, False)
+    mapped = MappingResult("r", "single_unitig", "+", ((3, "+"),), 7, 1, (12,))
+    assert mapped.mapped and not unmapped.mapped
+    with pytest.raises(FrozenInstanceError):
+        mapped.strand = "-"
+    flipped = replace(mapped, strand="-")
+    assert flipped.strand == "-" and flipped != mapped and mapped.strand == "+"
+    assert replace(flipped, strand="+") == mapped
+    assert hash(replace(flipped, strand="+")) == hash(mapped)
+    assert pickle.loads(pickle.dumps(mapped)) == mapped
 
 
 def test_detect_read_overlaps_positions_and_incidences():
@@ -415,12 +441,88 @@ def test_map_exhaustive_follows_its_contract_on_repeats(monkeypatch):
                     "mapped, truncated"}
 
 
+def per_base_hamming(seq, base, text, limit):
+    """The reference for `_hamming`: one base at a time, clipped to the
+    shorter text."""
+    cost, out = 0, []
+    for i, (x, y) in enumerate(zip(seq[base:], text), base):
+        if x != y:
+            cost += 1
+            if cost > limit:
+                return cost, None
+            out.append(i)
+    return cost, tuple(out)
+
+
+def test_hamming_matches_a_per_base_reference():
+    # reads with N, texts running past the read's end, base offsets 0-20,
+    # limits 0-3, and counts that pass the limit on the last base compared
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(4000):
+        length = rng.randint(1, 130)
+        seq = "".join(rng.choice("ACGTN" if rng.random() < 0.1 else "ACGT") for _ in range(length))
+        base = rng.randint(0, min(20, length - 1))
+        span = rng.randint(1, length - base + 12)
+        text = list(seq[base : base + span].replace("N", "A"))
+        text += rng.choices("ACGT", k=span - len(text))
+        for _ in range(rng.randint(0, 5)):
+            p = rng.randrange(span)
+            text[p] = rng.choice([b for b in "ACGT" if b != text[p]])
+        if rng.random() < 0.3:  # a mismatch on the last base compared
+            p = min(span, length - base) - 1
+            text[p] = rng.choice([b for b in "ACGT" if b != seq[base + p]])
+        text = "".join(text)
+        limit = rng.randint(0, 3)
+        got = _hamming(seq, base, text, limit)
+        assert got == per_base_hamming(seq, base, text, limit), (seq, base, text, limit)
+        every = per_base_hamming(seq, base, text, len(text))[1]
+        seen.add(("base", base))
+        seen.add(("limit", limit))
+        seen.add("N" if "N" in seq[base : base + span] else "no N")
+        if span > length - base:
+            seen.add("past the read's end")
+        if got[1] is None and len(every) == limit + 1:
+            if every[-1] == base + min(span, length - base) - 1:
+                seen.add("aborted on the last base")
+    assert seen >= {("base", b) for b in range(21)} | {("limit", t) for t in range(4)}
+    assert seen >= {"N", "no N", "past the read's end", "aborted on the last base"}
+
+
 class EveryWord:
-    """A container holding every exact word, so `ReadView.hits` keeps every
-    window without an N."""
+    """A container holding every exact word, so every window without an N
+    is a seed."""
 
     def __contains__(self, word):
         return not non_acgt(word)
+
+
+class SeedLog:
+    """An interior table that logs each word `get` asks it about and holds
+    the words of `keys`, each with no occurrence: a seed that places
+    nothing, so a single pass scans every word of its strand."""
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.asked = []
+
+    def get(self, word):
+        self.asked.append(word)
+        return () if word in self.keys else None
+
+
+def scanned_seeds(seq, strand, size, graph, keys):
+    """The seeds the single pass finds on `strand` of `seq` when the
+    interior words are `keys`, as (position, word) pairs: the pass asks
+    every word of the strand once, in order, and finds those in `keys`."""
+    table = SeedLog(keys)
+    view = ReadView(seq, size)
+    params = MappingParams(max_anchor_attempts=len(seq))
+    attempt = _single_pass(view, strand, graph, SimpleNamespace(_table=table), params, exact=True)
+    assert attempt.reason is not None
+    text = view.sequence(strand)
+    assert table.asked == [text[p : p + size] for p in range(len(text) - size + 1)]
+    return [(pos, word) for pos, word in enumerate(table.asked) if word in keys]
 
 
 @pytest.mark.parametrize("k", [5, 31])
@@ -449,16 +551,15 @@ def test_read_view_windows_match_window_codes(k):
         for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
             expected = [(pos, text[pos : pos + size]) for pos, _, _ in window_codes(text, size)]
             view = ReadView(seq, size)
-            assert list(view.hits(strand, every)) == expected
+            assert scanned_seeds(seq, strand, size, graph, every) == expected
             assert view.sequence(strand) == text
             assert view.detected(strand, anchor) == [
                 (pos, w) for pos, w in expected if w in keys or naive_rc(w) in keys
             ]
-            assert list(view.hits(strand, every)) == expected  # a second scan
 
 
 @pytest.mark.parametrize("k", [5, 31])
-def test_read_view_hits_are_the_strands_own_interior_seeds(k):
+def test_single_pass_seeds_are_the_strands_own_interior_words(k):
     # a palindromic window (k = 5) is its own reverse complement's seed
     size = k - 1
     rng = random.Random(50 + k)
@@ -477,9 +578,8 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
         reads.append(seq if rng.random() < 0.5 else naive_rc(seq))
     for seq in reads:
         for strand in "+-":
-            view = ReadView(seq, size)
-            text = view.sequence(strand)
-            got = list(view.hits(strand, table))
+            text = ReadView(seq, size).sequence(strand)
+            got = scanned_seeds(seq, strand, size, graph, table)
             assert got == [(pos, w) for pos, _, _ in window_codes(text, size)
                            if (w := text[pos : pos + size]) in table]
             for pos, word in got:
@@ -488,7 +588,7 @@ def test_read_view_hits_are_the_strands_own_interior_seeds(k):
 
 
 class LookupLog(dict):
-    """An interior table that logs each word `in` asks it about."""
+    """An interior table that logs each word `in` or `get` asks it about."""
 
     def __init__(self, table):
         super().__init__(table)
@@ -497,6 +597,10 @@ class LookupLog(dict):
     def __contains__(self, word):
         self.asked.append(word)
         return super().__contains__(word)
+
+    def get(self, word, default=None):
+        self.asked.append(word)
+        return super().get(word, default)
 
 
 def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
