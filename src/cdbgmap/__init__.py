@@ -21,7 +21,6 @@ from .evaluation import (
 from .fastx import read_sequences, write_fasta
 from .graph import (
     CompactedGraph,
-    Unitig,
     compact,
     read_unitigs_fasta,
     write_gfa,
@@ -49,7 +48,6 @@ from .sequences import (
     MAX_K,
     Read,
     reverse_complement,
-    reverse_complement_read,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +66,6 @@ __all__ = [
     "SimConfig",
     "SimulatedRead",
     "SolidKmerSet",
-    "Unitig",
     "build_anchor_index",
     "build_interior_index",
     "build_reference_graph",
@@ -85,7 +82,6 @@ __all__ = [
     "read_sequences",
     "read_unitigs_fasta",
     "reverse_complement",
-    "reverse_complement_read",
     "run_accuracy_sweep",
     "save_indexes",
     "simulate_reads",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .sequences import MAX_K, Read, slices, window_codes
+from .sequences import MAX_K, slices, window_codes
 
 
 @dataclass
@@ -35,15 +35,15 @@ class SolidKmerSet:
         return len(self.codes)
 
 
-def count_kmers(reads: Iterable[Read | str], k: int) -> KmerCensus:
-    """Count canonical k-mers over a read stream; empty input gives an empty census."""
+def count_kmers(texts: Iterable[str], k: int) -> KmerCensus:
+    """Count canonical k-mers over a stream of texts, such as reads'
+    sequences; empty input gives an empty census."""
     if not 2 <= k <= MAX_K:
         raise ValueError(f"k must be in [2, {MAX_K}], got {k}")
     counts: dict[int, int] = {}
     get = counts.get
-    for read in reads:
-        seq = read.sequence if isinstance(read, Read) else read
-        for _, part in slices(seq, k):
+    for text in texts:
+        for _, part in slices(text, k):
             for _, fwd, rc in window_codes(part, k):
                 # `| 0` keeps a copy allocated to its value's size: a code of
                 # more than 60 bits from window_codes may carry one spare digit

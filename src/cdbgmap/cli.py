@@ -219,7 +219,7 @@ def cmd_build(args) -> int:
         # zip draws from `tally` only after a read, so it ends at the read count
         tally = count()
         reads = chain.from_iterable(map(read_sequences, args.inputs))
-        census = count_kmers((read for read, _ in zip(reads, tally)), args.k)
+        census = count_kmers((read.sequence for read, _ in zip(reads, tally)), args.k)
         n_reads = next(tally)
         if not n_reads:
             raise SystemExit2("no sequences")

@@ -24,7 +24,7 @@ from .mapper import (
     map_exhaustive,
     map_reads,
 )
-from .sequences import Read, reverse_complement
+from .sequences import Read, non_acgt, reverse_complement
 
 _OTHER_BASES = {
     "A": "CGT",
@@ -51,6 +51,9 @@ class SimConfig:
             raise ValueError("read_count must be >= 0")
         if len(self.reference) < self.read_length:
             raise ValueError("reference shorter than read_length")
+        bad = non_acgt(self.reference)
+        if bad:
+            raise ValueError(f"reference holds a non-ACGT symbol: {bad[0]!r}")
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ or the end itself, which is visited.
 
 Construction is deterministic: seeds are taken in ascending packed-canonical
 order, ids are dense in seed order, and each unitig is stored in whichever
-orientation is lexicographically smaller end to end.
+orientation is lexicographically smaller end to end.  A unitig is its text:
+the graph holds the texts in a list, and a unitig's id is its index there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .census import SolidKmerSet
 from .fastx import read_described, write_fasta
@@ -40,27 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .index import AnchorIndex
 
 
-@dataclass(frozen=True)
-class Unitig:
-    """One maximal non-branching path; sequence is the stored orientation."""
-
-    id: int
-    sequence: str
-
-
 class CompactedGraph:
-    """A set of unitigs plus k; the reference the mapper aligns against."""
+    """The unitig texts plus k; the reference the mapper aligns against.
+    Unitig `i` is `unitigs[i]`, each at least k long and pure ACGT."""
 
-    def __init__(self, k: int, unitigs: Sequence[Unitig]):
+    def __init__(self, k: int, unitigs: list[str]):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
-        for i, u in enumerate(unitigs):
-            if u.id != i:
-                raise ValueError(f"unitig ids must be dense from 0, got {u.id} at {i}")
-            if len(u.sequence) < k:
-                raise ValueError(f"unitig {u.id} shorter than k")
-            if non_acgt(u.sequence):
-                raise ValueError(f"unitig {u.id} contains non-ACGT symbols")
+        for i, text in enumerate(unitigs):
+            if len(text) < k:
+                raise ValueError(f"unitig {i} shorter than k")
+            if non_acgt(text):
+                raise ValueError(f"unitig {i} contains non-ACGT symbols")
         self.k = k
         self.unitigs = list(unitigs)
 
@@ -75,7 +66,7 @@ class CompactedGraph:
         )
 
     def mean_length(self) -> float:
-        total = sum(len(u.sequence) for u in self.unitigs)
+        total = sum(map(len, self.unitigs))
         return total / len(self.unitigs) if self.unitigs else 0.0
 
 
@@ -156,7 +147,7 @@ def compact(solid: SolidKmerSet) -> CompactedGraph:
             fwd, rc = nf, nr
         return "".join([BASES[b] for b in out])
 
-    unitigs: list[Unitig] = []
+    unitigs: list[str] = []
     for seed in sorted(codes):
         if seed not in unvisited:
             continue
@@ -167,15 +158,14 @@ def compact(solid: SolidKmerSet) -> CompactedGraph:
         # leftward extension is rightward extension of the reverse orientation
         left = _arm(rc, seed)
         seq = reverse_complement(left) + word + right
-        seq = min(seq, reverse_complement(seq))
-        unitigs.append(Unitig(id=len(unitigs), sequence=seq))
+        unitigs.append(min(seq, reverse_complement(seq)))
     return CompactedGraph(k=k, unitigs=unitigs)
 
 
 def write_unitigs_fasta(path: str | Path, graph: CompactedGraph) -> int:
     """One record per unitig, named `u<id>`, with the graph's k recorded in
     the header's description (`>u0 k=31`)."""
-    return write_fasta(path, ((f"u{u.id} k={graph.k}", u.sequence) for u in graph.unitigs))
+    return write_fasta(path, ((f"u{i} k={graph.k}", text) for i, text in enumerate(graph.unitigs)))
 
 
 def _recorded_k(name: str, description: str) -> int:
@@ -191,8 +181,9 @@ def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph
     """Inverse of write_unitigs_fasta, at the k its headers record.  Every
     header must record the same k; a header that records none, two headers
     that record different ks, a file with no header at all, and a `k` other
-    than the recorded one each raise ValueError.  Every ValueError names the
-    file once, as `<path>: <message>`."""
+    than the recorded one each raise ValueError, as do ids that are not
+    dense from 0 (a gap or a repeat).  Every ValueError names the file once,
+    as `<path>: <message>`."""
     described = list(read_described(path))  # its errors name the file already
     try:
         records, recorded = [], None
@@ -203,13 +194,16 @@ def read_unitigs_fasta(path: str | Path, k: int | None = None) -> CompactedGraph
             if recorded is not None and header_k != recorded:
                 raise ValueError(f"unitig headers record k={recorded} and k={header_k}")
             recorded = header_k
-            records.append(Unitig(id=int(rec.id[1:]), sequence=rec.sequence))
+            records.append((int(rec.id[1:]), rec.sequence))
         if recorded is None:
             raise ValueError("no unitig header records k")
         if k is not None and k != recorded:
             raise ValueError(f"graph built with k={recorded}, requested k={k}")
-        records.sort(key=lambda u: u.id)
-        return CompactedGraph(k=recorded, unitigs=records)
+        records.sort()
+        for i, (uid, _) in enumerate(records):
+            if uid != i:
+                raise ValueError(f"unitig ids must be dense from 0, got {uid} at {i}")
+        return CompactedGraph(k=recorded, unitigs=[text for _, text in records])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -231,7 +225,7 @@ def write_gfa(path: str | Path, graph: CompactedGraph, anchor_index: "AnchorInde
                 links.add(min(fwd, mirror))
     with open(path, "w", encoding="ascii") as out:
         out.write("H\tVN:Z:1.0\n")
-        for u in graph.unitigs:
-            out.write(f"S\tu{u.id}\t{u.sequence}\n")
+        for i, text in enumerate(graph.unitigs):
+            out.write(f"S\tu{i}\t{text}\n")
         for a, oa, b, ob in sorted(links):
             out.write(f"L\tu{a}\t{oa}\tu{b}\t{ob}\t{overlap}M\n")

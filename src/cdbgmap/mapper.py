@@ -89,18 +89,20 @@ pass encodes anything; each reads the strand's text as it stands:
 
 `map_stream` maps a read stream of any length through one order-keeping
 engine: it draws the reads in chunks, maps them in this process with one
-worker, or with more sends them to forked workers, at most 2 x threads
-chunks in flight, and yields each chunk's results in input order.  A worker
-applies an optional `render` to its results before they cross the pipe
-(`cdbgmap map` passes its TSV-row formatter).  While the stream runs, every
-object that existed before it is frozen out of the collector, so a full
-collection walks only what mapping makes.  `map_reads` is that stream
-collected into a list.
+worker, or with more sends them to forked workers, at most 2 x workers
+chunks in flight, and yields each chunk's results in input order.  It
+starts no more workers than the CPUs the process may run on, whatever
+`threads` asks for.  A worker applies an optional `render` to its results
+before they cross the pipe (`cdbgmap map` passes its TSV-row formatter).
+While the stream runs, every object that existed before it is frozen out
+of the collector, so a full collection walks only what mapping makes.
+`map_reads` is that stream collected into a list.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -110,7 +112,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .graph import CompactedGraph
 from .index import AnchorIndex, InteriorIndex
-from .sequences import Read, reverse_complement_read
+from .sequences import Read, reverse_complement
 from .sequences import window_codes  # noqa: F401  (bench/traced.py wraps mapper.window_codes)
 
 SINGLE_UNITIG = "single_unitig"
@@ -245,7 +247,7 @@ class ReadView:
         if strand == "+":
             return self._seq
         if self._rc_seq is None:
-            self._rc_seq = reverse_complement_read(self._seq)
+            self._rc_seq = reverse_complement(self._seq)
         return self._rc_seq
 
     def unplaceable(self, strand: str, keys, t: int) -> bool:
@@ -534,7 +536,7 @@ def _single_pass(
             uid, start = packed & 0xFFFFFFFF, (packed >> 32) - pos
             if start < 0:
                 continue
-            useq = unitigs[uid].sequence
+            useq = unitigs[uid]
             if start + length > len(useq):
                 continue
             structural = True
@@ -714,7 +716,7 @@ def map_exhaustive(
 
 # ---------------------------------------------------------------------------
 # Streaming mapping: stateless per read over shared immutable structures.
-# Reads are drawn in chunks, and at most 2 x threads chunks are in flight.
+# Reads are drawn in chunks, and at most 2 x workers chunks are in flight.
 # Workers are forked so the graph and indexes are inherited, never pickled;
 # only the reads' ids and sequences go out and the rendered results come
 # back.  Output order always matches input order, whatever the worker count.
@@ -750,9 +752,10 @@ def map_stream(
     `render` of each result) as a list, in input order.
 
     Reads are drawn `chunk_size` at a time, so memory is bounded by the
-    chunks in flight, never by the length of the input.  With one worker,
-    or when the input holds a single chunk, each chunk is mapped in this
-    process.  Otherwise a forked pool maps them: at most 2 x `threads`
+    chunks in flight, never by the length of the input.  The workers are
+    `threads` or the CPUs this process may run on, whichever is fewer.  With
+    one worker, or when the input holds a single chunk, each chunk is mapped
+    in this process.  Otherwise a forked pool maps them: at most 2 x workers
     chunks are drawn ahead of the one being yielded, and each worker
     applies `render` before its results cross the pipe.  The objects that
     exist when mapping starts, the caller's among them, stay frozen
@@ -762,7 +765,10 @@ def map_stream(
     state = (graph, anchor, interior, params, render)
     source = iter(reads)
     chunks = iter(lambda: list(islice(source, chunk_size)), [])
-    head = list(islice(chunks, 2 if threads > 1 else 1))
+    # the CPUs this process may run on: its affinity set where there is one
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1)
+    head = list(islice(chunks, 2 if workers > 1 else 1))
     ctx = _fork_context() if len(head) > 1 else None
     # every junction looks up the path's last word in the anchor table, which
     # holds the candidates' texts from its build: nothing is filled per stream,
@@ -777,13 +783,13 @@ def map_stream(
             for chunk in chain(head, chunks):
                 yield _map_chunk(chunk, *state)
             return
-        with ctx.Pool(threads, _init_worker, state) as pool:
+        with ctx.Pool(workers, _init_worker, state) as pool:
             pending = deque()
             for chunk in chain(head, chunks):
                 # (id, sequence) pairs pickle ~15x faster than Read objects
                 pairs = [(r.id, r.sequence) for r in chunk]
                 pending.append(pool.apply_async(_worker_chunk, (pairs,)))
-                if len(pending) >= 2 * threads:
+                if len(pending) >= 2 * workers:
                     yield pending.popleft().get()
             while pending:
                 yield pending.popleft().get()

@@ -24,8 +24,7 @@ BASES = "ACGT"
 #: a configuration error, not a silent fallback.
 MAX_K = 63
 
-_COMPLEMENT = str.maketrans("ACGT", "TGCA")
-_COMPLEMENT_WITH_N = str.maketrans("ACGTN", "TGCAN")
+_COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 _DIGITS = str.maketrans("ACGT", "0123")
 _RC_DIGITS = str.maketrans("ACGT", "3210")
 _DROP_ACGT = str.maketrans("", "", "ACGT")
@@ -37,20 +36,10 @@ def non_acgt(s: str) -> str:
 
 
 def reverse_complement(s: str) -> str:
-    """Reverse complement of an exact DNA string (A<->T, C<->G).
-
-    Raises ValueError on any symbol outside ACGT; ambiguous bases are only
-    legal at the read-parsing boundary, never in exact k-mer contexts.
-    """
-    bad = non_acgt(s)
-    if bad:
-        raise ValueError(f"non-ACGT in exact context: {bad[0]!r}")
+    """Reverse complement of a DNA string: A<->T, C<->G and N to N.  It checks
+    nothing; its inputs were checked where they were made (a read at
+    parsing, a unitig where its graph is made)."""
     return s.translate(_COMPLEMENT)[::-1]
-
-
-def reverse_complement_read(s: str) -> str:
-    """Reverse complement tolerating N (N maps to N). For read sequences."""
-    return s.translate(_COMPLEMENT_WITH_N)[::-1]
 
 
 def flip(orientation: str) -> str:

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from cdbgmap.census import count_kmers, solid_set
-from cdbgmap.graph import CompactedGraph, Unitig, compact
+from cdbgmap.graph import CompactedGraph, compact
 from cdbgmap.index import build_anchor_index, build_interior_index
 
 COMP = {"A": "T", "C": "G", "G": "C", "T": "A", "N": "N"}
@@ -117,9 +117,7 @@ def graph_from_sequences(seqs, k, min_count=1):
 
 def build_graph(unitig_seqs, k):
     """Construct a graph directly from unitig sequences (for mapper scenarios)."""
-    return CompactedGraph(
-        k=k, unitigs=[Unitig(id=i, sequence=s) for i, s in enumerate(unitig_seqs)]
-    )
+    return CompactedGraph(k=k, unitigs=list(unitig_seqs))
 
 
 def indexes_for(graph):
@@ -140,7 +138,7 @@ def interior_table(interior):
 
 def oriented(graph, uid, orientation):
     """Orientation helper independent of the graph's and the index's RC."""
-    seq = graph.unitigs[uid].sequence
+    seq = graph.unitigs[uid]
     return seq if orientation == "+" else naive_rc(seq)
 
 

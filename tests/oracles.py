@@ -34,9 +34,9 @@ def scan_overlaps(seq: str, keys, size: int) -> list[tuple[int, str]]:
 
 def oriented_sequence(graph: CompactedGraph, unitig_id: int, orientation: str) -> str:
     if orientation == "+":
-        return graph.unitigs[unitig_id].sequence
+        return graph.unitigs[unitig_id]
     if orientation == "-":
-        return reverse_complement(graph.unitigs[unitig_id].sequence)
+        return reverse_complement(graph.unitigs[unitig_id])
     raise ValueError(f"orientation must be '+' or '-', got {orientation!r}")
 
 

@@ -158,8 +158,8 @@ def test_criterion_4_spectrum_preservation():
         solid = solid_set(count_kmers([genome], k), 1)
         graph = compact(solid)
         seen = {}
-        for u in graph.unitigs:
-            for w in naive_kmers(u.sequence, k):
+        for text in graph.unitigs:
+            for w in naive_kmers(text, k):
                 c = naive_canonical(w)
                 seen[c] = seen.get(c, 0) + 1
         if set(seen.values()) - {1} or set(seen) != solid_strings(solid):

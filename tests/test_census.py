@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from cdbgmap.census import count_kmers, solid_set
-from cdbgmap.sequences import _SLICE, Read
+from cdbgmap.sequences import _SLICE
 
 from oracles import census_strings, solid_strings
 
@@ -33,12 +33,6 @@ def test_count_kmers_examples():
     census = count_kmers(["AAAA", "TTTT"], 3)
     assert census_strings(census) == {"AAA": 4}
     assert count_kmers([], 5).counts == {}
-
-
-def test_count_kmers_accepts_read_objects():
-    census = count_kmers([Read(id="r", sequence="ACTGA")], 3)
-    # CTG and its reverse complement CAG share one canonical counter
-    assert census_strings(census) == {"ACT": 1, "CAG": 1, "TCA": 1}
 
 
 def test_count_kmers_matches_oracle():

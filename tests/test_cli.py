@@ -10,7 +10,7 @@ import pytest
 
 from cdbgmap.cli import TSV_COLUMNS, main
 from cdbgmap.fastx import write_fasta
-from cdbgmap.graph import CompactedGraph, Unitig, read_unitigs_fasta
+from cdbgmap.graph import CompactedGraph, read_unitigs_fasta
 from cdbgmap.index import build_interior_index, save_indexes
 
 from conftest import (
@@ -53,8 +53,8 @@ def test_build_reports_stats_and_preserves_spectrum(tmp_path, capsys):
     assert float(stats["mean_len"]) >= 15
     graph = read_unitigs_fasta(out, k=15)
     got = set()
-    for u in graph.unitigs:
-        got.update(naive_canonical(w) for w in naive_kmers(u.sequence, 15))
+    for text in graph.unitigs:
+        got.update(naive_canonical(w) for w in naive_kmers(text, 15))
     assert got == {naive_canonical(w) for w in naive_kmers(genome, 15)}
     assert gfa.read_text().startswith("H\tVN:Z:1.0")
 
@@ -430,6 +430,10 @@ def test_map_missing_graph_exits_2(tmp_path, capsys):
     ("reads.fa", ">r0\nACGTACGTACGTACGTACGT\n"),
     ("with_n.fa", ">u0 k=15\nACGTACGTNCGTACGTACGT\n"),
     ("letter_id.fa", ">uX k=15\nACGTACGTACGTACGTACGT\n"),
+    # a unitig's id is its position: a gap or a repeat in the ids
+    ("id_gap.fa", ">u0 k=15\nACGTACGTACGTACGTACGT\n>u2 k=15\nACGTACGTACGTACGTACGT\n"),
+    ("id_repeat.fa", ">u0 k=15\nACGTACGTACGTACGTACGT\n>u1 k=15\nACGTACGTACGTACGTACGT\n"
+                     ">u0 k=15\nACGTACGTACGTACGTACGT\n"),
     ("no_header.fa", "ACGTACGTACGTACGTACGT\n"),  # an error the FASTX reader raises
 ])
 def test_map_bad_graph_file_exits_2_naming_it_once(tmp_path, capsys, name, text):
@@ -825,7 +829,7 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     # say so is reported as one
     for version in (1, 7):
         body = b"CDBGIDX1" + b"".join(n.to_bytes(4, "little") for n in (version, 15, len(graph)))
-        body += "".join(u.sequence + "\n" for u in graph.unitigs).encode()
+        body += "".join(text + "\n" for text in graph.unitigs).encode()
         cases[f"v{version}"] = (
             body + zlib.crc32(body).to_bytes(4, "little"),
             (f"v{version}.idx: unrecognized sequence file format",
@@ -834,8 +838,7 @@ def test_map_v1_or_wrong_fingerprint_index_exits_2(tmp_path, capsys):
     # the graph of an index read at another k is another graph
     cases["k"] = (data.replace(b" k=15", b" k=13"), ("was not built from",))
     more = tmp_path / "more.saved"  # a file of every unitig of -g and one more
-    extra = Unitig(len(graph), "ACGT" * 5)
-    save_indexes(more, build_interior_index(CompactedGraph(15, graph.unitigs + [extra])))
+    save_indexes(more, build_interior_index(CompactedGraph(15, graph.unitigs + ["ACGT" * 5])))
     cases["one unitig more"] = (more.read_bytes(), ("was not built from",))
     for name, (content, messages) in cases.items():
         code, err, _ = _map_with_index(tmp_path, capsys, unitigs, reads, content, name)

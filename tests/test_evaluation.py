@@ -49,6 +49,10 @@ def test_simulate_validates_config():
         SimConfig(reference=ref, read_length=50, read_count=1, error_rate=1.0, rng_seed=0)
     with pytest.raises(ValueError, match="shorter"):
         SimConfig(reference=ref, read_length=200, read_count=1, error_rate=0.0, rng_seed=0)
+    # simulate_reads reverse-complements the reference unchecked
+    for bad, symbol in ((ref[:50] + "N" + ref[51:], "N"), ("acgt" + ref[4:], "a"), (ref + "-", "-")):
+        with pytest.raises(ValueError, match=f"non-ACGT symbol: '{symbol}'"):
+            SimConfig(reference=bad, read_length=50, read_count=1, error_rate=0.0, rng_seed=0)
 
 
 def test_simulate_error_positions_are_the_actual_diffs():
@@ -67,7 +71,7 @@ def test_simulate_error_positions_are_the_actual_diffs():
 def test_distance_to_optimum_basics():
     graph = build_graph([random_genome(5, 300)], 9)
     anchor, interior = indexes_for(graph)
-    ref = graph.unitigs[0].sequence
+    ref = graph.unitigs[0]
     cfg = SimConfig(reference=ref, read_length=60, read_count=40, error_rate=0.02, rng_seed=1)
     for sim in simulate_reads(cfg):
         result = map_read(sim.read, graph, anchor, interior, PARAMS)
@@ -202,7 +206,7 @@ def test_build_reference_graph_spectrum():
     from conftest import naive_canonical, naive_kmers
 
     got = set()
-    for u in graph.unitigs:
-        got.update(naive_canonical(w) for w in naive_kmers(u.sequence, 9))
+    for text in graph.unitigs:
+        got.update(naive_canonical(w) for w in naive_kmers(text, 9))
     want = {naive_canonical(w) for w in naive_kmers(ref, 9)}
     assert got == want

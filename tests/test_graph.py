@@ -7,7 +7,6 @@ import pytest
 from cdbgmap.census import SolidKmerSet, count_kmers, solid_set
 from cdbgmap.graph import (
     CompactedGraph,
-    Unitig,
     compact,
     read_unitigs_fasta,
     write_gfa,
@@ -25,21 +24,21 @@ def solid_from(seqs, k, c=1):
 
 def unitig_kmer_multiset(graph):
     out = Counter()
-    for u in graph.unitigs:
-        for w in naive_kmers(u.sequence, graph.k):
+    for text in graph.unitigs:
+        for w in naive_kmers(text, graph.k):
             out[naive_canonical(w)] += 1
     return out
 
 
 def test_compact_linear_sequence():
     graph = compact(solid_from(["ACTGA"], 3))
-    assert [u.sequence for u in graph.unitigs] == ["ACTGA"]
+    assert graph.unitigs == ["ACTGA"]
 
 
 def test_compact_branching_blocks_merge():
     solid = solid_from(["ACTG", "ACTT"], 3)  # ACT has two successors
     graph = compact(solid)
-    seqs = sorted(min(u.sequence, naive_rc(u.sequence)) for u in graph.unitigs)
+    seqs = sorted(min(text, naive_rc(text)) for text in graph.unitigs)
     assert seqs == sorted(
         naive_canonical(s) for s in ("ACT", "CTG", "CTT")
     )
@@ -47,7 +46,7 @@ def test_compact_branching_blocks_merge():
 
 def test_compact_homopolymer_self_loop():
     graph = compact(solid_from(["AAAA"], 3))
-    assert [u.sequence for u in graph.unitigs] == ["AAA"]
+    assert graph.unitigs == ["AAA"]
 
 
 def test_compact_rejects_empty():
@@ -129,7 +128,7 @@ def test_compact_matches_string_level_reference(k):
         solid = solid_from(seqs, k)
         graph = compact(solid)
         expected = naive_compact(solid_strings(solid))
-        assert [(u.id, u.sequence) for u in graph.unitigs] == list(enumerate(expected))
+        assert graph.unitigs == list(expected)
 
 
 def test_compact_allocates_nothing_per_kmer():
@@ -163,7 +162,7 @@ def test_compact_probes_seven_times_per_extended_step():
     solid = solid_from([genome], 15)
     codes = _CountedCodes(solid.codes)
     graph = compact(SolidKmerSet(k=15, codes=codes))
-    assert [len(u.sequence) for u in graph.unitigs] == [len(genome)]
+    assert [len(text) for text in graph.unitigs] == [len(genome)]
     steps = len(solid) - 1
     assert codes.lookups == 7 * steps + 2 * 4
 
@@ -187,8 +186,8 @@ def test_maximality_of_unitigs():
         graph = compact(solid)
         canonical = solid_strings(solid)
         consumed = set(unitig_kmer_multiset(graph))
-        for u in graph.unitigs:
-            for mer, direction in ((u.sequence[-k:], "fwd"), (u.sequence[:k], "bwd")):
+        for uid, text in enumerate(graph.unitigs):
+            for mer, direction in ((text[-k:], "fwd"), (text[:k], "bwd")):
                 nxt = _neighbors(mer, canonical, "fwd" if direction == "fwd" else "bwd")
                 if len(nxt) != 1:
                     continue  # absent or branching: a legal stop
@@ -202,7 +201,7 @@ def test_maximality_of_unitigs():
                 if len(back) != 1:
                     continue  # junction branching on the far side
                 assert naive_canonical(cand) in consumed, (
-                    f"unitig {u.id} could extend to {cand} (seed {seed})"
+                    f"unitig {uid} could extend to {cand} (seed {seed})"
                 )
 
 
@@ -222,8 +221,8 @@ def test_stored_orientation_is_lexicographic_min():
     for seed in range(10):
         genome = random_genome(2000 + seed, 300)
         graph = compact(solid_from([genome], 7))
-        for u in graph.unitigs:
-            assert u.sequence <= naive_rc(u.sequence)
+        for text in graph.unitigs:
+            assert text <= naive_rc(text)
 
 
 def test_walk_sequence_examples():
@@ -309,7 +308,7 @@ def test_unitig_fasta_rejects_another_k(tmp_path):
 def test_unitig_fasta_without_recorded_k_is_rejected_at_any_k(tmp_path):
     graph = compact(solid_from([random_genome(125, 300)], 7))
     path = tmp_path / "unitigs.fa"
-    records = (f">u{u.id} len={len(u.sequence)}\n{u.sequence}\n" for u in graph.unitigs)
+    records = (f">u{i} len={len(text)}\n{text}\n" for i, text in enumerate(graph.unitigs))
     path.write_text("".join(records))
     for k in (None, 7, 9):
         with pytest.raises(ValueError, match=f"{path}: unitig header 'u0' records no k"):
@@ -354,7 +353,7 @@ def test_gfa_agrees_with_anchor_index(tmp_path):
     assert lines[0] == "H\tVN:Z:1.0"
     s_lines = [l.split("\t") for l in lines if l.startswith("S")]
     assert [(f[1], f[2]) for f in s_lines] == [
-        (f"u{u.id}", u.sequence) for u in graph.unitigs
+        (f"u{i}", text) for i, text in enumerate(graph.unitigs)
     ]
     k1 = graph.k - 1
     got = set()
@@ -372,31 +371,31 @@ def test_gfa_agrees_with_anchor_index(tmp_path):
         return "-" if o == "+" else "+"
 
     expected = set()
-    for a in graph.unitigs:
+    for a in range(len(graph)):
         for oa in "+-":
-            sa = oriented_sequence(graph, a.id, oa)
-            for b in graph.unitigs:
+            sa = oriented_sequence(graph, a, oa)
+            for b in range(len(graph)):
                 for ob in "+-":
-                    sb = oriented_sequence(graph, b.id, ob)
+                    sb = oriented_sequence(graph, b, ob)
                     if sa[-k1:] == sb[:k1]:
-                        expected.add(
-                            min((a.id, oa, b.id, ob), (b.id, flip(ob), a.id, flip(oa)))
-                        )
+                        expected.add(min((a, oa, b, ob), (b, flip(ob), a, flip(oa))))
     assert got == expected
     assert expected, "test graph should contain at least one junction"
 
 
 def test_graph_validates_construction():
-    with pytest.raises(ValueError, match="dense"):
-        CompactedGraph(3, [Unitig(id=1, sequence="ACGT")])
-    with pytest.raises(ValueError, match="shorter"):
-        CompactedGraph(5, [Unitig(id=0, sequence="ACG")])
-    with pytest.raises(ValueError, match="non-ACGT"):
-        CompactedGraph(3, [Unitig(id=0, sequence="ACNG")])
+    with pytest.raises(ValueError, match="unitig 1 shorter than k"):
+        CompactedGraph(5, ["ACGTA", "ACG"])
+    for bad in ("ACNG", "ACgT", "AC-T"):
+        with pytest.raises(ValueError, match="unitig 0 contains non-ACGT"):
+            CompactedGraph(3, [bad])
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        CompactedGraph(1, ["A"])
+    assert CompactedGraph(3, ["ACG", "TTTT"]).unitigs == ["ACG", "TTTT"]
 
 
 def test_oriented_sequence():
-    g = CompactedGraph(3, [Unitig(id=0, sequence="ACTGA")])
+    g = CompactedGraph(3, ["ACTGA"])
     assert oriented_sequence(g, 0, "+") == "ACTGA"
     assert oriented_sequence(g, 0, "-") == "TCAGT"
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from cdbgmap.index import (
     save_indexes,
 )
 from cdbgmap.mapper import ReadView
-from cdbgmap.sequences import _SLICE, reverse_complement_read
+from cdbgmap.sequences import _SLICE, reverse_complement
 
 from conftest import (
     build_graph,
@@ -37,13 +37,13 @@ def scan_incidences(graph, mer):
     """Exhaustive oracle: check every unitig in both orientations."""
     k1 = graph.k - 1
     out = set()
-    for u in graph.unitigs:
+    for uid in range(len(graph)):
         for o in "+-":
-            seq = oriented(graph, u.id, o)
+            seq = oriented(graph, uid, o)
             if seq[:k1] == mer:
-                out.add((u.id, "starts_with", o))
+                out.add((uid, "starts_with", o))
             if seq[-k1:] == mer:
-                out.add((u.id, "ends_with", o))
+                out.add((uid, "ends_with", o))
     return out
 
 
@@ -69,10 +69,10 @@ def scan_interior(graph, mer):
     unitig text."""
     k1 = graph.k - 1
     return {
-        (u.id, i)
-        for u in graph.unitigs
-        for i in range(len(u.sequence) - k1 + 1)
-        if u.sequence[i : i + k1] == mer
+        (uid, i)
+        for uid, text in enumerate(graph.unitigs)
+        for i in range(len(text) - k1 + 1)
+        if text[i : i + k1] == mer
     }
 
 
@@ -135,10 +135,10 @@ def test_anchor_matches_scan_oracle_on_random_graphs():
         graph, _ = graph_from_sequences([genome], k)
         idx = build_anchor_index(graph)
         mers = set()
-        for u in graph.unitigs:
-            mers.add(u.sequence[: k - 1])
-            mers.add(u.sequence[-(k - 1) :])
-            mers.add(naive_rc(u.sequence[: k - 1]))
+        for text in graph.unitigs:
+            mers.add(text[: k - 1])
+            mers.add(text[-(k - 1) :])
+            mers.add(naive_rc(text[: k - 1]))
         for _ in range(10):
             mers.add("".join(rng.choice("ACGT") for _ in range(k - 1)))
         for mer in mers:
@@ -169,7 +169,7 @@ def assert_successor_lists(graph, idx):
     all oriented texts, sorted and each with its text, its text after the
     word and that text's length."""
     k1 = graph.k - 1
-    texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
+    texts = [(uid, o, oriented(graph, uid, o)) for uid in range(len(graph)) for o in "+-"]
     branching = 0
     for _, _, text in texts:
         suffix = text[-k1:]
@@ -193,9 +193,7 @@ def test_successor_lists_with_palindromic_overlaps(k):
     genome = random_genome(900 + k, 500) + "GGATATCC" + "TTACGCGTAA" + repeat_genome(k)
     graph, _ = graph_from_sequences([genome], k)
     idx = build_anchor_index(graph)
-    palindromes = [
-        u for u in graph.unitigs if u.sequence[1 - k :] == naive_rc(u.sequence[1 - k :])
-    ]
+    palindromes = [text for text in graph.unitigs if text[1 - k :] == naive_rc(text[1 - k :])]
     assert palindromes
     assert assert_successor_lists(graph, idx) > 0
 
@@ -227,9 +225,9 @@ def test_every_unitig_contributes_prefix_and_suffix():
     genome = random_genome(42, 600)
     graph, _ = graph_from_sequences([genome], 7)
     idx = build_anchor_index(graph)
-    for u in graph.unitigs:
-        assert (u.id, "+") in lookup(idx, u.sequence[:6])[0]
-        assert (u.id, "+") in lookup(idx, u.sequence[-6:])[1]
+    for uid, text in enumerate(graph.unitigs):
+        assert (uid, "+") in lookup(idx, text[:6])[0]
+        assert (uid, "+") in lookup(idx, text[-6:])[1]
 
 
 def test_sharing_bound_on_random_graphs():
@@ -249,7 +247,7 @@ def assert_anchor_invariant(graph, idx):
     the oriented unitigs whose text starts and ends with it, in sorted
     order."""
     k1 = graph.k - 1
-    texts = [(u.id, o, oriented(graph, u.id, o)) for u in graph.unitigs for o in "+-"]
+    texts = [(uid, o, oriented(graph, uid, o)) for uid in range(len(graph)) for o in "+-"]
     words = {t[:k1] for _, _, t in texts} | {t[-k1:] for _, _, t in texts}
     assert set(idx.keys()) == words
     for word in idx.keys():
@@ -389,7 +387,7 @@ def test_detected_matches_the_scan_oracle(k):
         found = 0
         for seq in reads:
             view = ReadView(seq, size)
-            for strand, text in (("-", reverse_complement_read(seq)), ("+", seq)):
+            for strand, text in (("-", reverse_complement(seq)), ("+", seq)):
                 expected = scan_overlaps(text, keys, size)
                 assert view.detected(strand, anchor) == expected, (k, strand, seq)
                 found += len(expected)
@@ -469,10 +467,10 @@ def assert_interior_invariant(graph, idx):
     listed = []
     for word, occs in interior_table(idx).items():
         for uid, off in occs:
-            assert graph.unitigs[uid].sequence[off : off + k1] == word
+            assert graph.unitigs[uid][off : off + k1] == word
             listed.append((uid, off))
     expected = [
-        (u.id, off) for u in graph.unitigs for off in range(len(u.sequence) - k1 + 1)
+        (uid, off) for uid, text in enumerate(graph.unitigs) for off in range(len(text) - k1 + 1)
     ]
     assert sorted(listed) == expected
 
@@ -484,7 +482,7 @@ def test_interior_keys_are_written_words(k):
     k1 = k - 1
     if k < 10:  # short windows that are their own reverse complement
         assert any(
-            w == naive_rc(w) for u in graph.unitigs for w in naive_kmers(u.sequence, k1)
+            w == naive_rc(w) for text in graph.unitigs for w in naive_kmers(text, k1)
         )
     assert_interior_invariant(graph, build_interior_index(graph))
 
@@ -532,12 +530,12 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     fasta = tmp_path / "unitigs.fa"
     write_unitigs_fasta(fasta, graph)
     assert p1.read_bytes() == fasta.read_bytes()
-    assert p1.read_text().startswith(f">u0 k=7\n{graph.unitigs[0].sequence[:80]}\n")
+    assert p1.read_text().startswith(f">u0 k=7\n{graph.unitigs[0][:80]}\n")
     anchor2, interior2 = load_indexes(p1)
     assert interior2.graph == graph
     assert interior2._table == interior._table
     assert anchor2._table == anchor._table
-    assert (anchor2.k, interior2.k) == (7, 7)
+    assert (anchor2.k, interior2.graph.k) == (7, 7)
     # equal graphs give byte-identical files, and a load saves to the same bytes
     graph_b, _ = graph_from_sequences([genome], 7)
     save_indexes(p2, build_interior_index(graph_b))
@@ -554,7 +552,7 @@ def test_serialization_round_trip_and_reproducibility(tmp_path):
     graphs.append(graph_from_sequences([repeat_genome(31)], 31)[0])
     graphs.append(graph_from_sequences(["ACTG", "ACTT"], 3)[0])
     graphs.append(build_graph(["AACGAA"], 3))
-    assert [len(u.sequence) for u in graphs[-2].unitigs] == [3, 3, 3]
+    assert [len(text) for text in graphs[-2].unitigs] == [3, 3, 3]
     assert any(naive_rc(key) == key for key in build_anchor_index(graphs[3]).keys())
     for graph in graphs:
         save_indexes(p1, build_interior_index(graph))
@@ -582,6 +580,8 @@ def test_load_rejects_garbage(tmp_path):
         (good.replace(b"u1", b"u1a"), "not a unitig FASTA header: 'u1a'"),
         (good.replace(b"u1", b"u0"), "not a unitig FASTA header: 'u0.2'"),
         (good.replace(b"u1", b"u2"), "unitig ids must be dense from 0, got 2 at 1"),
+        (good + b">u0 k=3\nACTG\n", "unitig ids must be dense from 0, got 0 at 1"),
+        (good.replace(b"u0", b"u2"), "unitig ids must be dense from 0, got 1 at 0"),
         (good.replace(b"ACTG", b"ACNG"), "unitig 0 contains non-ACGT"),
         (good.replace(b"ACTG", b"AC"), "unitig 0 shorter than k"),
         (good.replace(b"k=3", b"k=x"), "bad k field: 'k=x'"),

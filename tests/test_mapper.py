@@ -19,7 +19,7 @@ from cdbgmap.mapper import (
     map_single_unitig,
     map_stream,
 )
-from cdbgmap.sequences import Read, non_acgt, reverse_complement_read, window_codes
+from cdbgmap.sequences import Read, non_acgt, reverse_complement, window_codes
 
 from conftest import (
     assert_result_consistent,
@@ -258,7 +258,7 @@ def test_map_read_tie_prefers_single_unitig():
     # regimes produce a zero-cost result
     graph, _ = graph_from_sequences(["ACTGAT", "ACTGCC"], 3)
     anchor, interior = indexes_for(graph)
-    whole = next(u.sequence for u in graph.unitigs if len(u.sequence) == 4)
+    whole = next(text for text in graph.unitigs if len(text) == 4)
     result = map_read(Read(id="r", sequence=whole), graph, anchor, interior, PARAMS)
     assert result.mapped
     assert result.mismatches == 0
@@ -308,7 +308,7 @@ def repeat_graph_with_decoys(k=11):
         p = rng.randrange(60)
         decoy[p] = rng.choice([b for b in "ACGT" if b != decoy[p]])
         decoys.append("".join(decoy))
-    graph = build_graph([u.sequence for u in graph.unitigs] + decoys, k)
+    graph = build_graph(graph.unitigs + decoys, k)
     return graph, [genome] + decoys
 
 
@@ -548,7 +548,7 @@ def test_read_view_windows_match_window_codes(k):
     every = EveryWord()
     keys = anchor.keys()
     for seq in reads:
-        for strand, text in (("+", seq), ("-", reverse_complement_read(seq))):
+        for strand, text in (("+", seq), ("-", reverse_complement(seq))):
             expected = [(pos, text[pos : pos + size]) for pos, _, _ in window_codes(text, size)]
             view = ReadView(seq, size)
             assert scanned_seeds(seq, strand, size, graph, every) == expected
@@ -618,10 +618,10 @@ def test_map_read_encodes_windows_lazily_and_once(monkeypatch):
 
     def counted_rc(seq):
         rcs.append(seq)
-        return reverse_complement_read(seq)
+        return reverse_complement(seq)
 
     monkeypatch.setattr(mapper, "window_codes", counted)
-    monkeypatch.setattr(mapper, "reverse_complement_read", counted_rc)
+    monkeypatch.setattr(mapper, "reverse_complement", counted_rc)
     genome = random_genome(12, 400)
     graph = build_graph([genome], 31)
     anchor, interior = indexes_for(graph)
@@ -689,10 +689,10 @@ def test_map_read_codes_no_word_twice(monkeypatch):
 
     def counted_rc(seq):
         rcs.append(seq)
-        return reverse_complement_read(seq)
+        return reverse_complement(seq)
 
     monkeypatch.setattr(mapper, "window_codes", counted_word)
-    monkeypatch.setattr(mapper, "reverse_complement_read", counted_rc)
+    monkeypatch.setattr(mapper, "reverse_complement", counted_rc)
     graph, sources = repeat_graph_with_decoys()
     genome = random_genome(12, 400)
     cases = [
@@ -842,9 +842,7 @@ def test_lazy_view_results_equal_an_encoded_view(monkeypatch):
     skipped_then_unmapped = 0
     for graph, reads in cases:
         k1 = graph.k - 1
-        palindromic += sum(
-            u.sequence[-k1:] == naive_rc(u.sequence[-k1:]) for u in graph.unitigs
-        )
+        palindromic += sum(text[-k1:] == naive_rc(text[-k1:]) for text in graph.unitigs)
         anchor, interior = indexes_for(graph)
         for t in range(4):
             for n in (1, 2, 3):
@@ -1375,6 +1373,82 @@ def test_map_stream_draws_a_bounded_look_ahead(threads):
     assert drawn <= (2 * threads + 1) * chunk
     results = first + [r for part in stream for r in part]
     assert drawn == len(reads)
+    assert results == map_reads(reads, graph, anchor, interior, PARAMS)
+
+
+class _InlineForkContext:
+    """Stands in for the fork context: records each pool's size and runs
+    every task in this process, so no worker process is started."""
+
+    def __init__(self):
+        self.pool_sizes = []
+        self.in_flight = 0
+        self.most_in_flight = 0
+
+    def Pool(self, processes, initializer, initargs):
+        self.pool_sizes.append(processes)
+        initializer(*initargs)
+        return _InlinePool(self)
+
+
+class _InlinePool:
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, fn, args):
+        ctx = self.ctx
+        ctx.in_flight += 1
+        ctx.most_in_flight = max(ctx.most_in_flight, ctx.in_flight)
+        done = fn(*args)
+
+        class Result:
+            def get(self):
+                ctx.in_flight -= 1
+                return done
+
+        return Result()
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (3, 3), (1, None)])
+def test_map_stream_starts_no_more_workers_than_usable_cpus(monkeypatch, cpus, workers):
+    """`--threads 500` starts as many workers as the process may run on,
+    draws 2 x that many chunks ahead, and maps in process on one CPU."""
+    import os
+
+    from cdbgmap import mapper
+
+    ctx = _InlineForkContext()
+    monkeypatch.setattr(mapper, "_fork_context", lambda: ctx)
+    monkeypatch.setattr(mapper, "_WORKER_STATE", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    genome = random_genome(781, 3000)
+    graph, _ = graph_from_sequences([genome], 15)
+    anchor, interior = indexes_for(graph)
+    reads = [Read(id=f"r{i}", sequence=genome[i : i + 40]) for i in range(0, 2000, 10)]
+    drawn = 0
+
+    def counting():
+        nonlocal drawn
+        for read in reads:
+            drawn += 1
+            yield read
+
+    chunk = 8
+    stream = map_stream(counting(), graph, anchor, interior, PARAMS, threads=500,
+                        chunk_size=chunk)
+    results = next(stream)
+    assert drawn == (2 * workers if workers else 1) * chunk
+    results += [r for part in stream for r in part]
+    assert ctx.pool_sizes == ([workers] if workers else [])
+    if workers:
+        assert ctx.most_in_flight == 2 * workers
     assert results == map_reads(reads, graph, anchor, interior, PARAMS)
 
 

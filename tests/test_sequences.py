@@ -8,7 +8,6 @@ from cdbgmap.sequences import (
     decode_kmer,
     kmer_codes,
     reverse_complement,
-    reverse_complement_read,
     window_codes,
 )
 
@@ -34,11 +33,6 @@ def test_reverse_complement_examples():
     assert reverse_complement("ACTGA") == "TCAGT"
 
 
-def test_reverse_complement_rejects_ambiguous():
-    with pytest.raises(ValueError, match="non-ACGT in exact context"):
-        reverse_complement("ACNGT")
-
-
 def test_reverse_complement_matches_oracle_and_involution():
     rng = random.Random(11)
     for _ in range(200):
@@ -48,10 +42,11 @@ def test_reverse_complement_matches_oracle_and_involution():
 
 
 def test_reverse_complement_read_keeps_n():
-    assert reverse_complement_read("ACNGT") == "ACNGT"[::-1].translate(
-        str.maketrans("ACGTN", "TGCAN")
-    )
-    assert reverse_complement_read("NNAC") == "GTNN"
+    # one reverse complement serves reads and unitigs: N maps to N
+    assert reverse_complement("ACNGT") == "ACNGT"
+    assert reverse_complement("NNAC") == "GTNN"
+    assert reverse_complement("N" * 5) == "N" * 5
+    assert reverse_complement("") == ""
 
 
 def test_encode_decode_round_trip_all_k():
@@ -148,10 +143,3 @@ def test_window_codes_equal_the_per_base_encoder():
         for size in (1, 3, 30, 63):
             assert window_codes(seq, size) == reference_window_codes(seq, size)
 
-
-def test_reverse_complement_reports_the_first_bad_symbol():
-    with pytest.raises(ValueError, match=r"non-ACGT in exact context: 'N'"):
-        reverse_complement("ACNGX")
-    with pytest.raises(ValueError, match=r"non-ACGT in exact context: 'a'"):
-        reverse_complement("Cat")
-    assert reverse_complement("") == ""
