@@ -219,13 +219,12 @@ def cmd_build(args) -> int:
         # zip draws from `tally` only after a read, so it ends at the read count
         tally = count()
         reads = chain.from_iterable(map(read_sequences, args.inputs))
-        census = count_kmers((read.sequence for read, _ in zip(reads, tally)), args.k)
-        n_reads = next(tally)
-        if not n_reads:
-            raise SystemExit2("no sequences")
-        solid = solid_set(census, args.min_coverage)
-        distinct_kmers = len(census.counts)
-        del census  # release the counts before compaction
+        texts = (read.sequence for read, _ in zip(reads, tally))
+        with count_kmers(texts, args.k) as census:  # closes its temporary files on any exit
+            n_reads = next(tally)
+            if not n_reads:
+                raise SystemExit2("no sequences")
+            solid = solid_set(census, args.min_coverage)
         if not len(solid):
             raise SystemExit2("no solid k-mers at this coverage threshold")
         graph = compact(solid)
@@ -233,7 +232,7 @@ def cmd_build(args) -> int:
         if gfa:
             write_gfa(gfa, graph, build_anchor_index(graph))
         print(f"reads={n_reads}")
-        print(f"distinct_kmers={distinct_kmers}")
+        print(f"distinct_kmers={len(census.counts)}")
         print(f"solid_kmers={len(solid)}")
         print(f"unitig_count={len(graph)}")
         print(f"mean_len={graph.mean_length():.2f}")

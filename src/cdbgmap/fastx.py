@@ -4,8 +4,8 @@ Each input is opened once and read forward, so it may be a pipe or a FIFO.
 Compression is detected by magic bytes, never by file extension.  Sequences
 are uppercased and any symbol outside ACGT becomes N at this boundary, so
 ambiguity codes beyond N never reach the rest of the toolkit.  Record order
-is preserved, and a run of records with the same id is made unique by
-suffixing.  Corrupt or truncated gzip data, malformed records and
+is preserved, and `read_sequences` makes a run of records with the same id
+unique by suffixing.  Corrupt or truncated gzip data, malformed records and
 non-ASCII bytes are reported as ValueError naming the file.
 """
 
@@ -59,8 +59,11 @@ def _name_and_description(header: str) -> tuple[str, str]:
     return fields[0], fields[1].strip() if len(fields) > 1 else ""
 
 
-def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
-    dedup = _IdDeduplicator()
+def _as_written(name: str) -> str:
+    return name
+
+
+def _parse_fasta(handle, rename) -> Iterator[tuple[Read, str]]:
     name = None
     chunks: list[str] = []
     for line in handle:
@@ -69,7 +72,7 @@ def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
             continue
         if line.startswith(">"):
             if name is not None:
-                read = Read(dedup(name), normalize_sequence("".join(chunks)))
+                read = Read(rename(name), normalize_sequence("".join(chunks)))
                 chunks = []  # not held while the consumer works on the record
                 yield read, text
             name, text = _name_and_description(line[1:])
@@ -80,13 +83,12 @@ def _parse_fasta(handle) -> Iterator[tuple[Read, str]]:
                 raise ValueError("FASTA data before first header")
             chunks.append(line)
     if name is not None:
-        read = Read(dedup(name), normalize_sequence("".join(chunks)))
+        read = Read(rename(name), normalize_sequence("".join(chunks)))
         del chunks
         yield read, text
 
 
-def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
-    dedup = _IdDeduplicator()
+def _parse_fastq(handle, rename) -> Iterator[tuple[Read, str]]:
     while True:
         header = handle.readline()
         if not header:
@@ -105,19 +107,27 @@ def _parse_fastq(handle) -> Iterator[tuple[Read, str]]:
         name, text = _name_and_description(header[1:])
         if not name:
             raise ValueError("FASTQ header without a name")
-        yield Read(dedup(name), normalize_sequence(seq)), text
+        yield Read(rename(name), normalize_sequence(seq)), text
 
 
 def read_sequences(path: str | Path) -> Iterator[Read]:
-    """Iterate reads from a FASTA or FASTQ file, plain or gzipped."""
-    return map(itemgetter(0), read_described(path))
+    """Iterate reads from a FASTA or FASTQ file, plain or gzipped, with an id
+    that repeats the record just before it suffixed (.2, .3, ...)."""
+    return map(itemgetter(0), _records(path, _IdDeduplicator()))
 
 
 def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
-    """`read_sequences` with each record's header description: the text
-    after the name, '' when there is none.  Every ValueError it raises
-    (corrupt or truncated gzip data, an unrecognized format, a malformed or
-    empty record, a non-ASCII byte) names the file once."""
+    """Each record of a FASTA or FASTQ file with its header description: the
+    text after the name, '' when there is none.  Names are as written, a
+    repeat included.  Every ValueError it raises (corrupt or truncated gzip
+    data, an unrecognized format, a malformed or empty record, a non-ASCII
+    byte) names the file once, as `read_sequences`' do."""
+    return _records(path, _as_written)
+
+
+def _records(path: str | Path, rename) -> Iterator[tuple[Read, str]]:
+    """(record, description) pairs of the file at `path`, each record's
+    name passed through `rename`."""
     raw = open(path, "rb")
     try:
         # the gzip magic and the format byte are peeked, not read, so the
@@ -126,9 +136,9 @@ def read_described(path: str | Path) -> Iterator[tuple[Read, str]]:
         first = stream.peek(1)[:1]
         handle = io.TextIOWrapper(stream, encoding="ascii")
         if first == b">":
-            yield from _parse_fasta(handle)
+            yield from _parse_fasta(handle, rename)
         elif first == b"@":
-            yield from _parse_fastq(handle)
+            yield from _parse_fastq(handle, rename)
         elif first:
             handle.read(1)  # decodes a chunk: a non-ASCII byte there is reported as one
             raise ValueError("unrecognized sequence file format")

@@ -78,7 +78,8 @@ pass encodes anything; each reads the strand's text as it stands:
   read holds them all (L >= (t+1)(k-1)) and none is an interior key, the
   pass fails unscanned, since t mismatches leave at least one of them exact
   (pigeonhole; a word holding N is a miss).  Such a `skipped` pass is
-  scanned for its reason only if the read ends unmapped;
+  scanned for its reason only if the read ends unmapped, and not once its
+  reason is `budget_exceeded`, the worst;
 - the branching and exhaustive passes detect the anchor overlaps once per
   read, on its forward text, with `AnchorIndex.overlaps`: at k > 24 it
   looks up only every s-th (k-s)-gram of the read (s = min(8, k-23)) in the
@@ -311,7 +312,8 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
     is truncated if any pass that ran was, and unmapped, its reason is the
     worst over them.  A pass `skipped` by the pigeonhole rule
     has failed, but its reason needs the full scan: that runs, with
-    `exact=True`, only when the read ends unmapped."""
+    `exact=True`, only when the read ends unmapped and its reason is not
+    yet the worst one."""
     if len(read.sequence) < graph.k:
         return MappingResult(read.id, UNMAPPED, reason=TOO_SHORT)
     view = ReadView(read.sequence, graph.k - 1)
@@ -335,6 +337,8 @@ def _map(read: Read, graph: CompactedGraph, params: MappingParams, *regimes) -> 
             break
     if best is None:
         for strand_pass, index, strand in skipped:
+            if reason == BUDGET_EXCEEDED:  # the worst reason: no rescan changes it
+                break
             attempt = strand_pass(view, strand, graph, index, params, exact=True)
             reason = _worse(reason, attempt.reason)
         return MappingResult(read.id, UNMAPPED, reason=reason, truncated=truncated)

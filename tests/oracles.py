@@ -18,8 +18,15 @@ from cdbgmap.graph import CompactedGraph
 from cdbgmap.sequences import decode_kmer, kmer_codes, reverse_complement
 
 
+def census_codes(census: KmerCensus) -> dict[int, int]:
+    """Every partition of the census in one dict, code -> count; it closes
+    the census."""
+    with census:
+        return dict(census.counts.items())
+
+
 def census_strings(census: KmerCensus) -> dict[str, int]:
-    return {decode_kmer(c, census.k): n for c, n in census.counts.items()}
+    return {decode_kmer(c, census.k): n for c, n in census_codes(census).items()}
 
 
 def solid_strings(solid: SolidKmerSet) -> set[str]:

@@ -149,6 +149,47 @@ def test_criterion_3_greedy_vs_exhaustive_gap(workspace):
     )
 
 
+def repeat_family_reference(seed, backbone=20_000, families=3, copies=12):
+    """A random backbone with 2%-mutated copies of 1 kb repeat families
+    inserted on random strands: a graph of many short unitigs."""
+    rng = random.Random(seed)
+    pieces = [random_genome(seed, backbone)]
+    for family in range(families):
+        unit = random_genome(seed + 1 + family, 1_000)
+        for _ in range(copies):
+            copy = "".join(
+                rng.choice([b for b in "ACGT" if b != base]) if rng.random() < 0.02 else base
+                for base in unit
+            )
+            cut = rng.randrange(len(pieces[-1]))
+            tail = pieces.pop()
+            pieces += [tail[:cut], copy if rng.random() < 0.5 else naive_rc(copy), tail[cut:]]
+    return "".join(pieces)
+
+
+def test_criterion_3_gap_on_a_branching_graph():
+    # criterion 3's reference compacts to one unitig, so its gap is 0 by
+    # construction; here reads cross repeat-family junctions
+    reference = repeat_family_reference(REFERENCE_SEED)
+    graph, anchor, interior = build_reference_graph(reference, K)
+    cfg = SimConfig(reference=reference, read_length=READ_LENGTH, read_count=2_000,
+                    error_rate=0.01, rng_seed=3)
+    sims = list(simulate_reads(cfg))
+    results = map_reads([s.read for s in sims], graph, anchor, interior, PARAMS, threads=1)
+    branching = sum(r.regime == "branching_path" for r in results)
+    stats = compare_branching_mappers(sims, results, graph, anchor, PARAMS)
+    gap = 100.0 * (stats["exhaustive_only"] + stats["strictly_better"]) / len(sims)
+    ok = stats["dominance_violations"] == 0 and branching >= len(sims) // 10
+    _report(
+        "3b",
+        ok,
+        f"{len(graph)} unitigs, branching_path={branching} of {len(sims)} reads, "
+        f"gap={gap:.2f}% exhaustive_only={stats['exhaustive_only']} "
+        f"strictly_better={stats['strictly_better']} truncated={stats['truncated']} "
+        f"dominance_violations={stats['dominance_violations']} (must be 0)",
+    )
+
+
 def test_criterion_4_spectrum_preservation():
     rng = random.Random(2718)
     failures = 0

@@ -74,6 +74,11 @@ def test_duplicate_ids_suffixed(tmp_path):
     ids = [r.id for r in read_sequences(p)]
     assert ids == ["a", "a.2", "a.3", "b"]
     assert len(set(ids)) == len(ids)
+    # read_described gives the names as written
+    assert [r.id for r, _ in read_described(p)] == ["a", "a", "a", "b"]
+    p.write_text("@a\nAC\n+\nII\n@a\nGT\n+\nII\n")
+    assert [r.id for r in read_sequences(p)] == ["a", "a.2"]
+    assert [r.id for r, _ in read_described(p)] == ["a", "a"]
 
 
 def test_only_runs_of_equal_ids_suffixed(tmp_path):

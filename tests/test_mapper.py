@@ -884,6 +884,35 @@ def test_a_skipped_single_pass_keeps_its_reason_when_the_read_is_unmapped():
         assert map_read(read, graph, anchor, interior, params).reason == reason
 
 
+def test_skipped_passes_are_not_rescanned_once_a_read_is_over_budget():
+    # a skipped pass is rescanned for its reason only while the read's reason
+    # can still get worse; budget_exceeded is the worst there is
+    from cdbgmap import mapper
+
+    graph = build_graph([random_genome(43, 60)], 11)
+    read = Read(id="r", sequence=graph.unitigs[0][:30])
+    rescans = []
+
+    def skipped(view, strand, graph, index, params, exact=False):
+        if exact:
+            rescans.append(strand)
+            return mapper._Attempt(mapper.COVER_FAILED)
+        return mapper._SKIPPED
+
+    for reason, expected, scanned in (
+        (mapper.BUDGET_EXCEEDED, mapper.BUDGET_EXCEEDED, []),
+        (mapper.END_NOT_FOUND, mapper.COVER_FAILED, ["+", "-"]),
+    ):
+        def failing(view, strand, graph, index, params, reason=reason):
+            return mapper._Attempt(reason)
+
+        rescans.clear()
+        strands = ("+", "-")
+        result = mapper._map(read, graph, PARAMS, (skipped, None, strands),
+                             (failing, None, strands))
+        assert (result.reason, rescans) == (expected, scanned)
+
+
 def test_greedy_cover_keeps_the_first_of_equally_cheap_candidates():
     # found by search, then frozen: two unitigs start with the read's first
     # word GCTA, each one mismatch from the read after it; the cover takes
